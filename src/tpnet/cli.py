@@ -14,12 +14,11 @@ from pathlib import Path
 import click
 
 from . import exports
+from .assist import compute_assist
 from .config import RunConfig, parse_config
 from .errors import TpnetError
 from .panels import aggregate_window, align_countries
 from .pipeline import (
-    ArtifactCache,
-    _assist_for_pair,
     _binary_for_window,
     compute_rankings,
     load_panels,
@@ -163,13 +162,12 @@ def assist(config_path, seed, samples, tier, digits, out_dir):
         lags, _, _ = _window_jobs(cfg, tech, prod)
         out = Path(cfg.output_dir) / "assist"
         out.mkdir(parents=True, exist_ok=True)
-        cache = ArtifactCache(Path(cfg.output_dir) / "cache")
         for spec in lags:
             for t1, t2 in spec.pairs:
-                tech_bin = _binary_for_window(tech, cfg.delta, t1, cache)
-                prod_bin = _binary_for_window(prod, cfg.delta, t2, cache)
+                tech_bin = _binary_for_window(tech, cfg.delta, t1)
+                prod_bin = _binary_for_window(prod, cfg.delta, t2)
                 tech_bin, prod_bin, _ = align_countries(tech_bin, prod_bin)
-                matrix = _assist_for_pair(tech_bin, prod_bin, cache)
+                matrix = compute_assist(tech_bin, prod_bin)
                 exports.write_assist_csv(matrix, out / f"assist_{t1}_{t2}.csv")
         return out
 
@@ -199,10 +197,7 @@ def efc(config_path, seed, samples, tier, digits, out_dir):
     def work(cfg):
         tech, prod = load_panels(cfg)
         lags, _, _ = _window_jobs(cfg, tech, prod)
-        cache = ArtifactCache(Path(cfg.output_dir) / "cache")
-        tech_ranking, _, prod_ranking, _ = compute_rankings(
-            cfg, tech, prod, lags, cache
-        )
+        tech_ranking, _, prod_ranking, _ = compute_rankings(cfg, tech, prod, lags)
         out = Path(cfg.output_dir) / "rankings"
         out.mkdir(parents=True, exist_ok=True)
         exports.write_ranking_csv(tech_ranking, out / "technology_ranks.csv")

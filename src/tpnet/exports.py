@@ -17,12 +17,7 @@ import numpy as np
 
 from .assist import AssistMatrix
 from .efc import ActivityRanking, LinkDifferenceCurve
-from .validate import (
-    DegreeReport,
-    ProfileEntry,
-    ValidatedNetwork,
-    product_chapter,
-)
+from .validate import DegreeReport, ValidatedNetwork, product_chapter
 
 
 def _fmt(value: float) -> str:
@@ -56,16 +51,18 @@ def write_edge_csv(net: ValidatedNetwork, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tech", "product", "weight", "p_value", "tier"])
-        for edge in net.edges:
-            writer.writerow(
-                [
-                    edge.tech_id,
-                    edge.product_id,
-                    _fmt(edge.weight),
-                    _fmt(edge.p_value),
-                    edge.highest_tier or net.tier,
-                ]
-            )
+        for tech, product, weight, p_value, tier in _edge_rows(net):
+            writer.writerow([tech, product, _fmt(weight), _fmt(p_value), tier])
+
+
+def _edge_rows(net: ValidatedNetwork):
+    """(tech, product, weight, p_value, tier) per edge, in id order; the tier
+    is the strongest one passed in every pair, at least the network's."""
+    rows, cols, weights, p_values, tiers = net.edge_arrays()
+    for i, j, weight, p_value, tier in zip(
+        rows.tolist(), cols.tolist(), weights.tolist(), p_values.tolist(), tiers.tolist()
+    ):
+        yield net.tech_ids[i], net.product_ids[j], weight, p_value, tier or net.tier
 
 
 def _tech_group(tech_id: str) -> str:
@@ -110,14 +107,14 @@ def write_graphml(
     for product in sorted(p for p, d in product_degrees.items() if d > 0):
         group = sections.get(product_chapter(product), product_chapter(product))
         node(f"p:{product}", "product", group, product_degrees[product])
-    for edge in net.edges:
+    for tech, product, weight, p_value, tier in _edge_rows(net):
         lines.append(
-            f"    <edge source={quoteattr('t:' + edge.tech_id)} "
-            f"target={quoteattr('p:' + edge.product_id)}>"
+            f"    <edge source={quoteattr('t:' + tech)} "
+            f"target={quoteattr('p:' + product)}>"
         )
-        lines.append(f'      <data key="weight">{_fmt(edge.weight)}</data>')
-        lines.append(f'      <data key="p_value">{_fmt(edge.p_value)}</data>')
-        lines.append(f'      <data key="tier">{escape(edge.highest_tier or net.tier)}</data>')
+        lines.append(f'      <data key="weight">{_fmt(weight)}</data>')
+        lines.append(f'      <data key="p_value">{_fmt(p_value)}</data>')
+        lines.append(f'      <data key="tier">{escape(tier)}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
@@ -166,10 +163,18 @@ def degree_report_dict(report: DegreeReport) -> dict:
 def network_report(
     net: ValidatedNetwork,
     report: DegreeReport,
-    profiles: Mapping[str, Sequence[ProfileEntry]],
+    profile: tuple[np.ndarray, np.ndarray],
     tech_subclass_degrees: Mapping[str, int],
     meta: Mapping[str, object],
 ) -> dict:
+    """The report.json payload. ``profile`` holds the exceedance fraction and
+    highest tier matrices over (tech, product), as ``significance_profile``
+    gives them one product column at a time; only connected products are
+    reported."""
+    fractions, tiers = profile
+    connected = sorted(
+        (net.product_ids[j], j) for j in np.flatnonzero(net.mask.any(axis=0)).tolist()
+    )
     return {
         "meta": dict(meta),
         "tier": net.tier,
@@ -182,14 +187,12 @@ def network_report(
         "tech_subclass_degrees": dict(sorted(tech_subclass_degrees.items())),
         "significance_profiles": {
             product: [
-                {
-                    "tech": e.tech_id,
-                    "exceed_fraction": e.exceed_fraction,
-                    "highest_tier": e.highest_tier,
-                }
-                for e in entries
+                {"tech": tech, "exceed_fraction": fraction, "highest_tier": tier}
+                for tech, fraction, tier in zip(
+                    net.tech_ids, fractions[:, j].tolist(), tiers[:, j].tolist()
+                )
             ]
-            for product, entries in sorted(profiles.items())
+            for product, j in connected
         },
     }
 
@@ -197,9 +200,10 @@ def network_report(
 def tech_subclass_degrees(net: ValidatedNetwork) -> dict[str, int]:
     """Edge counts grouped by technology code prefix (leading token)."""
     groups: dict[str, int] = {}
-    for edge in net.edges:
-        group = _tech_group(edge.tech_id)
-        groups[group] = groups.get(group, 0) + 1
+    for tech, degree in net.tech_degrees().items():
+        if degree > 0:
+            group = _tech_group(tech)
+            groups[group] = groups.get(group, 0) + degree
     return groups
 
 
@@ -233,20 +237,3 @@ def write_curve_csv(curve: LinkDifferenceCurve, path: str | Path) -> None:
                 ]
             )
 
-
-def write_profile_csv(
-    product_id: str, entries: Sequence[ProfileEntry], path: str | Path
-) -> None:
-    """Plot-ready rows behind a radial significance profile for one product."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["product", "tech", "exceed_fraction", "highest_tier"])
-        for entry in entries:
-            writer.writerow(
-                [
-                    product_id,
-                    entry.tech_id,
-                    _fmt(entry.exceed_fraction),
-                    entry.highest_tier or "",
-                ]
-            )

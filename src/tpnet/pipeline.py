@@ -3,11 +3,11 @@ validation, ranking, reports, and the window-robustness harness.
 
 Runs are deterministic given (config, seed): every random substream is derived
 from the master seed plus a structural key (lag index, pair index, sample
-index, layer), and all writers are deterministic. Expensive intermediates
-(binary matrices, fitted models, contraction matrices, exceedance counts) are
-cached on disk keyed by a content hash of their inputs, so rerunning any stage
-from a cached intermediate reproduces identical downstream results. A manifest
-in the output directory records which stages completed.
+index, layer), and all writers are deterministic. Only the exceedance counts,
+the one costly intermediate, are cached on disk, keyed by a content hash of
+their inputs, so a rerun from the cache reproduces identical downstream
+results; windows, RCA, contractions and fits are recomputed. A manifest in the
+output directory records which stages completed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exports
-from .assist import AssistMatrix, compute_assist
+from .assist import compute_assist
 from .config import LagSpec, RunConfig, config_to_dict, resolve_lag
 from .efc import (
     ActivityRanking,
@@ -49,11 +49,12 @@ from .rca import BinaryMatrix, binarize, compute_rca
 from .validate import (
     PairValidation,
     ValidatedNetwork,
+    _standing,
     compute_pvalues,
     degree_report,
     intersect_pairs,
     load_hs_sections,
-    significance_profile,
+    significance_profile,  # noqa: F401  perfbench/tracer.py wraps it by this name
 )
 
 logger = logging.getLogger(__name__)
@@ -201,65 +202,9 @@ def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tu
 
 
 def _binary_for_window(
-    panel: ActivityPanel, delta: int, end_year: int, cache: ArtifactCache
+    panel: ActivityPanel, delta: int, end_year: int
 ) -> BinaryMatrix:
-    window = aggregate_window(panel, delta, end_year)
-    key = cache.key(
-        "binary", panel.layer_kind, *window.country_ids, *window.activity_ids,
-        window.values,
-    )
-    cached = cache.load("binary", key)
-    if cached is not None:
-        return BinaryMatrix(
-            layer_kind=panel.layer_kind,
-            country_ids=window.country_ids,
-            activity_ids=window.activity_ids,
-            values=cached["values"],
-            delta=delta,
-            end_year=end_year,
-        )
-    binary = binarize(compute_rca(window))
-    cache.store("binary", key, values=binary.values)
-    return binary
-
-
-def _fit_model(binary: BinaryMatrix, cache: ArtifactCache) -> BiCMModel:
-    key = cache.key(
-        "model", binary.layer_kind, *binary.country_ids, *binary.activity_ids,
-        binary.values,
-    )
-    cached = cache.load("model", key)
-    if cached is not None:
-        return BiCMModel(
-            layer_kind=binary.layer_kind,
-            country_ids=binary.country_ids,
-            activity_ids=binary.activity_ids,
-            row_multipliers=cached["x"],
-            col_multipliers=cached["y"],
-            link_probabilities=cached["p"],
-            fit_residual=float(cached["residual"][0]),
-        )
-    model = fit_bicm(binary)
-    cache.store(
-        "model", key,
-        x=model.row_multipliers, y=model.col_multipliers,
-        p=model.link_probabilities, residual=np.array([model.fit_residual]),
-    )
-    return model
-
-
-def _assist_for_pair(
-    tech_bin: BinaryMatrix, prod_bin: BinaryMatrix, cache: ArtifactCache
-) -> AssistMatrix:
-    key = cache.key(
-        "assist", *tech_bin.country_ids, *tech_bin.activity_ids,
-        *prod_bin.activity_ids, tech_bin.values, prod_bin.values,
-    )
-    cached = cache.load("assist", key)
-    assist = compute_assist(tech_bin, prod_bin)
-    if cached is None:
-        cache.store("assist", key, values=assist.values)
-    return assist
+    return binarize(compute_rca(aggregate_window(panel, delta, end_year)))
 
 
 def _flag_sampling_bias(
@@ -302,13 +247,13 @@ def validate_pair(
 ) -> PairValidation:
     """Full single-pair chain: windows, RCA, alignment, contraction, nulls."""
     t1, t2 = pair
-    tech_bin = _binary_for_window(tech_panel, cfg.delta, t1, cache)
-    prod_bin = _binary_for_window(prod_panel, cfg.delta, t2, cache)
+    tech_bin = _binary_for_window(tech_panel, cfg.delta, t1)
+    prod_bin = _binary_for_window(prod_panel, cfg.delta, t2)
     tech_bin, prod_bin, common = align_countries(tech_bin, prod_bin)
     logger.info("pair (%s, %s): %d common countries", t1, t2, len(common))
-    empirical = _assist_for_pair(tech_bin, prod_bin, cache)
-    tech_model = _fit_model(tech_bin, cache)
-    prod_model = _fit_model(prod_bin, cache)
+    empirical = compute_assist(tech_bin, prod_bin)
+    tech_model = fit_bicm(tech_bin)
+    prod_model = fit_bicm(prod_bin)
     counts_key = cache.key(
         "counts", empirical.values, tech_model.link_probabilities,
         prod_model.link_probabilities, cfg.samples, cfg.seed, *stream_key,
@@ -372,13 +317,12 @@ def compute_rankings(
     tech_panel: ActivityPanel,
     prod_panel: ActivityPanel,
     lags: Sequence[LagSpec],
-    cache: ArtifactCache,
 ) -> tuple[ActivityRanking, FitnessComplexity, ActivityRanking, FitnessComplexity]:
     """Complexity rankings on the most recent configured window of each layer."""
     tech_end = max(t1 for spec in lags for t1, _ in spec.pairs)
     prod_end = max(t2 for spec in lags for _, t2 in spec.pairs)
-    tech_bin = _binary_for_window(tech_panel, cfg.delta, tech_end, cache)
-    prod_bin = _binary_for_window(prod_panel, cfg.delta, prod_end, cache)
+    tech_bin = _binary_for_window(tech_panel, cfg.delta, tech_end)
+    prod_bin = _binary_for_window(prod_panel, cfg.delta, prod_end)
     tech_ranking, tech_fit = rank_activities(tech_bin)
     prod_ranking, prod_fit = rank_activities(prod_bin)
     return tech_ranking, tech_fit, prod_ranking, prod_fit
@@ -402,11 +346,6 @@ def _write_lag_outputs(
     written = [edge_path, graphml_path]
     if reports:
         report = degree_report(net, sections)
-        profiles = {
-            product: significance_profile(product, result.validations)
-            for product, deg in net.product_degrees().items()
-            if deg > 0
-        }
         meta = {
             "delta": cfg.delta,
             "samples": cfg.samples,
@@ -417,7 +356,8 @@ def _write_lag_outputs(
         report_path = lag_dir / "report.json"
         exports.write_json(
             exports.network_report(
-                net, report, profiles, exports.tech_subclass_degrees(net), meta
+                net, report, _standing(result.validations),
+                exports.tech_subclass_degrees(net), meta,
             ),
             report_path,
         )
@@ -473,7 +413,7 @@ def run_pipeline(
             )
 
     tech_ranking, tech_fit, prod_ranking, prod_fit = _stage(
-        "efc", compute_rankings, cfg, tech_panel, prod_panel, lags, cache
+        "efc", compute_rankings, cfg, tech_panel, prod_panel, lags
     )
     if manifest:
         manifest.complete(
@@ -647,7 +587,7 @@ def run_robustness(
     span = (
         (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None
     )
-    benchmark_edges = benchmark.edge_set()
+    benchmark_edges = benchmark.edge_count
     tier = benchmark.tier
 
     rows = []
@@ -659,8 +599,8 @@ def run_robustness(
                 validate_pair,
                 run_cfg, tech_panel, prod_panel, (t1, t2), (1, delta, t2), cache,
             )
-            edges_tier = intersect_pairs([validation], tier).edge_set()
-            edges_lax = intersect_pairs([validation], LAX_TIER).edge_set()
+            at_tier = validation.tier_mask(tier)
+            at_lax = validation.tier_mask(LAX_TIER)
             outside = span is not None and not (
                 span[0] <= t2 - delta + 1 and t2 <= span[1]
             )
@@ -670,10 +610,12 @@ def run_robustness(
                     end_year=t2,
                     t1=t1,
                     t2=t2,
-                    edges_at_tier=len(edges_tier),
-                    overlap_at_tier=len(edges_tier & benchmark_edges) / len(benchmark_edges),
-                    edges_at_lax=len(edges_lax),
-                    overlap_at_lax=len(edges_lax & benchmark_edges) / len(benchmark_edges),
+                    edges_at_tier=int(np.count_nonzero(at_tier)),
+                    overlap_at_tier=int(np.count_nonzero(at_tier & benchmark.mask))
+                    / benchmark_edges,
+                    edges_at_lax=int(np.count_nonzero(at_lax)),
+                    overlap_at_lax=int(np.count_nonzero(at_lax & benchmark.mask))
+                    / benchmark_edges,
                     outside_benchmark_span=outside,
                 )
             )
@@ -684,7 +626,7 @@ def run_robustness(
     report = RobustnessReport(
         benchmark_tier=tier,
         lax_tier=LAX_TIER,
-        benchmark_edges=len(benchmark_edges),
+        benchmark_edges=benchmark_edges,
         delta_t=delta_t,
         rows=tuple(rows),
     )

@@ -97,6 +97,10 @@ class PairValidation:
         return self.exceed_counts >= tier_threshold(tier, self.n_samples)
 
     def link(self, tech_id: str, product_id: str) -> LinkValidation:
+        if tech_id not in self.tech_ids:
+            raise AxisMismatchError(f"unknown technology {tech_id!r}")
+        if product_id not in self.product_ids:
+            raise AxisMismatchError(f"unknown product {product_id!r}")
         i = self.tech_ids.index(tech_id)
         j = self.product_ids.index(product_id)
         return LinkValidation(
@@ -132,101 +136,118 @@ def compute_pvalues(
     )
 
 
-@dataclass(frozen=True)
-class ValidatedEdge:
-    """A directed link significant at the network's tier in every pair."""
-
-    tech_id: str
-    product_id: str
-    per_pair: tuple[LinkValidation, ...]
-
-    @property
-    def weight(self) -> float:
-        """Mean empirical weight across the constituent pairs."""
-        return sum(v.empirical_weight for v in self.per_pair) / len(self.per_pair)
-
-    @property
-    def p_value(self) -> float:
-        """Largest (most conservative) p-value across the constituent pairs."""
-        return max(v.p_value for v in self.per_pair)
-
-    def passes(self, tier: str) -> bool:
-        return all(v.passes(tier) for v in self.per_pair)
-
-    @property
-    def highest_tier(self) -> Optional[str]:
-        passed = None
-        for tier in TIER_ORDER:
-            if self.passes(tier):
-                passed = tier
-        return passed
-
-
-@dataclass(frozen=True)
-class ValidatedNetwork:
-    """Directed technology-to-product network surviving all period pairs."""
-
-    tier: str
-    lag: Optional[int]
-    pairs: tuple[tuple[Optional[int], Optional[int]], ...]
-    tech_ids: tuple[str, ...]
-    product_ids: tuple[str, ...]
-    edges: tuple[ValidatedEdge, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset((e.tech_id, e.product_id) for e in self.edges)
-
-    def tech_degrees(self) -> dict[str, int]:
-        degrees = {t: 0 for t in self.tech_ids}
-        for e in self.edges:
-            degrees[e.tech_id] += 1
-        return degrees
-
-    def product_degrees(self) -> dict[str, int]:
-        degrees = {p: 0 for p in self.product_ids}
-        for e in self.edges:
-            degrees[e.product_id] += 1
-        return degrees
-
-
-def intersect_pairs(
-    validations: Sequence[PairValidation], tier: str
-) -> ValidatedNetwork:
-    """Keep the links significant at the tier in every period pair."""
+def _shared_axes(validations: Sequence[PairValidation]) -> PairValidation:
+    """The first pair, after checking that every pair has its axes."""
     if not validations:
         raise ValueError("need at least one validated pair")
     first = validations[0]
     for other in validations[1:]:
         if other.tech_ids != first.tech_ids or other.product_ids != first.product_ids:
             raise AxisMismatchError("validated pairs do not share axes")
+    return first
+
+
+_TIER_NAMES = np.array([None, *TIER_ORDER], dtype=object)
+
+
+def _standing(
+    validations: Sequence[PairValidation], index=...
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest exceedance fraction over the pairs, and strongest tier passed
+    in every pair (None below the weakest), for the cells ``index`` selects."""
+    counts = [v.exceed_counts[index] for v in validations]
+    fraction = np.minimum.reduce(
+        [c / v.n_samples for c, v in zip(counts, validations)]
+    )
+    level = np.zeros(fraction.shape, dtype=np.intp)
+    for k, tier in enumerate(TIER_ORDER, start=1):
+        passed = np.logical_and.reduce(
+            [c >= tier_threshold(tier, v.n_samples) for c, v in zip(counts, validations)]
+        )
+        level[passed] = k
+    return fraction, _TIER_NAMES[level]
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Position of each id in string order; equal ids share a position."""
+    rank = {value: r for r, value in enumerate(sorted(set(ids)))}
+    return np.array([rank[value] for value in ids], dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class ValidatedNetwork:
+    """Directed technology-to-product network surviving all period pairs.
+
+    The network is ``mask``, a boolean matrix over (``tech_ids``,
+    ``product_ids``) marking the links significant at ``tier`` in every pair
+    of ``validations``. Edge sets and degrees are views of the mask;
+    ``edge_arrays`` computes the per-edge values from the pairs' matrices.
+    """
+
+    tier: str
+    lag: Optional[int]
+    pairs: tuple[tuple[Optional[int], Optional[int]], ...]
+    tech_ids: tuple[str, ...]
+    product_ids: tuple[str, ...]
+    validations: tuple[PairValidation, ...]
+    mask: np.ndarray
+
+    @property
+    def edge_count(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    def edge_set(self) -> frozenset[tuple[str, str]]:
+        rows, cols = np.nonzero(self.mask)
+        return frozenset(
+            (self.tech_ids[i], self.product_ids[j])
+            for i, j in zip(rows.tolist(), cols.tolist())
+        )
+
+    def tech_degrees(self) -> dict[str, int]:
+        return dict(zip(self.tech_ids, np.count_nonzero(self.mask, axis=1).tolist()))
+
+    def product_degrees(self) -> dict[str, int]:
+        return dict(zip(self.product_ids, np.count_nonzero(self.mask, axis=0).tolist()))
+
+    def edge_arrays(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per edge, in (tech_id, product_id) order: the tech and product axis
+        positions, the empirical weight averaged over the pairs, the largest
+        p-value over the pairs, and the strongest tier passed in every pair."""
+        rows, cols = np.nonzero(self.mask)
+        order = np.lexsort(
+            (_id_ranks(self.product_ids)[cols], _id_ranks(self.tech_ids)[rows])
+        )
+        rows, cols = rows[order], cols[order]
+        weight = sum(v.empirical[rows, cols] for v in self.validations) / len(self.validations)
+        p_value = np.maximum.reduce(
+            [(v.n_samples - v.exceed_counts[rows, cols]) / v.n_samples
+             for v in self.validations]
+        )
+        _, highest = _standing(self.validations, (rows, cols))
+        return rows, cols, weight, p_value, highest
+
+
+def intersect_pairs(
+    validations: Sequence[PairValidation], tier: str
+) -> ValidatedNetwork:
+    """Keep the links significant at the tier in every period pair."""
+    first = _shared_axes(validations)
     tier_threshold(tier, first.n_samples)  # reject unknown tiers up front
     mask = np.ones(first.empirical.shape, dtype=bool)
     for v in validations:
         mask &= v.tier_mask(tier)
     lags = {v.t2 - v.t1 for v in validations if v.t1 is not None and v.t2 is not None}
     lag = lags.pop() if len(lags) == 1 else None
-    edges = []
-    for i, j in zip(*np.nonzero(mask)):
-        tech, product = first.tech_ids[i], first.product_ids[j]
-        edges.append(
-            ValidatedEdge(
-                tech_id=tech,
-                product_id=product,
-                per_pair=tuple(v.link(tech, product) for v in validations),
-            )
-        )
-    edges.sort(key=lambda e: (e.tech_id, e.product_id))
     return ValidatedNetwork(
         tier=str(tier),
         lag=lag,
         pairs=tuple((v.t1, v.t2) for v in validations),
         tech_ids=first.tech_ids,
         product_ids=first.product_ids,
-        edges=tuple(edges),
+        validations=tuple(validations),
+        mask=mask,
     )
 
 
@@ -375,36 +396,9 @@ def significance_profile(
     """
     if isinstance(validations, PairValidation):
         validations = [validations]
-    if not validations:
-        raise ValueError("need at least one validated pair")
-    first = validations[0]
-    for other in validations[1:]:
-        if other.tech_ids != first.tech_ids or other.product_ids != first.product_ids:
-            raise AxisMismatchError("validated pairs do not share axes")
+    first = _shared_axes(validations)
     if product_id not in first.product_ids:
         raise AxisMismatchError(f"unknown product {product_id!r}")
     j = first.product_ids.index(product_id)
-    entries = []
-    for i, tech in enumerate(first.tech_ids):
-        links = [
-            LinkValidation(
-                tech_id=tech,
-                product_id=product_id,
-                empirical_weight=float(v.empirical[i, j]),
-                exceed_count=int(v.exceed_counts[i, j]),
-                n_samples=v.n_samples,
-            )
-            for v in validations
-        ]
-        highest = None
-        for tier in TIER_ORDER:
-            if all(link.passes(tier) for link in links):
-                highest = tier
-        entries.append(
-            ProfileEntry(
-                tech_id=tech,
-                exceed_fraction=min(link.exceed_fraction for link in links),
-                highest_tier=highest,
-            )
-        )
-    return tuple(entries)
+    fraction, highest = _standing(validations, (slice(None), j))
+    return tuple(map(ProfileEntry, first.tech_ids, fraction.tolist(), highest.tolist()))

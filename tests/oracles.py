@@ -95,3 +95,46 @@ def reference_fitness_complexity(
         fitness = [v / mean_f for v in raw_f]
         complexity = [v / mean_q for v in raw_q]
     return np.array(fitness), np.array(complexity)
+
+
+def _reference_highest_tier(counts, n_samples, tier_order, tier_threshold):
+    """Strongest tier whose threshold every pair's count reaches, or None."""
+    highest = None
+    for tier in tier_order:
+        if all(c >= tier_threshold(tier, n) for c, n in zip(counts, n_samples)):
+            highest = tier
+    return highest
+
+
+def reference_network(validations, tier, tier_order, tier_threshold):
+    """Edges of the pairs intersected at ``tier``, one Python loop per cell:
+    (tech, product, mean weight, largest p-value, highest tier) rows sorted by
+    the id strings."""
+    first = validations[0]
+    n_samples = [v.n_samples for v in validations]
+    rows = []
+    for i, tech in enumerate(first.tech_ids):
+        for j, product in enumerate(first.product_ids):
+            counts = [int(v.exceed_counts[i, j]) for v in validations]
+            if not all(c >= tier_threshold(tier, n) for c, n in zip(counts, n_samples)):
+                continue
+            weight = sum(float(v.empirical[i, j]) for v in validations) / len(validations)
+            p_value = max((n - c) / n for c, n in zip(counts, n_samples))
+            highest = _reference_highest_tier(counts, n_samples, tier_order, tier_threshold)
+            rows.append((tech, product, weight, p_value, highest))
+    return sorted(rows, key=lambda row: (row[0], row[1]))
+
+
+def reference_profile(product_id, validations, tier_order, tier_threshold):
+    """(tech, smallest exceedance fraction, highest tier) for every technology
+    against one product, in axis order."""
+    first = validations[0]
+    j = first.product_ids.index(product_id)
+    n_samples = [v.n_samples for v in validations]
+    entries = []
+    for i, tech in enumerate(first.tech_ids):
+        counts = [int(v.exceed_counts[i, j]) for v in validations]
+        fraction = min(c / n for c, n in zip(counts, n_samples))
+        highest = _reference_highest_tier(counts, n_samples, tier_order, tier_threshold)
+        entries.append((tech, fraction, highest))
+    return entries

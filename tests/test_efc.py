@@ -12,7 +12,7 @@ from tpnet import (
 )
 from tpnet.efc import ActivityRanking
 from tpnet.rca import BinaryMatrix
-from tpnet.validate import LinkValidation, ValidatedEdge, ValidatedNetwork
+from tpnet.validate import PairValidation, intersect_pairs
 
 from .conftest import random_binary_no_empty
 from .oracles import reference_fitness_complexity
@@ -175,14 +175,14 @@ def test_rank_ties_break_lexicographically():
 
 
 def _net(edges, techs, prods):
-    built = tuple(
-        ValidatedEdge(t, p, (LinkValidation(t, p, 1.0, 9999, 10000),))
-        for t, p in edges
+    counts = np.zeros((len(techs), len(prods)), dtype=int)
+    for t, p in edges:
+        counts[techs.index(t), prods.index(p)] = 9999
+    validation = PairValidation(
+        tech_ids=techs, product_ids=prods, empirical=(counts > 0) * 1.0,
+        exceed_counts=counts, n_samples=10000, t1=2012, t2=2012,
     )
-    return ValidatedNetwork(
-        tier="95", lag=0, pairs=((2012, 2012),),
-        tech_ids=techs, product_ids=prods, edges=built,
-    )
+    return intersect_pairs([validation], "95")
 
 
 def _ranking(ids):

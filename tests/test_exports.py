@@ -8,22 +8,18 @@ import pytest
 from tpnet import exports, load_hs_sections
 from tpnet.assist import AssistMatrix
 from tpnet.efc import ActivityRanking
-from tpnet.validate import LinkValidation, ValidatedEdge, ValidatedNetwork, significance_profile, PairValidation
+from tpnet.validate import PairValidation, intersect_pairs
 
 
 def _network():
-    edges = (
-        ValidatedEdge("Y02A 10", "810520",
-                      (LinkValidation("Y02A 10", "810520", 0.4, 9995, 10000),)),
-        ValidatedEdge("Y02E 60", "282200",
-                      (LinkValidation("Y02E 60", "282200", 0.2, 9600, 10000),)),
-    )
-    return ValidatedNetwork(
-        tier="95", lag=0, pairs=((2012, 2012),),
+    validation = PairValidation(
         tech_ids=("Y02A 10", "Y02E 60", "Y02W 30"),
         product_ids=("810520", "282200", "010101"),
-        edges=edges,
+        empirical=np.array([[0.4, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.0]]),
+        exceed_counts=np.array([[9995, 0, 0], [0, 9600, 0], [0, 0, 0]]),
+        n_samples=10000, t1=2012, t2=2012,
     )
+    return intersect_pairs([validation], "95")
 
 
 def test_edge_csv_format(tmp_path):
@@ -70,7 +66,7 @@ def test_matrix_and_assist_csv(tmp_path):
     assert rows == [{"tech": "t0", "product": "p0", "value": "0.75"}]
 
 
-def test_ranking_and_profile_csv(tmp_path):
+def test_ranking_csv(tmp_path):
     ranking = ActivityRanking(
         kind="product", ranks={"a": 1, "b": 2, "z": 3}, stripped=("z",)
     )
@@ -78,17 +74,6 @@ def test_ranking_and_profile_csv(tmp_path):
     rows = list(csv.DictReader((tmp_path / "ranks.csv").read_text().splitlines()))
     assert [r["activity"] for r in rows] == ["a", "b", "z"]
     assert rows[2]["stripped"] == "1"
-
-    validation = PairValidation(
-        tech_ids=("t0", "t1"), product_ids=("p0",),
-        empirical=np.array([[0.3], [0.0]]),
-        exceed_counts=np.array([[9991], [0]]), n_samples=10000,
-    )
-    entries = significance_profile("p0", validation)
-    exports.write_profile_csv("p0", entries, tmp_path / "profile.csv")
-    rows = list(csv.DictReader((tmp_path / "profile.csv").read_text().splitlines()))
-    assert rows[0]["highest_tier"] == "99.9"
-    assert rows[1]["highest_tier"] == ""
 
 
 def test_subclass_degrees_group_by_leading_token():

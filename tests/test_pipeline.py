@@ -106,11 +106,15 @@ def test_robustness_overlap_on_matching_configuration(planted_panel_files, tmp_p
 
 def test_robustness_rejects_empty_benchmark(planted_panel_files, tmp_path):
     cfg = _config(planted_panel_files, tmp_path, tier="99.9", samples=50)
-    from tpnet.validate import ValidatedNetwork
+    from tpnet.validate import PairValidation, intersect_pairs
 
-    empty = ValidatedNetwork(
-        tier="95", lag=0, pairs=((2013, 2013),),
-        tech_ids=("T0",), product_ids=("10 P0",), edges=(),
+    empty = intersect_pairs(
+        [PairValidation(
+            tech_ids=("T0",), product_ids=("10 P0",), empirical=np.zeros((1, 1)),
+            exceed_counts=np.zeros((1, 1), dtype=int), n_samples=10000,
+            t1=2013, t2=2013,
+        )],
+        "95",
     )
     with pytest.raises(ConfigError, match="no edges"):
         run_robustness(cfg, empty)

@@ -1,5 +1,7 @@
 """Exceedance counting, tiers, pair intersection, and reporting."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,10 @@ from tpnet import (
 )
 from tpnet.assist import AssistMatrix
 from tpnet.rca import BinaryMatrix
-from tpnet.validate import PairValidation, ValidatedNetwork, ValidatedEdge, LinkValidation
+from tpnet import exports
+from tpnet.validate import TIER_ORDER, PairValidation
+
+from .oracles import reference_network, reference_profile
 
 
 def _assist(values, techs=None, prods=None, t1=2012, t2=2012):
@@ -68,6 +73,14 @@ def test_boundary_count_passes_95_fails_99():
     link = v.link("t0", "10 p")
     assert link.passes("95") and not link.passes("99")
     assert link.p_value == 0.05
+
+
+def test_link_names_an_unknown_id():
+    v = _validation([[1]], 10)
+    with pytest.raises(AxisMismatchError, match="'nope'"):
+        v.link("nope", "10 p")
+    with pytest.raises(AxisMismatchError, match="'zz'"):
+        v.link("t0", "zz")
 
 
 def test_zero_empirical_weight_is_never_significant():
@@ -161,27 +174,18 @@ def test_edge_aggregates_weight_and_pvalue():
     a = _validation([[9700]], 10000, empirical=[[0.4]])
     b = _validation([[9600]], 10000, empirical=[[0.6]], t1=2017, t2=2017)
     net = intersect_pairs([a, b], "95")
-    edge = net.edges[0]
-    assert edge.weight == pytest.approx(0.5)
-    assert edge.p_value == pytest.approx(0.04)
-    assert edge.highest_tier == "95"
+    _, _, weight, p_value, highest_tier = net.edge_arrays()
+    assert weight[0] == pytest.approx(0.5)
+    assert p_value[0] == pytest.approx(0.04)
+    assert highest_tier[0] == "95"
 
 
 def _network(edges, techs, prods, tier="95"):
-    built = []
+    counts = np.zeros((len(techs), len(prods)), dtype=int)
     for tech, prod in edges:
-        built.append(
-            ValidatedEdge(
-                tech_id=tech, product_id=prod,
-                per_pair=(
-                    LinkValidation(tech, prod, 1.0, 9999, 10000),
-                ),
-            )
-        )
-    return ValidatedNetwork(
-        tier=tier, lag=0, pairs=((2012, 2012),),
-        tech_ids=techs, product_ids=prods, edges=tuple(built),
-    )
+        counts[techs.index(tech), prods.index(prod)] = 9999
+    validation = _validation(counts, 10000, techs, prods, empirical=(counts > 0) * 1.0)
+    return intersect_pairs([validation], tier)
 
 
 def test_degree_report_empty_network():
@@ -239,6 +243,13 @@ def test_significance_profile_tier_chain():
     assert by_tech["t1"].highest_tier == "95"
     link = v.link("t0", "10 p")
     assert link.tiers == {"95": True, "99": True, "99.9": True}
+    # a bare pair, not a list, with the weakest standing below every tier
+    bare = PairValidation(
+        tech_ids=("t0", "t1"), product_ids=("p0",),
+        empirical=np.array([[0.3], [0.0]]),
+        exceed_counts=np.array([[9991], [0]]), n_samples=10000,
+    )
+    assert [e.highest_tier for e in significance_profile("p0", bare)] == ["99.9", None]
 
 
 def test_significance_profile_multiple_pairs_takes_binding_tier():
@@ -253,3 +264,67 @@ def test_significance_profile_unknown_product():
     v = _validation([[1]], 10)
     with pytest.raises(AxisMismatchError):
         significance_profile("nope", [v])
+
+
+def _oracle_pairs(rng, n_pairs, empty=False):
+    """Pairs on shuffled id axes (mixed id lengths, so string order is not
+    axis or numeric order), a different N per pair, counts at and around
+    every tier threshold."""
+    techs = [f"Y02{c} {k}" for c in "AEW" for k in (1, 10, 3)]
+    prods = [str(k) for k in (9, 10, 100, 2, 20, 200, 281, 28, 3)]
+    techs = tuple(rng.permutation(techs).tolist())
+    prods = tuple(rng.permutation(prods).tolist())
+    pairs = []
+    for k in range(n_pairs):
+        n = int(rng.integers(20, 2001))
+        choices = [0, n // 2, n]
+        for tier in ("90", *TIER_ORDER):
+            t = tier_threshold(tier, n)
+            choices += [t - 1, t]
+        counts = rng.choice(choices, size=(len(techs), len(prods)))
+        if empty:
+            counts = np.minimum(counts, tier_threshold("90", n) - 1)
+        pairs.append(PairValidation(
+            tech_ids=techs, product_ids=prods,
+            empirical=rng.random((len(techs), len(prods))),
+            exceed_counts=counts, n_samples=n, t1=2010 + k, t2=2012 + k,
+        ))
+    return pairs
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 4])
+@pytest.mark.parametrize("empty", [False, True])
+def test_network_matches_loop_oracle(n_pairs, empty, tmp_path):
+    rng = np.random.default_rng(1000 + 10 * n_pairs + empty)
+    for _ in range(5):
+        pairs = _oracle_pairs(rng, n_pairs, empty)
+        for tier in ("90", *TIER_ORDER):
+            expected = reference_network(pairs, tier, TIER_ORDER, tier_threshold)
+            net = intersect_pairs(pairs, tier)
+            rows, cols, weight, p_value, highest = net.edge_arrays()
+            got = [
+                (net.tech_ids[i], net.product_ids[j], w, p, h)
+                for i, j, w, p, h in zip(
+                    rows.tolist(), cols.tolist(), weight.tolist(),
+                    p_value.tolist(), highest.tolist(),
+                )
+            ]
+            assert repr(got) == repr(expected)
+            assert not (empty and expected)
+            assert net.edge_count == len(expected)
+            assert net.edge_set() == {(t, p) for t, p, *_ in expected}
+            assert sum(net.tech_degrees().values()) == len(expected)
+            assert net.lag == 2 and len(net.pairs) == n_pairs
+
+            path = tmp_path / "edges.csv"
+            exports.write_edge_csv(net, path)
+            with path.open(newline="") as fh:
+                written = list(csv.reader(fh))
+            assert written == [["tech", "product", "weight", "p_value", "tier"]] + [
+                [t, p, repr(w), repr(pv), h or tier] for t, p, w, pv, h in expected
+            ]
+        for product in pairs[0].product_ids:
+            profile = significance_profile(product, pairs)
+            assert [(e.tech_id, e.exceed_fraction, e.highest_tier) for e in profile] == (
+                reference_profile(product, pairs, TIER_ORDER, tier_threshold)
+            )
