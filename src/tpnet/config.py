@@ -6,7 +6,7 @@ Schema (JSON object; unknown keys rejected):
     product_panel     path to the product panel CSV           (required)
     delta             aggregation window length in years      (default 5)
     samples           null-ensemble size N                    (default 10000)
-    seed              master random seed                      (default 0)
+    seed              master random seed, >= 0                (default 0)
     tier              significance tier: 90|95|99|99.9        (default "95")
     digits            product code prefix length to aggregate (default null)
     output_dir        where artifacts are written             (default "out")
@@ -79,6 +79,8 @@ class RunConfig:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if str(self.tier) not in TIER_LEVELS:
             raise ConfigError(
                 f"tier must be one of {sorted(TIER_LEVELS)}, got {self.tier!r}"

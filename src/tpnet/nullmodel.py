@@ -12,6 +12,13 @@ Sampling draws every matrix entry as an independent Bernoulli variable. Each
 sample index derives its own random substream from (seed, stream_key, index),
 so ensembles are reproducible bit-for-bit and order-insensitive: accumulating
 over samples can be parallelized across indices without changing any result.
+
+Validation runs ``null_exceedance_counts``: one loop per period pair that
+draws both layers, contracts them, compares the result with the empirical
+matrix and adds the degree sums for the sampling-bias audit, all in buffers
+allocated once. ``null_assist_ensemble`` (with ``validate.compute_pvalues``),
+``sample_ensemble`` and ``ensemble_degree_zscores`` are the reference path it
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -270,42 +277,82 @@ def null_assist_ensemble(
         )
 
 
-def null_assist_degree_zscores(
+def null_exceedance_counts(
     tech_model: BiCMModel,
     prod_model: BiCMModel,
+    empirical_values: np.ndarray,
     n: int,
     seed: int,
     stream_key: tuple[int, ...] = (),
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Degree-bias z-scores over the exact substreams the paired null
-    contraction stream consumes, one (row, column) pair per layer."""
-    results = []
-    for layer_index, model in enumerate((tech_model, prod_model)):
-        draws = (
-            _draw(model, _rng(seed, (*stream_key, i, layer_index)))
-            for i in range(n)
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Exceedance counts over n null contractions, drawn, contracted and
+    compared in one pass.
+
+    Consumes the substreams of ``null_assist_ensemble`` and returns the
+    counts ``compute_pvalues`` gives over it, bit for bit: every GEMM gets the
+    operands and memory layout of ``_assist_values`` (F-ordered technology
+    draw transposed, C-ordered product draw scaled by 1/d), and the 1/u row
+    scaling stays a separate multiply before the strict comparison.
+
+    Returns (counts, degree_sums): int32 counts of the draws the empirical
+    weight strictly exceeds, and per layer (technology, product) the row and
+    column degree sums over all n draws, for ``degree_zscores``.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    if tech_model.country_ids != prod_model.country_ids:
+        raise AxisMismatchError(
+            "technology and product models must share the same country axis"
         )
-        results.append(ensemble_degree_zscores(model, draws))
-    return tuple(results)
+    empirical = np.asarray(empirical_values, dtype=np.float64)
+    shape = (tech_model.shape[1], prod_model.shape[1])
+    if empirical.shape != shape:
+        raise AxisMismatchError("empirical matrix does not match the model axes")
+    p_tech = tech_model.link_probabilities
+    p_prod = prod_model.link_probabilities
+    tech = np.empty(tech_model.shape)
+    prod = np.empty(prod_model.shape)
+    values = np.empty(shape)
+    exceeds = np.empty(shape, dtype=bool)
+    counts = np.zeros(shape, dtype=np.int32)
+    degree_sums = tuple(
+        (np.zeros(model.shape[0]), np.zeros(model.shape[1]))
+        for model in (tech_model, prod_model)
+    )
+    (tech_rows, tech_cols), (prod_rows, prod_cols) = degree_sums
+    for i in range(n):
+        _rng(seed, (*stream_key, i, 0)).random(out=tech)
+        np.less(tech, p_tech, out=tech)
+        _rng(seed, (*stream_key, i, 1)).random(out=prod)
+        np.less(prod, p_prod, out=prod)
+        u = tech.sum(axis=0)
+        d = prod.sum(axis=1)
+        tech_rows += tech.sum(axis=1)
+        tech_cols += u
+        prod_rows += d
+        prod_cols += prod.sum(axis=0)
+        prod *= np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
+        np.matmul(tech.T, prod, out=values)
+        values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
+        np.greater(empirical, values, out=exceeds)
+        np.add(counts, exceeds, out=counts)
+    return counts, degree_sums
 
 
-def ensemble_degree_zscores(model: BiCMModel, ensemble: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Z-scores of mean sampled degrees against their expectations.
+def degree_zscores(
+    model: BiCMModel, row_sum: np.ndarray, col_sum: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z-scores of mean sampled degrees against their expectations, from the
+    row and column degree sums over ``count`` draws.
 
     Diagnostic for sampling bias; values beyond ~4 sigma deserve a warning
     but are not an error (they occur with small probability by chance).
+    Nodes pinned to probability 0 or 1 have no variance and score 0.
     """
-    p = model.link_probabilities
-    var = (p * (1.0 - p))
-    count = 0
-    row_sum = np.zeros(p.shape[0])
-    col_sum = np.zeros(p.shape[1])
-    for sample in ensemble:
-        row_sum += sample.sum(axis=1)
-        col_sum += sample.sum(axis=0)
-        count += 1
-    if count == 0:
+    if count < 1:
         raise ValueError("empty ensemble")
+    p = model.link_probabilities
+    var = p * (1.0 - p)
     row_sd = np.sqrt(var.sum(axis=1) / count)
     col_sd = np.sqrt(var.sum(axis=0) / count)
     row_z = np.divide(
@@ -317,6 +364,18 @@ def ensemble_degree_zscores(model: BiCMModel, ensemble: Iterable[np.ndarray]) ->
         out=np.zeros(p.shape[1]), where=col_sd > 0,
     )
     return row_z, col_z
+
+
+def ensemble_degree_zscores(model: BiCMModel, ensemble: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``degree_zscores`` of the samples of an ensemble."""
+    count = 0
+    row_sum = np.zeros(model.shape[0])
+    col_sum = np.zeros(model.shape[1])
+    for sample in ensemble:
+        row_sum += sample.sum(axis=1)
+        col_sum += sample.sum(axis=0)
+        count += 1
+    return degree_zscores(model, row_sum, col_sum, count)
 
 
 def save_model(model: BiCMModel, path: str | Path) -> None:

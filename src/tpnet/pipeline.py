@@ -3,11 +3,14 @@ validation, ranking, reports, and the window-robustness harness.
 
 Runs are deterministic given (config, seed): every random substream is derived
 from the master seed plus a structural key (lag index, pair index, sample
-index, layer), and all writers are deterministic. Only the exceedance counts,
-the one costly intermediate, are cached on disk, keyed by a content hash of
-their inputs, so a rerun from the cache reproduces identical downstream
-results; windows, RCA, contractions and fits are recomputed. A manifest in the
-output directory records which stages completed.
+index, layer), and all writers are deterministic. Each period pair's null
+sampling is a single pass (``nullmodel.null_exceedance_counts``) that yields
+the exceedance counts and the degree sums its sampling-bias audit reads, so no
+sample is drawn twice. Only the exceedance counts, the one costly
+intermediate, are cached on disk, keyed by a content hash of their inputs, so
+a rerun from the cache reproduces identical downstream results; windows, RCA,
+contractions and fits are recomputed. A manifest in the output directory
+records which stages completed.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,12 +36,7 @@ from .efc import (
     rank_activities,
 )
 from .errors import ConfigError, StageError, TpnetError
-from .nullmodel import (
-    BiCMModel,
-    fit_bicm,
-    null_assist_degree_zscores,
-    null_assist_ensemble,
-)
+from .nullmodel import BiCMModel, degree_zscores, fit_bicm, null_exceedance_counts
 from .panels import (
     ActivityPanel,
     aggregate_activities,
@@ -50,7 +49,6 @@ from .validate import (
     PairValidation,
     ValidatedNetwork,
     _standing,
-    compute_pvalues,
     degree_report,
     intersect_pairs,
     load_hs_sections,
@@ -100,9 +98,14 @@ class ArtifactCache:
         path = self._path(kind, key)
         if path is None or path.exists():
             return
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(tmp, **arrays)
-        tmp.replace(path)
+        # A per-process temp name: runs sharing an output directory never
+        # write the same file, and the replace publishes it atomically.
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
+        try:
+            np.savez(tmp, **arrays)
+            tmp.replace(path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -208,23 +211,22 @@ def _binary_for_window(
 
 
 def _flag_sampling_bias(
-    cfg: RunConfig,
     tech_model: BiCMModel,
     prod_model: BiCMModel,
-    stream_key: tuple[int, ...],
+    degree_sums: tuple[tuple[np.ndarray, np.ndarray], ...],
+    n: int,
     pair: tuple[int, int],
-    limit: int = 1000,
 ) -> None:
     """Warn (never fail) when sampled degrees drift past 4 sigma.
 
-    Audits the same substreams the validation consumed; a 4-sigma excursion
-    happens by chance now and then, so it is a flag for the log only.
+    Audits the degree sums of the n draws the validation consumed; a 4-sigma
+    excursion happens by chance now and then, so it is a flag for the log
+    only.
     """
-    n = min(limit, cfg.samples)
-    for layer, (row_z, col_z) in zip(
-        ("technology", "product"),
-        null_assist_degree_zscores(tech_model, prod_model, n, cfg.seed, stream_key),
+    for layer, model, (row_sum, col_sum) in zip(
+        ("technology", "product"), (tech_model, prod_model), degree_sums
     ):
+        row_z, col_z = degree_zscores(model, row_sum, col_sum, n)
         worst = max(
             float(np.abs(row_z).max(initial=0.0)),
             float(np.abs(col_z).max(initial=0.0)),
@@ -245,7 +247,11 @@ def validate_pair(
     stream_key: tuple[int, ...],
     cache: ArtifactCache,
 ) -> PairValidation:
-    """Full single-pair chain: windows, RCA, alignment, contraction, nulls."""
+    """Full single-pair chain: windows, RCA, alignment, contraction, nulls.
+
+    The null draws, their comparison with the empirical matrix and the
+    sampling-bias audit are one pass, ``null_exceedance_counts``.
+    """
     t1, t2 = pair
     tech_bin = _binary_for_window(tech_panel, cfg.delta, t1)
     prod_bin = _binary_for_window(prod_panel, cfg.delta, t2)
@@ -260,34 +266,26 @@ def validate_pair(
     )
     cached = cache.load("counts", counts_key)
     if cached is not None:
-        return PairValidation(
-            tech_ids=empirical.tech_ids,
-            product_ids=empirical.product_ids,
-            empirical=empirical.values,
-            exceed_counts=cached["counts"],
-            n_samples=int(cached["n"][0]),
-            t1=t1,
-            t2=t2,
+        counts, n = cached["counts"], int(cached["n"][0])
+    else:
+        counts, degree_sums = null_exceedance_counts(
+            tech_model, prod_model, empirical.values, cfg.samples, cfg.seed,
+            stream_key,
         )
-    nulls = null_assist_ensemble(
-        tech_model, prod_model, cfg.samples, cfg.seed, stream_key
-    )
-    validation = compute_pvalues(empirical, nulls)
-    _flag_sampling_bias(cfg, tech_model, prod_model, stream_key, (t1, t2))
-    validation = PairValidation(
-        tech_ids=validation.tech_ids,
-        product_ids=validation.product_ids,
-        empirical=validation.empirical,
-        exceed_counts=validation.exceed_counts,
-        n_samples=validation.n_samples,
+        n = cfg.samples
+        _flag_sampling_bias(tech_model, prod_model, degree_sums, n, (t1, t2))
+        cache.store(
+            "counts", counts_key, counts=counts.astype(np.int64), n=np.array([n])
+        )
+    return PairValidation(
+        tech_ids=empirical.tech_ids,
+        product_ids=empirical.product_ids,
+        empirical=empirical.values,
+        exceed_counts=counts,
+        n_samples=n,
         t1=t1,
         t2=t2,
     )
-    cache.store(
-        "counts", counts_key,
-        counts=validation.exceed_counts, n=np.array([validation.n_samples]),
-    )
-    return validation
 
 
 def run_lag(

@@ -70,6 +70,17 @@ def test_bad_tier_rejected():
         RunConfig("t", "p", tier="97")
 
 
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        RunConfig("t", "p", seed=-1)
+    path = _write(
+        tmp_path, {"technology_panel": "t", "product_panel": "p", "seed": -3}
+    )
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(path)
+    assert RunConfig("t", "p", seed=0).seed == 0
+
+
 def test_duplicate_lags_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         RunConfig("t", "p", lags=(LagSpec(0), LagSpec(0)))

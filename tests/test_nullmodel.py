@@ -13,8 +13,15 @@ from tpnet import (
     sample_ensemble,
     save_model,
 )
-from tpnet.nullmodel import ensemble_degree_zscores
+from tpnet.nullmodel import (
+    _draw,
+    _rng,
+    degree_zscores,
+    ensemble_degree_zscores,
+    null_exceedance_counts,
+)
 from tpnet.rca import BinaryMatrix
+from tpnet.validate import compute_pvalues
 
 from .conftest import random_binary
 from .oracles import enumerate_exceedance, reference_assist
@@ -132,16 +139,68 @@ def test_degree_zscores_are_moderate():
 
 
 def test_paired_stream_zscores_cover_both_layers():
-    from tpnet.nullmodel import null_assist_degree_zscores
-
     rng = np.random.default_rng(81)
     tech = fit_bicm(_binary(random_binary(rng, (4, 3), 0.5), layer="technology"))
     prod = fit_bicm(_binary(random_binary(rng, (4, 5), 0.5)))
-    layers = null_assist_degree_zscores(tech, prod, 1500, seed=5)
+    _, layers = null_exceedance_counts(tech, prod, np.zeros((3, 5)), 1500, seed=5)
     assert len(layers) == 2
-    for row_z, col_z in layers:
+    for model, (row_sum, col_sum) in zip((tech, prod), layers):
+        row_z, col_z = degree_zscores(model, row_sum, col_sum, 1500)
         assert np.abs(row_z).max() < 4.0
         assert np.abs(col_z).max() < 4.0
+
+
+def _degenerate_layers(rng, countries, techs, products):
+    """Random layers with a zero-diversification country, a country holding
+    every product (pinned to p=1) and a zero-ubiquity technology."""
+    tech = random_binary(rng, (countries, techs), 0.5)
+    prod = random_binary(rng, (countries, products), 0.4)
+    prod[0] = 0
+    prod[1] = 1
+    tech[:, 1] = 0
+    return _binary(tech, layer="technology"), _binary(prod)
+
+
+@pytest.mark.parametrize(
+    "fixture_seed, max_dim, n, stream_key",
+    [
+        (0, 12, 1, ()),
+        (1, 12, 7, (3,)),
+        (2, 12, 40, (0, 1, 2)),
+        (3, 12, 150, (1, 4, 2017)),
+        (4, 40, 60, (0, 2, 1)),
+    ],
+)
+def test_fused_counts_match_reference_path(fixture_seed, max_dim, n, stream_key):
+    rng = np.random.default_rng(fixture_seed)
+    countries, techs, products = (int(k) for k in rng.integers(4, max_dim, size=3))
+    tech_m, prod_m = _degenerate_layers(rng, countries, techs, products)
+    tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
+    assert (prod.link_probabilities[0] == 0).all()
+    assert (prod.link_probabilities[1] == 1).all()
+    assert (tech.link_probabilities[:, 1] == 0).all()
+    empirical = compute_assist(tech_m, prod_m)
+    seed = 11 + fixture_seed
+
+    counts, degree_sums = null_exceedance_counts(
+        tech, prod, empirical.values, n, seed, stream_key
+    )
+    reference = compute_pvalues(
+        empirical, null_assist_ensemble(tech, prod, n, seed, stream_key)
+    )
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, reference.exceed_counts)
+
+    for layer, (model, (row_sum, col_sum)) in enumerate(
+        zip((tech, prod), degree_sums)
+    ):
+        draws = (
+            _draw(model, _rng(seed, (*stream_key, i, layer))) for i in range(n)
+        )
+        expected = ensemble_degree_zscores(model, draws)
+        fused = degree_zscores(model, row_sum, col_sum, n)
+        for got, want in zip(fused, expected):
+            assert np.array_equal(got, want)
 
 
 def test_null_assist_requires_shared_countries():
@@ -150,6 +209,12 @@ def test_null_assist_requires_shared_countries():
     prod = fit_bicm(_binary(prod_values))
     with pytest.raises(AxisMismatchError):
         next(null_assist_ensemble(tech, prod, 1, seed=0))
+    with pytest.raises(AxisMismatchError):
+        null_exceedance_counts(tech, prod, np.zeros((2, 2)), 1, seed=0)
+    with pytest.raises(AxisMismatchError):
+        null_exceedance_counts(tech, tech, np.zeros((2, 3)), 1, seed=0)
+    with pytest.raises(ValueError):
+        null_exceedance_counts(tech, tech, np.zeros((2, 2)), 0, seed=0)
 
 
 def test_degenerate_models_reproduce_empirical_contraction():

@@ -1,15 +1,29 @@
 """End-to-end pipeline runs, caching, robustness harness, and the CLI."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tpnet import ConfigError, run_pipeline, run_robustness, serialize_config
+from tpnet import (
+    ConfigError,
+    fit_bicm,
+    nullmodel,
+    run_pipeline,
+    run_robustness,
+    serialize_config,
+)
 from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig
-from tpnet.pipeline import enumerate_windows, load_panels
+from tpnet.pipeline import (
+    ArtifactCache,
+    _flag_sampling_bias,
+    enumerate_windows,
+    load_panels,
+)
+from tpnet.rca import BinaryMatrix
 
 from .conftest import PLANTED_LINK
 
@@ -87,6 +101,63 @@ def test_rerun_from_cache_is_identical(planted_panel_files, tmp_path):
     a = first.lag_results[0].validations[0].exceed_counts
     b = second.lag_results[0].validations[0].exceed_counts
     assert np.array_equal(a, b)
+
+
+def test_cache_store_loads_back_without_temp_files(tmp_path):
+    cache = ArtifactCache(tmp_path / "cache")
+    key = ArtifactCache.key("counts", np.arange(6).reshape(2, 3), 400, 7)
+    counts = np.array([[0, 400], [17, 399]])
+    cache.store("counts", key, counts=counts, n=np.array([400]))
+    cache.store("counts", key, counts=counts + 1, n=np.array([401]))
+    loaded = cache.load("counts", key)
+    assert np.array_equal(loaded["counts"], counts)
+    assert loaded["counts"].dtype == counts.dtype
+    assert loaded["n"].tolist() == [400]
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"counts-{key}.npz"]
+    assert not list((tmp_path / "cache").glob("*.tmp.npz"))
+
+    # another run writing the same entry keeps its own temp file
+    other = ArtifactCache.key("counts", 8)
+    foreign = tmp_path / "cache" / f"counts-{other}.tmp.npz"
+    foreign.write_bytes(b"partial")
+    cache.store("counts", other, counts=counts, n=np.array([400]))
+    assert foreign.read_bytes() == b"partial"
+    assert np.array_equal(cache.load("counts", other)["counts"], counts)
+
+
+def test_each_pair_draws_each_layer_once_per_sample(
+    planted_panel_files, tmp_path, monkeypatch
+):
+    draws = Counter()
+    real_rng = nullmodel._rng
+
+    def counting_rng(seed, key):
+        draws[key] += 1
+        return real_rng(seed, key)
+
+    monkeypatch.setattr(nullmodel, "_rng", counting_rng)
+    cfg = _config(planted_panel_files, tmp_path, samples=30)
+    run_pipeline(cfg, write=False)
+    pairs = [(0, 0, 0), (0, 0, 1)]
+    assert set(draws) == {
+        (*pair, i, layer) for pair in pairs for i in range(30) for layer in (0, 1)
+    }
+    assert set(draws.values()) == {1}
+
+
+def test_sampling_bias_flag_reports_every_draw(caplog):
+    ids = ("c0", "c1")
+    tech = fit_bicm(BinaryMatrix("technology", ids, ("t0", "t1"), np.eye(2, dtype=int)))
+    prod = fit_bicm(BinaryMatrix("product", ids, ("p0", "p1"), np.eye(2, dtype=int)))
+    n = 1500
+    expected = np.full(2, 1.0 * n)
+    sums = ((expected + [200.0, 0.0], expected), (expected, expected))
+    with caplog.at_level("WARNING", logger="tpnet.pipeline"):
+        _flag_sampling_bias(tech, prod, sums, n, (2011, 2013))
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "technology layer" in message
+    assert "over 1500 draws" in message
 
 
 def test_robustness_overlap_on_matching_configuration(planted_panel_files, tmp_path):
@@ -200,6 +271,21 @@ def test_cli_overrides_and_failures(planted_panel_files, tmp_path):
     result = runner.invoke(main, ["validate", "--config", str(bad)])
     assert result.exit_code != 0
     assert "invalid JSON" in result.output
+
+
+def test_cli_rejects_negative_seed_before_ingest(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=20)
+    config_path = _write_config(cfg, tmp_path)
+    out = tmp_path / "negative"
+    result = CliRunner().invoke(
+        main,
+        ["validate", "--config", str(config_path), "--seed", "-1",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert "seed must be >= 0, got -1" in result.output
+    assert not isinstance(result.exception, ValueError)
+    assert not out.exists()
 
 
 def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path):
