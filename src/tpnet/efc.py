@@ -11,13 +11,13 @@ iterations. Only rankings are consumed downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import AllZeroError, AxisMismatchError
 from .rca import BinaryMatrix
-from .validate import ValidatedNetwork
+from .validate import ValidatedNetwork, _id_ranks
 
 DEFAULT_MAX_ITERATIONS = 5000
 DEFAULT_RANK_STABILITY_WINDOW = 50
@@ -25,10 +25,10 @@ DEFAULT_RANK_STABILITY_WINDOW = 50
 SIDES = ("technology", "product")
 
 
-def _ranking_order(ids: Sequence[str], scores: np.ndarray) -> tuple[int, ...]:
-    """Indices ordered by descending score; exact ties break by ascending id."""
-    id_arr = np.array(ids)
-    return tuple(int(i) for i in np.lexsort((id_arr, -scores)))
+def _ranking_order(id_ranks: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
+    """Indices ordered by descending score; exact ties break by ascending id,
+    given as each id's position in string order (``_id_ranks``)."""
+    return tuple(np.lexsort((id_ranks, -scores)).tolist())
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,13 @@ class FitnessComplexity:
     @property
     def activity_rank(self) -> dict[str, int]:
         """Rank 1 = most complex activity."""
-        order = _ranking_order(self.activity_ids, self.complexity)
+        order = _ranking_order(_id_ranks(self.activity_ids), self.complexity)
         return {self.activity_ids[idx]: pos + 1 for pos, idx in enumerate(order)}
 
     @property
     def country_rank(self) -> dict[str, int]:
         """Rank 1 = fittest country."""
-        order = _ranking_order(self.country_ids, self.fitness)
+        order = _ranking_order(_id_ranks(self.country_ids), self.fitness)
         return {self.country_ids[idx]: pos + 1 for pos, idx in enumerate(order)}
 
     def activity_ranking(self, kind: str = "product") -> "ActivityRanking":
@@ -82,9 +82,11 @@ def run_efc(
     held = values != 0
     fitness = np.ones(n_countries)
     complexity = np.ones(n_activities)
+    country_ranks = _id_ranks(m.country_ids)
+    activity_ranks = _id_ranks(m.activity_ids)
     prev_orders = (
-        _ranking_order(m.country_ids, fitness),
-        _ranking_order(m.activity_ids, complexity),
+        _ranking_order(country_ranks, fitness),
+        _ranking_order(activity_ranks, complexity),
     )
     streak = 0
     stable = False
@@ -107,8 +109,8 @@ def run_efc(
         if track_means:
             means.append((float(fitness.mean()), float(complexity.mean())))
         orders = (
-            _ranking_order(m.country_ids, fitness),
-            _ranking_order(m.activity_ids, complexity),
+            _ranking_order(country_ranks, fitness),
+            _ranking_order(activity_ranks, complexity),
         )
         if orders == prev_orders:
             streak += 1

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 from xml.sax.saxutils import escape, quoteattr
@@ -17,7 +19,7 @@ import numpy as np
 
 from .assist import AssistMatrix
 from .efc import ActivityRanking, LinkDifferenceCurve
-from .validate import DegreeReport, ValidatedNetwork, product_chapter
+from .validate import TIER_ORDER, DegreeReport, ValidatedNetwork, product_chapter
 
 
 def _fmt(value: float) -> str:
@@ -134,10 +136,81 @@ def _json_ready(obj):
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+    """``payload`` as sorted, indent=2 JSON. A ``significance_profiles``
+    member from ``network_report`` is streamed from its matrices, one product
+    at a time, in exactly the bytes its dict-of-lists form would encode to."""
+    profiles = payload.get("significance_profiles")
+    if not isinstance(profiles, _Profiles):
+        Path(path).write_text(
+            json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
+        return
+    text = json.dumps(
+        _json_ready({**payload, "significance_profiles": None}),
+        sort_keys=True, indent=2,
+    ) + "\n"
+    # a raw newline cannot occur inside an encoded string, so this top-level
+    # key line is found exactly once
+    head, _, tail = text.partition(_PROFILES_KEY + "null")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(head + _PROFILES_KEY)
+        fh.writelines(_profile_chunks(profiles))
+        fh.write(tail)
+
+
+@dataclass(frozen=True, eq=False)
+class _Profiles:
+    """Exceedance fraction and highest tier (a ``TIER_ORDER`` name or None)
+    matrices over (tech, product), and the connected products as sorted
+    (product id, column) pairs."""
+
+    tech_ids: tuple[str, ...]
+    fractions: np.ndarray
+    tiers: np.ndarray
+    connected: tuple[tuple[str, int], ...]
+
+
+_PROFILES_KEY = '\n  "significance_profiles": '
+_TIER_JSON = ("null", *(json.dumps(t) for t in TIER_ORDER))
+
+
+def _profile_chunks(profiles: _Profiles):
+    """The ``significance_profiles`` value as an indent=2 top-level member,
+    one product per chunk. Each entry is a head encoded once per distinct
+    (fraction, tier) plus a tail encoded once per technology."""
+    if not profiles.connected:
+        yield "{}"
+        return
+    cols = [j for _, j in profiles.connected]
+    fractions = profiles.fractions[:, cols]
+    values, index = np.unique(fractions, return_inverse=True)
+    level = np.zeros(fractions.shape, dtype=np.intp)
+    tiers = profiles.tiers[:, cols]
+    for k, name in enumerate(TIER_ORDER, start=1):
+        level[tiers == name] = k
+    heads = np.array(
+        [
+            '      {\n        "exceed_fraction": ' + json.dumps(value)
+            + ',\n        "highest_tier": ' + tier
+            for value in values.tolist()
+            for tier in _TIER_JSON
+        ],
+        dtype=object,
     )
+    tails = [
+        ',\n        "tech": ' + json.dumps(tech) + "\n      }"
+        for tech in profiles.tech_ids
+    ]
+    cells = heads[index.reshape(fractions.shape) * len(_TIER_JSON) + level]
+    opening = "{\n"
+    for (product, _), column in zip(profiles.connected, cells.T.tolist()):
+        yield (
+            opening + "    " + json.dumps(product) + ": [\n"
+            + ",\n".join(map(operator.add, column, tails)) + "\n    ]"
+        )
+        opening = ",\n"
+    yield "\n  }"
 
 
 def degree_report_dict(report: DegreeReport) -> dict:
@@ -167,10 +240,11 @@ def network_report(
     tech_subclass_degrees: Mapping[str, int],
     meta: Mapping[str, object],
 ) -> dict:
-    """The report.json payload. ``profile`` holds the exceedance fraction and
-    highest tier matrices over (tech, product), as ``significance_profile``
-    gives them one product column at a time; only connected products are
-    reported."""
+    """The report.json payload, for ``write_json``. ``profile`` holds the
+    exceedance fraction and highest tier matrices over (tech, product), as
+    ``significance_profile`` gives them one product column at a time; only
+    connected products are reported, each as a list of {"tech",
+    "exceed_fraction", "highest_tier"} entries in tech axis order."""
     fractions, tiers = profile
     connected = sorted(
         (net.product_ids[j], j) for j in np.flatnonzero(net.mask.any(axis=0)).tolist()
@@ -185,15 +259,9 @@ def network_report(
         "product_nodes": sum(1 for d in net.product_degrees().values() if d > 0),
         "degree_report": degree_report_dict(report),
         "tech_subclass_degrees": dict(sorted(tech_subclass_degrees.items())),
-        "significance_profiles": {
-            product: [
-                {"tech": tech, "exceed_fraction": fraction, "highest_tier": tier}
-                for tech, fraction, tier in zip(
-                    net.tech_ids, fractions[:, j].tolist(), tiers[:, j].tolist()
-                )
-            ]
-            for product, j in connected
-        },
+        "significance_profiles": _Profiles(
+            net.tech_ids, fractions, tiers, tuple(connected)
+        ),
     }
 
 

@@ -7,6 +7,7 @@ vectorized paths, so a bug cannot hide in both at once.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -138,3 +139,65 @@ def reference_profile(product_id, validations, tier_order, tier_threshold):
         highest = _reference_highest_tier(counts, n_samples, tier_order, tier_threshold)
         entries.append((tech, fraction, highest))
     return entries
+
+
+def _reference_json_ready(obj):
+    if isinstance(obj, dict):
+        return {str(k): _reference_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_json_ready(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj
+
+
+def reference_report_json(net, report, profile, tech_subclass_degrees, meta):
+    """report.json text encoded the direct way: one dict per technology per
+    connected product, then the standard library's sorted indent=2 dump."""
+    fractions, tiers = profile
+    connected = sorted(
+        (net.product_ids[j], j)
+        for j in range(len(net.product_ids))
+        if net.mask[:, j].any()
+    )
+    payload = {
+        "meta": dict(meta),
+        "tier": net.tier,
+        "lag": net.lag,
+        "pairs": [list(p) for p in net.pairs],
+        "edge_count": net.edge_count,
+        "tech_nodes": sum(1 for d in net.tech_degrees().values() if d > 0),
+        "product_nodes": sum(1 for d in net.product_degrees().values() if d > 0),
+        "degree_report": {
+            "rows": [
+                {
+                    "section": r.section,
+                    "chapters": r.chapters,
+                    "products_in_axis": r.products_in_axis,
+                    "nodes": r.nodes,
+                    "node_pct": r.node_pct,
+                    "edges": r.edges,
+                    "edge_pct": r.edge_pct,
+                }
+                for r in report.rows
+            ],
+            "total_nodes": report.total_nodes,
+            "total_edges": report.total_edges,
+            "unclassified_chapters": list(report.unclassified_chapters),
+        },
+        "tech_subclass_degrees": dict(sorted(tech_subclass_degrees.items())),
+        "significance_profiles": {
+            product: [
+                {
+                    "tech": tech,
+                    "exceed_fraction": float(fractions[i, j]),
+                    "highest_tier": tiers[i, j],
+                }
+                for i, tech in enumerate(net.tech_ids)
+            ]
+            for product, j in connected
+        },
+    }
+    return json.dumps(_reference_json_ready(payload), sort_keys=True, indent=2) + "\n"

@@ -10,7 +10,8 @@ from tpnet import (
     rank_activities,
     run_efc,
 )
-from tpnet.efc import ActivityRanking
+from tpnet.efc import ActivityRanking, _ranking_order
+from tpnet.validate import _id_ranks
 from tpnet.rca import BinaryMatrix
 from tpnet.validate import PairValidation, intersect_pairs
 
@@ -249,3 +250,23 @@ def test_stripped_activities_order_in_positions():
     )
     # worst rank first (ascending complexity), ties lexicographic
     assert ranking.positions_ascending_complexity() == ("z0", "z1", "b", "a")
+
+
+def test_ranking_order_on_id_ranks_matches_string_lexsort():
+    rng = np.random.default_rng(11)
+    pool = ["9", "10", "100", "A01", "A01B", "A1", "a01", "B", "", "\u00e9", "10 "]
+    for size in (1, 2, 5, 11, 40):
+        ids = rng.choice(pool, size=size).tolist()  # repeated ids too
+        scores = rng.choice([0.5, 1.0, 1.0 + 2**-52, 2.0], size=size)
+        expected = tuple(int(i) for i in np.lexsort((np.array(ids), -scores)))
+        assert _ranking_order(_id_ranks(ids), scores) == expected
+
+
+def test_tied_complexities_rank_by_id_string_order():
+    # identical columns tie exactly; "10" < "9" and "A01" < "A01B" as strings
+    values = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 1]])
+    m = BinaryMatrix("product", ("c2", "c10", "c1"), ("9", "A01B", "10", "A01", "x"), values)
+    result = run_efc(m)
+    assert result.rank_stable
+    assert result.activity_rank == {"10": 1, "A01": 2, "9": 3, "A01B": 4, "x": 5}
+    assert result.country_rank == {"c2": 1, "c1": 2, "c10": 3}

@@ -1,14 +1,23 @@
 """Artifact writers: formats, determinism, and third-party readability."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from tpnet import exports, load_hs_sections
+from tpnet import degree_report, exports, load_hs_sections
 from tpnet.assist import AssistMatrix
 from tpnet.efc import ActivityRanking
-from tpnet.validate import PairValidation, intersect_pairs
+from tpnet.validate import (
+    TIER_ORDER,
+    PairValidation,
+    _standing,
+    intersect_pairs,
+    tier_threshold,
+)
+
+from .oracles import reference_report_json
 
 
 def _network():
@@ -79,3 +88,71 @@ def test_ranking_csv(tmp_path):
 def test_subclass_degrees_group_by_leading_token():
     degrees = exports.tech_subclass_degrees(_network())
     assert degrees == {"Y02A": 1, "Y02E": 1}
+
+
+_ODD_TECHS = ('Y02A "10"', "Y02E \\ 60", "Y02W \u00e930", "Y02C \u2603", "Y02P \U0001d11e 9")
+_ODD_PRODUCTS = ("81\u00e90520", '28"22', "01\\01", "2801", "9")
+
+
+def _profile_pairs(rng, sample_counts, layout):
+    """Pairs over ids with quotes, backslashes and non-ASCII characters.
+    Column 0 holds a cell at every tier and one below them all (the tiers
+    are distinct once N >= 200); the other cells draw from counts whose
+    fractions have long reprs (1/3, 0.1, 7/N).
+    ``layout`` "single" keeps only product 0 connected at tier 95, "empty"
+    none."""
+    shape = (len(_ODD_TECHS), len(_ODD_PRODUCTS))
+    pairs = []
+    for k, n in enumerate(sample_counts):
+        floor = tier_threshold("95", n)
+        choices = [0, 1, min(7, n), n // 3, n, floor - 1, floor]
+        choices += [tier_threshold(t, n) for t in TIER_ORDER]
+        counts = rng.choice(choices, size=shape)
+        counts[:4, 0] = [n, tier_threshold("99", n), floor, floor - 1]
+        if layout == "single":
+            counts[:, 1:] = np.minimum(counts[:, 1:], floor - 1)
+        elif layout == "empty":
+            counts = np.minimum(counts, floor - 1)
+        pairs.append(PairValidation(
+            tech_ids=_ODD_TECHS, product_ids=_ODD_PRODUCTS,
+            empirical=rng.random(shape), exceed_counts=counts,
+            n_samples=n, t1=2010 + k, t2=2012 + k,
+        ))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "sample_counts", [(3,), (10, 9), (7, 11, 13), (300,), (1000, 301), (313, 1000, 210)]
+)
+@pytest.mark.parametrize("layout", ["full", "single", "empty"])
+def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path):
+    rng = np.random.default_rng(sum(sample_counts) + len(layout))
+    pairs = _profile_pairs(rng, sample_counts, layout)
+    net = intersect_pairs(pairs, "95")
+    report = degree_report(net, load_hs_sections())
+    profile = _standing(pairs)
+    subclass = exports.tech_subclass_degrees(net)
+    meta = {"delta": 2, "samples": sample_counts[0], "seed": 7, "tier": "95",
+            "label": "caf\u00e9 \"q\" \\"}
+    path = tmp_path / "report.json"
+    exports.write_json(exports.network_report(net, report, profile, subclass, meta), path)
+    expected = reference_report_json(net, report, profile, subclass, meta)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    profiles = json.loads(path.read_text(encoding="utf-8"))["significance_profiles"]
+    connected = {"full": None, "single": [_ODD_PRODUCTS[0]], "empty": []}[layout]
+    if connected is not None:
+        assert list(profiles) == connected
+    else:
+        assert len(profiles) > 1
+        tiers = {e["highest_tier"] for e in profiles[_ODD_PRODUCTS[0]]}
+        assert tiers == ({None, *TIER_ORDER} if min(sample_counts) >= 200 else {None, "99.9"})
+
+
+def test_write_json_other_payloads_unchanged(tmp_path):
+    payload = {"b": [1, np.int64(2)], "a": {"x": np.float64(0.1), "\u00e9": None}}
+    exports.write_json(payload, tmp_path / "other.json")
+    assert (tmp_path / "other.json").read_text(encoding="utf-8") == (
+        json.dumps({"a": {"x": 0.1, "\u00e9": None}, "b": [1, 2]}, sort_keys=True, indent=2)
+        + "\n"
+    )

@@ -14,6 +14,7 @@ from tpnet import (
     run_pipeline,
     run_robustness,
     serialize_config,
+    significance_profile,
 )
 from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig
@@ -25,7 +26,7 @@ from tpnet.pipeline import (
 )
 from tpnet.rca import BinaryMatrix
 
-from .conftest import PLANTED_LINK
+from .conftest import PLANTED_LINK, write_constant_panel_csv
 
 
 def _config(panel_files, tmp_path, **overrides):
@@ -60,6 +61,39 @@ def test_planted_link_survives_end_to_end(planted_panel_files, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "validate_lag_0" in manifest["stages"]
     assert "report" in manifest["stages"]
+
+
+def test_report_json_profiles_match_significance_profile(tmp_path):
+    # country pair k holds only tech Tk and product Pk (k < 3), beside a
+    # dense block: P0-P2 are connected, P3-P6 are not
+    countries = tuple(f"C{i}" for i in range(10))
+    techs = tuple(f"T{i}" for i in range(6))
+    products = ("12 P2", "9 P3", "10 P0", "100 P4", "11 P1", "13 P5", "14 P6")
+    tech = np.zeros((10, 6), dtype=int)
+    prod = np.zeros((10, 7), dtype=int)
+    for k, j in enumerate((2, 4, 0)):
+        tech[2 * k:2 * k + 2, k] = 1
+        prod[2 * k:2 * k + 2, j] = 1
+    tech[6:, 3:] = 1
+    prod[6:, (1, 3, 5, 6)] = 1
+    panels = (
+        write_constant_panel_csv(tmp_path / "t.csv", tech, countries, techs, range(2010, 2014)),
+        write_constant_panel_csv(tmp_path / "p.csv", prod, countries, products, range(2010, 2014)),
+    )
+    result = run_pipeline(_config(panels, tmp_path))
+    validations = result.lag_results[0].validations
+    report = json.loads((tmp_path / "out" / "lag_0" / "report.json").read_text("utf-8"))
+    profiles = report["significance_profiles"]
+    assert result.network(0).edge_set() == {
+        ("T0", "10 P0"), ("T1", "11 P1"), ("T2", "12 P2")
+    }
+    assert list(profiles) == ["10 P0", "11 P1", "12 P2"]
+    for product, entries in profiles.items():
+        assert entries == [
+            {"tech": e.tech_id, "exceed_fraction": e.exceed_fraction,
+             "highest_tier": e.highest_tier}
+            for e in significance_profile(product, validations)
+        ]
 
 
 def test_two_lags_produce_curves(planted_panel_files, tmp_path):
