@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -37,13 +39,9 @@ def _check_layer_kind(layer_kind: str) -> None:
 
 
 def _check_no_duplicates(ids: Sequence[str], what: str) -> None:
-    if len(set(ids)) != len(ids):
-        seen, dups = set(), set()
-        for i in ids:
-            if i in seen:
-                dups.add(i)
-            seen.add(i)
-        raise PanelError(f"duplicate {what} labels: {sorted(dups)}")
+    dups = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if dups:
+        raise PanelError(f"duplicate {what} labels: {dups}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +116,49 @@ def _country_indices(country_ids: Sequence[str], keep: Sequence[str]) -> list[in
     return [pos[c] for c in keep]
 
 
+def _ingest(records: Iterable, layer_kind: str, no_data: str, bad) -> ActivityPanel:
+    """Parse, check and accumulate (country, activity, year, value) records in one pass.
+
+    ``bad(what, raw, record)`` builds the error for a record that fails a check.
+    ``bincount`` adds in input order, so duplicate keys sum as a running sum.
+    """
+    _check_layer_kind(layer_kind)
+    axes = y_pos, c_pos, a_pos = {}, {}, {}  # label -> first-seen index
+    seen = y_idx, c_idx, a_idx = array("q"), array("q"), array("q")
+    weights = array("d")
+    for record in records:
+        try:
+            country, activity, year_raw, value_raw = record
+        except (TypeError, ValueError):
+            raise PanelError(f"record is not a (country, activity, year, value) tuple: {record!r}")
+        try:
+            year = int(str(year_raw))
+        except ValueError:
+            raise bad("unparseable year", year_raw, record)
+        try:
+            value = float(value_raw)
+        except (TypeError, ValueError):
+            raise bad("non-numeric value", value_raw, record)
+        if not math.isfinite(value):
+            raise bad("non-finite value", value_raw, record)
+        if value < 0:
+            raise bad("negative value", value_raw, record)
+        y_idx.append(y_pos.setdefault(year, len(y_pos)))
+        c_idx.append(c_pos.setdefault(str(country), len(c_pos)))
+        a_idx.append(a_pos.setdefault(str(activity), len(a_pos)))
+        weights.append(value)
+    if not weights:
+        raise PanelError(no_data)
+    years, countries, activities = labels = [tuple(sorted(pos)) for pos in axes]
+    # first-seen index -> sorted index: argsort inverts "sorted index -> first-seen index"
+    ranks = [np.argsort([pos[x] for x in order]) for pos, order in zip(axes, labels)]
+    shape = tuple(map(len, labels))
+    flat = np.ravel_multi_index([r[np.frombuffer(i, np.int64)] for r, i in zip(ranks, seen)], shape)
+    block = np.bincount(flat, weights=np.frombuffer(weights), minlength=math.prod(shape))
+    values = dict(zip(years, block.reshape(shape)))
+    return ActivityPanel(layer_kind, countries, activities, years, values)
+
+
 def load_panel(
     records: Iterable[tuple[str, str, object, object]], layer_kind: str
 ) -> ActivityPanel:
@@ -126,51 +167,19 @@ def load_panel(
     Duplicate (country, activity, year) keys are summed. Axes come out sorted
     lexicographically, years ascending, and unrecorded cells are 0.
     """
-    _check_layer_kind(layer_kind)
-    cells: dict[tuple[str, str, int], float] = {}
-    count = 0
-    for record in records:
-        try:
-            country, activity, year_raw, value_raw = record
-        except (TypeError, ValueError):
-            raise PanelError(f"record is not a (country, activity, year, value) tuple: {record!r}")
-        country = str(country)
-        activity = str(activity)
-        try:
-            year = int(str(year_raw))
-        except ValueError:
-            raise PanelError(f"unparseable year in record {record!r}")
-        try:
-            value = float(value_raw)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise PanelError(f"non-numeric value in record {record!r}")
-        if not math.isfinite(value):
-            raise PanelError(f"non-finite value in record {record!r}")
-        if value < 0:
-            raise PanelError(f"negative value in record {record!r}")
-        cells[country, activity, year] = cells.get((country, activity, year), 0.0) + value
-        count += 1
-    if count == 0:
-        raise PanelError("no records to load")
-
-    countries = tuple(sorted({k[0] for k in cells}))
-    activities = tuple(sorted({k[1] for k in cells}))
-    years = tuple(sorted({k[2] for k in cells}))
-    c_pos = {c: i for i, c in enumerate(countries)}
-    a_pos = {a: i for i, a in enumerate(activities)}
-    values = {year: np.zeros((len(countries), len(activities))) for year in years}
-    for (country, activity, year), value in cells.items():
-        values[year][c_pos[country], a_pos[activity]] = value
-    return ActivityPanel(layer_kind, countries, activities, years, values)
+    return _ingest(records, layer_kind, "no records to load",
+                   lambda what, raw, record: PanelError(f"{what} in record {record!r}"))
 
 
 def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
-    """Read a UTF-8 CSV with header ``country,activity,year,value`` into a panel."""
+    """Read a UTF-8 CSV with header ``country,activity,year,value`` into a panel.
+
+    A leading byte-order mark is ignored and blank lines are skipped.
+    """
     path = Path(path)
     if not path.is_file():
         raise PanelError(f"{path}: no such file")
-    records: list[tuple[str, str, int, float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -180,28 +189,17 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
             raise PanelError(
                 f"{path}: expected header {','.join(PANEL_CSV_HEADER)!r}, got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) != 4:
-                raise PanelError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            country, activity, year_raw, value_raw = (field.strip() for field in row)
-            try:
-                year = int(year_raw)
-            except ValueError:
-                raise PanelError(f"{path}:{lineno}: unparseable year {year_raw!r}")
-            try:
-                value = float(value_raw)
-            except ValueError:
-                raise PanelError(f"{path}:{lineno}: non-numeric value {value_raw!r}")
-            if not math.isfinite(value):
-                raise PanelError(f"{path}:{lineno}: non-finite value {value_raw!r}")
-            if value < 0:
-                raise PanelError(f"{path}:{lineno}: negative value {value_raw!r}")
-            records.append((country, activity, year, value))
-    if not records:
-        raise PanelError(f"{path}: no data rows")
-    return load_panel(records, layer_kind)
+
+        def rows():
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                if len(row) != 4:
+                    raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+                yield map(str.strip, row)
+
+        return _ingest(rows(), layer_kind, f"{path}: no data rows",
+                       lambda what, raw, _: PanelError(f"{path}:{reader.line_num}: {what} {raw!r}"))
 
 
 def aggregate_window(panel: ActivityPanel, delta: int, end_year: int) -> WindowedMatrix:

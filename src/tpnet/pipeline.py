@@ -52,7 +52,6 @@ from .validate import (
     degree_report,
     intersect_pairs,
     load_hs_sections,
-    significance_profile,  # noqa: F401  perfbench/tracer.py wraps it by this name
 )
 
 logger = logging.getLogger(__name__)

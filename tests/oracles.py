@@ -12,6 +12,23 @@ import json
 import numpy as np
 
 
+def reference_panel(records):
+    """(countries, activities, years, {year: matrix}) from long-format records:
+    a per-key running sum in a dict, in input order, then one dense zero
+    matrix per year filled cell by cell."""
+    cells = {}
+    for country, activity, year, value in records:
+        key = (str(country), str(activity), int(str(year)))
+        cells[key] = cells.get(key, 0.0) + float(value)
+    countries = tuple(sorted({k[0] for k in cells}))
+    activities = tuple(sorted({k[1] for k in cells}))
+    years = tuple(sorted({k[2] for k in cells}))
+    values = {year: np.zeros((len(countries), len(activities))) for year in years}
+    for (country, activity, year), value in cells.items():
+        values[year][countries.index(country), activities.index(activity)] = value
+    return countries, activities, years, values
+
+
 def reference_rca(weights: np.ndarray) -> np.ndarray:
     """Entrywise specialization ratio: (cell/row total) / (col total/grand total)."""
     n_rows, n_cols = weights.shape

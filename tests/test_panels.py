@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpnet import (
     PanelError,
@@ -14,6 +16,8 @@ from tpnet import (
     read_panel_csv,
 )
 from tpnet.panels import ActivityPanel, WindowedMatrix
+
+from .oracles import reference_panel
 
 
 def test_single_record_identity():
@@ -94,14 +98,82 @@ def test_read_panel_csv_bad_header(tmp_path):
         read_panel_csv(path, "product")
 
 
-def test_read_panel_csv_names_offending_line(tmp_path):
+def test_read_panel_csv_accepts_byte_order_mark(tmp_path):
+    # Excel writes UTF-8 CSVs with a leading BOM
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"\xef\xbb\xbfcountry,activity,year,value\nFRA,x,2000,1.5\n")
+    panel = read_panel_csv(path, "product")
+    assert panel.country_ids == ("FRA",)
+    assert panel.values[2000][0, 0] == 1.5
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("FRA,x,20o1,1", "unparseable year '20o1'"),
+        ("FRA,x,2001,abc", "non-numeric value 'abc'"),
+        ("FRA,x,2001,nan", "non-finite value 'nan'"),
+        ("FRA,x,2001,inf", "non-finite value 'inf'"),
+        ("FRA,x,2001,-3", "negative value '-3'"),
+        ("FRA,x,2001", "expected 4 fields, got 3"),
+    ],
+    ids=["year", "value", "nan", "inf", "negative", "fields"],
+)
+def test_read_panel_csv_names_offending_line(tmp_path, row, message):
+    # the blank line 3 is skipped but still counted
     path = tmp_path / "panel.csv"
     path.write_text(
-        "country,activity,year,value\nFRA,x,2000,1\nFRA,x,2001,-3\n",
+        f"country,activity,year,value\nFRA,x,2000,1\n\n{row}\n",
         encoding="utf-8",
     )
-    with pytest.raises(PanelError, match=":3"):
+    with pytest.raises(PanelError) as excinfo:
         read_panel_csv(path, "product")
+    assert str(excinfo.value) == f"{path}:4: {message}"
+
+
+def test_read_panel_csv_header_only_has_no_data_rows(tmp_path):
+    path = tmp_path / "panel.csv"
+    for body in ("", "\n , ,,\n"):
+        path.write_text("country,activity,year,value\n" + body, encoding="utf-8")
+        with pytest.raises(PanelError, match="no data rows"):
+            read_panel_csv(path, "product")
+
+
+_IDS = st.text(alphabet="AZaz019", min_size=1, max_size=6)
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _panel_records(draw):
+    """Shuffled records over mixed-length ids and gapped years, with repeated
+    keys; one key gets 0.1, 0.2 and 0.3 in a drawn order, whose float sum
+    depends on that order."""
+    countries = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    activities = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    years = draw(st.lists(st.integers(1990, 2030), min_size=1, max_size=4, unique=True))
+    keys = st.tuples(*map(st.sampled_from, (countries, activities, years)))
+    records = [(*key, draw(_VALUES)) for key in draw(st.lists(keys, min_size=1, max_size=25))]
+    repeated = draw(keys)
+    records += [(*repeated, v) for v in draw(st.permutations([0.1, 0.2, 0.3]))]
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_panel_records())
+def test_ingest_matches_reference_panel(tmp_path_factory, records):
+    countries, activities, years, values = reference_panel(records)
+    path = tmp_path_factory.mktemp("ingest") / "panel.csv"
+    lines = [f"{c},{a},{y},{v!r}\n" for c, a, y, v in records]
+    path.write_text("country,activity,year,value\n" + "".join(lines), encoding="utf-8")
+    for panel in (load_panel(records, "product"), read_panel_csv(path, "product")):
+        assert panel.country_ids == countries
+        assert panel.activity_ids == activities
+        assert panel.years == years
+        for year in years:
+            assert panel.values[year].tobytes() == values[year].tobytes()
 
 
 def _two_year_panel():
