@@ -32,10 +32,7 @@ from .nullmodel import (
     BiCMModel,
     NullEnsemble,
     fit_bicm,
-    load_model,
-    null_assist_ensemble,
     sample_ensemble,
-    save_model,
 )
 from .panels import (
     ActivityPanel,
@@ -57,7 +54,6 @@ from .validate import (
     LinkValidation,
     PairValidation,
     ValidatedNetwork,
-    compute_pvalues,
     degree_report,
     intersect_pairs,
     load_hs_sections,
@@ -98,16 +94,13 @@ __all__ = [
     "align_countries",
     "binarize",
     "compute_assist",
-    "compute_pvalues",
     "compute_rca",
     "cumulative_link_difference",
     "degree_report",
     "fit_bicm",
     "intersect_pairs",
     "load_hs_sections",
-    "load_model",
     "load_panel",
-    "null_assist_ensemble",
     "parse_config",
     "rank_activities",
     "read_panel_csv",
@@ -115,7 +108,6 @@ __all__ = [
     "run_pipeline",
     "run_robustness",
     "sample_ensemble",
-    "save_model",
     "serialize_config",
     "significance_profile",
     "tier_threshold",

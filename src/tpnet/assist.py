@@ -54,18 +54,20 @@ class AssistMatrix:
         return self.values[mask].sum(axis=1)
 
 
-def _assist_values(tech_values: np.ndarray, prod_values: np.ndarray):
-    """Contraction kernel shared by the empirical path and the null stream.
+def _assist_values(tech: np.ndarray, prod: np.ndarray, out: Optional[np.ndarray] = None):
+    """Contraction kernel of the empirical path and of the null loop.
 
-    Returns (values, ubiquity, diversification). Zero-diversification
-    countries contribute nothing; zero-ubiquity technology rows stay zero.
+    ``tech`` and ``prod`` are float64 0/1 layers on the same country axis;
+    ``prod`` is scaled by 1/d in place. Returns (values, ubiquity,
+    diversification), with values written into ``out`` when given.
+    Zero-diversification countries contribute nothing; zero-ubiquity
+    technology rows stay zero.
     """
-    d = prod_values.sum(axis=1, dtype=np.int64)
-    u = tech_values.sum(axis=0, dtype=np.int64)
-    inv_d = np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)
-    values = tech_values.T.astype(np.float64) @ (prod_values * inv_d[:, None])
-    inv_u = np.divide(1.0, u, out=np.zeros(u.shape, dtype=np.float64), where=u > 0)
-    values *= inv_u[:, None]
+    d = prod.sum(axis=1)
+    u = tech.sum(axis=0)
+    prod *= np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
+    values = np.matmul(tech.T, prod, out=out)
+    values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
     return values, u, d
 
 
@@ -76,7 +78,9 @@ def compute_assist(tech: BinaryMatrix, prod: BinaryMatrix) -> AssistMatrix:
             "technology and product layers must be aligned to the same country "
             "list before contraction"
         )
-    values, u, _ = _assist_values(tech.values, prod.values)
+    values, u, _ = _assist_values(
+        tech.values.astype(np.float64), prod.values.astype(np.float64)
+    )
     inactive = tuple(t for t, k in zip(tech.activity_ids, u) if k == 0)
     return AssistMatrix(
         tech_ids=tech.activity_ids,

@@ -55,9 +55,6 @@ class FitnessComplexity:
         order = _ranking_order(_id_ranks(self.country_ids), self.fitness)
         return {self.country_ids[idx]: pos + 1 for pos, idx in enumerate(order)}
 
-    def activity_ranking(self, kind: str = "product") -> "ActivityRanking":
-        return ActivityRanking(kind=kind, ranks=self.activity_rank, stripped=())
-
 
 def run_efc(
     m: BinaryMatrix,
@@ -167,13 +164,12 @@ def rank_activities(
     excluded from the iteration. Returns the ranking and the underlying fit on
     the stripped matrix.
     """
+    ubiquity = m.ubiquity
     keep_rows = [i for i, d in enumerate(m.diversification) if d > 0]
-    keep_cols = [j for j, u in enumerate(m.ubiquity) if u > 0]
+    keep_cols = [j for j, u in enumerate(ubiquity) if u > 0]
     if not keep_rows or not keep_cols:
         raise AllZeroError("matrix has no nonzero rows or columns to rank")
-    stripped = tuple(
-        a for j, a in enumerate(m.activity_ids) if j not in set(keep_cols)
-    )
+    stripped = tuple(a for a, u in zip(m.activity_ids, ubiquity) if u == 0)
     core = BinaryMatrix(
         layer_kind=m.layer_kind,
         country_ids=tuple(m.country_ids[i] for i in keep_rows),

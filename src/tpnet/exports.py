@@ -42,11 +42,10 @@ def write_assist_csv(assist: AssistMatrix, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tech", "product", "value"])
-        for i, tech in enumerate(assist.tech_ids):
-            for j, product in enumerate(assist.product_ids):
-                v = assist.values[i, j]
-                if v != 0:
-                    writer.writerow([tech, product, _fmt(v)])
+        rows, cols = np.nonzero(assist.values)
+        values = assist.values[rows, cols].tolist()
+        for i, j, v in zip(rows.tolist(), cols.tolist(), values):
+            writer.writerow([assist.tech_ids[i], assist.product_ids[j], _fmt(v)])
 
 
 def write_edge_csv(net: ValidatedNetwork, path: str | Path) -> None:

@@ -14,24 +14,22 @@ so ensembles are reproducible bit-for-bit and order-insensitive: accumulating
 over samples can be parallelized across indices without changing any result.
 
 Validation runs ``null_exceedance_counts``: one loop per period pair that
-draws both layers, contracts them, compares the result with the empirical
-matrix and adds the degree sums for the sampling-bias audit, all in buffers
-allocated once. ``null_assist_ensemble`` (with ``validate.compute_pvalues``),
-``sample_ensemble`` and ``ensemble_degree_zscores`` are the reference path it
-matches bit for bit.
+draws both layers with ``_draw``, contracts them with the empirical path's
+kernel, compares the result with the empirical matrix and adds the degree
+sums for the sampling-bias audit, all in buffers allocated once. It is the
+only code in the package that samples null contractions; ``sample_ensemble``
+streams single-layer draws for inspecting the model.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .assist import AssistMatrix, _assist_values
+from .assist import _assist_values
 from .errors import AxisMismatchError, FitError, PanelError
 from .rca import BinaryMatrix
 
@@ -201,8 +199,15 @@ def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _draw(model: BiCMModel, rng: np.random.Generator) -> np.ndarray:
-    return (rng.random(model.shape) < model.link_probabilities).astype(np.int8)
+def _draw(
+    model: BiCMModel, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One Bernoulli layer as float64 0/1, written into ``out`` when given:
+    entry (c, a) is 1 with probability ``link_probabilities[c, a]``."""
+    if out is None:
+        out = np.empty(model.shape)
+    rng.random(out=out)
+    return np.less(out, model.link_probabilities, out=out)
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,7 @@ class NullEnsemble:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for i in range(self.n):
-            yield _draw(self.model, _rng(self.seed, (*self.stream_key, i)))
+            yield _draw(self.model, _rng(self.seed, (*self.stream_key, i))).astype(np.int8)
 
     def sample_mean(self) -> np.ndarray:
         total = np.zeros(self.model.shape)
@@ -243,40 +248,6 @@ def sample_ensemble(
     return NullEnsemble(model=model, n=n, seed=seed, stream_key=stream_key)
 
 
-def null_assist_ensemble(
-    tech_model: BiCMModel,
-    prod_model: BiCMModel,
-    n: int,
-    seed: int,
-    stream_key: tuple[int, ...] = (),
-) -> Iterator[AssistMatrix]:
-    """Stream of n null contractions from fresh independent layer pairs.
-
-    Draw i samples the technology layer from substream (seed, stream_key, i, 0)
-    and the product layer from (seed, stream_key, i, 1), then contracts them
-    with the same kernel and degeneracy conventions as the empirical path.
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    if tech_model.country_ids != prod_model.country_ids:
-        raise AxisMismatchError(
-            "technology and product models must share the same country axis"
-        )
-    for i in range(n):
-        tech_draw = _draw(tech_model, _rng(seed, (*stream_key, i, 0)))
-        prod_draw = _draw(prod_model, _rng(seed, (*stream_key, i, 1)))
-        values, u, _ = _assist_values(tech_draw, prod_draw)
-        yield AssistMatrix(
-            tech_ids=tech_model.activity_ids,
-            product_ids=prod_model.activity_ids,
-            values=values,
-            common_country_ids=tech_model.country_ids,
-            inactive_tech_ids=tuple(
-                t for t, k in zip(tech_model.activity_ids, u) if k == 0
-            ),
-        )
-
-
 def null_exceedance_counts(
     tech_model: BiCMModel,
     prod_model: BiCMModel,
@@ -288,15 +259,15 @@ def null_exceedance_counts(
     """Exceedance counts over n null contractions, drawn, contracted and
     compared in one pass.
 
-    Consumes the substreams of ``null_assist_ensemble`` and returns the
-    counts ``compute_pvalues`` gives over it, bit for bit: every GEMM gets the
-    operands and memory layout of ``_assist_values`` (F-ordered technology
-    draw transposed, C-ordered product draw scaled by 1/d), and the 1/u row
-    scaling stays a separate multiply before the strict comparison.
+    Draw i samples the technology layer from substream (seed, *stream_key,
+    i, 0) and the product layer from (seed, *stream_key, i, 1) with
+    ``_draw``, and contracts them with ``assist._assist_values``, the kernel
+    of the empirical matrix. A link's count is the number of draws whose
+    null weight the empirical weight strictly exceeds; ties do not count.
 
-    Returns (counts, degree_sums): int32 counts of the draws the empirical
-    weight strictly exceeds, and per layer (technology, product) the row and
-    column degree sums over all n draws, for ``degree_zscores``.
+    Returns (counts, degree_sums): int32 counts, and per layer (technology,
+    product) the row and column degree sums over all n draws, for
+    ``degree_zscores``.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -308,8 +279,6 @@ def null_exceedance_counts(
     shape = (tech_model.shape[1], prod_model.shape[1])
     if empirical.shape != shape:
         raise AxisMismatchError("empirical matrix does not match the model axes")
-    p_tech = tech_model.link_probabilities
-    p_prod = prod_model.link_probabilities
     tech = np.empty(tech_model.shape)
     prod = np.empty(prod_model.shape)
     values = np.empty(shape)
@@ -321,19 +290,13 @@ def null_exceedance_counts(
     )
     (tech_rows, tech_cols), (prod_rows, prod_cols) = degree_sums
     for i in range(n):
-        _rng(seed, (*stream_key, i, 0)).random(out=tech)
-        np.less(tech, p_tech, out=tech)
-        _rng(seed, (*stream_key, i, 1)).random(out=prod)
-        np.less(prod, p_prod, out=prod)
-        u = tech.sum(axis=0)
-        d = prod.sum(axis=1)
+        _draw(tech_model, _rng(seed, (*stream_key, i, 0)), out=tech)
+        _draw(prod_model, _rng(seed, (*stream_key, i, 1)), out=prod)
         tech_rows += tech.sum(axis=1)
+        prod_cols += prod.sum(axis=0)  # before the kernel scales prod by 1/d
+        _, u, d = _assist_values(tech, prod, out=values)
         tech_cols += u
         prod_rows += d
-        prod_cols += prod.sum(axis=0)
-        prod *= np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
-        np.matmul(tech.T, prod, out=values)
-        values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
         np.greater(empirical, values, out=exceeds)
         np.add(counts, exceeds, out=counts)
     return counts, degree_sums
@@ -364,47 +327,3 @@ def degree_zscores(
         out=np.zeros(p.shape[1]), where=col_sd > 0,
     )
     return row_z, col_z
-
-
-def ensemble_degree_zscores(model: BiCMModel, ensemble: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``degree_zscores`` of the samples of an ensemble."""
-    count = 0
-    row_sum = np.zeros(model.shape[0])
-    col_sum = np.zeros(model.shape[1])
-    for sample in ensemble:
-        row_sum += sample.sum(axis=1)
-        col_sum += sample.sum(axis=0)
-        count += 1
-    return degree_zscores(model, row_sum, col_sum, count)
-
-
-def save_model(model: BiCMModel, path: str | Path) -> None:
-    """Write the fitted model as a JSON text artifact.
-
-    Stores multipliers, the residual, and the full probability matrix: pinned
-    degenerate entries are not recoverable from multipliers alone, so the
-    probabilities are the authoritative payload for resuming a run.
-    """
-    payload = {
-        "layer_kind": model.layer_kind,
-        "country_ids": list(model.country_ids),
-        "activity_ids": list(model.activity_ids),
-        "row_multipliers": [float(v) for v in model.row_multipliers],
-        "col_multipliers": [float(v) for v in model.col_multipliers],
-        "link_probabilities": [[float(v) for v in row] for row in model.link_probabilities],
-        "fit_residual": float(model.fit_residual),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> BiCMModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return BiCMModel(
-        layer_kind=payload["layer_kind"],
-        country_ids=tuple(payload["country_ids"]),
-        activity_ids=tuple(payload["activity_ids"]),
-        row_multipliers=np.array(payload["row_multipliers"]),
-        col_multipliers=np.array(payload["col_multipliers"]),
-        link_probabilities=np.array(payload["link_probabilities"]),
-        fit_residual=float(payload["fit_residual"]),
-    )

@@ -4,9 +4,10 @@ validation, ranking, reports, and the window-robustness harness.
 Runs are deterministic given (config, seed): every random substream is derived
 from the master seed plus a structural key (lag index, pair index, sample
 index, layer), and all writers are deterministic. Each period pair's null
-sampling is a single pass (``nullmodel.null_exceedance_counts``) that yields
-the exceedance counts and the degree sums its sampling-bias audit reads, so no
-sample is drawn twice. Only the exceedance counts, the one costly
+sampling is one pass of ``nullmodel.null_exceedance_counts``, the package's
+only null loop: it draws both layers, contracts them with the kernel of the
+empirical matrix and yields the exceedance counts and the degree sums its
+sampling-bias audit reads. Only the exceedance counts, the one costly
 intermediate, are cached on disk, keyed by a content hash of their inputs, so
 a rerun from the cache reproduces identical downstream results; windows, RCA,
 contractions and fits are recomputed. A manifest in the output directory

@@ -13,11 +13,10 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .assist import AssistMatrix
 from .errors import AxisMismatchError
 
 TIER_LEVELS: dict[str, Fraction] = {
@@ -110,30 +109,6 @@ class PairValidation:
             exceed_count=int(self.exceed_counts[i, j]),
             n_samples=self.n_samples,
         )
-
-
-def compute_pvalues(
-    empirical: AssistMatrix, nulls: Iterable[AssistMatrix]
-) -> PairValidation:
-    """Count, per link, the null draws strictly below the empirical weight."""
-    counts = np.zeros(empirical.values.shape, dtype=np.int64)
-    n = 0
-    for draw in nulls:
-        if draw.tech_ids != empirical.tech_ids or draw.product_ids != empirical.product_ids:
-            raise AxisMismatchError("null draw axes do not match the empirical matrix")
-        counts += empirical.values > draw.values
-        n += 1
-    if n == 0:
-        raise ValueError("need at least one null draw")
-    return PairValidation(
-        tech_ids=empirical.tech_ids,
-        product_ids=empirical.product_ids,
-        empirical=empirical.values,
-        exceed_counts=counts,
-        n_samples=n,
-        t1=empirical.t1,
-        t2=empirical.t2,
-    )
 
 
 def _shared_axes(validations: Sequence[PairValidation]) -> PairValidation:

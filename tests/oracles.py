@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with plain loops, separately from the library's
-vectorized paths, so a bug cannot hide in both at once.
+Everything here is written separately from the library's vectorized paths,
+mostly with plain loops, so a bug cannot hide in both at once.
 """
 
 from __future__ import annotations
@@ -63,6 +63,40 @@ def reference_assist(tech: np.ndarray, prod: np.ndarray) -> np.ndarray:
                     s += 1.0 / d[c]
             out[t, p] = s / u[t]
     return out
+
+
+def reference_exceedance_counts(tech_model, prod_model, empirical, n, seed, stream_key=()):
+    """Exceedance counts of the pair-validation loop, computed draw by draw:
+    each layer's substream (seed, *stream_key, i, layer) drawn here with
+    ``rng.random(shape) < p``, contracted with the float expression of the
+    library's kernel on the same operand layout (transposed technology draw,
+    product draw scaled by 1/d, then rows by 1/u), and compared strictly.
+
+    Returns (counts, degree_sums) with degree_sums per layer (technology,
+    product) as (row sums, column sums) over the n draws.
+    """
+    models = (tech_model, prod_model)
+    counts = np.zeros(empirical.shape, dtype=np.int64)
+    degree_sums = [
+        (np.zeros(m.shape[0]), np.zeros(m.shape[1])) for m in models
+    ]
+    for i in range(n):
+        tech, prod = (
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, i, layer))
+            ).random(m.shape) < m.link_probabilities
+            for layer, m in enumerate(models)
+        )
+        for draw, (row_sum, col_sum) in zip((tech, prod), degree_sums):
+            row_sum += draw.sum(axis=1)
+            col_sum += draw.sum(axis=0)
+        d = prod.sum(axis=1, dtype=np.int64)
+        u = tech.sum(axis=0, dtype=np.int64)
+        inv_d = np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)
+        values = tech.T.astype(np.float64) @ (prod * inv_d[:, None])
+        values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
+        counts += empirical > values
+    return counts, tuple(degree_sums)
 
 
 def _all_configs(prob: np.ndarray):

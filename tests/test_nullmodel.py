@@ -1,4 +1,4 @@
-"""Null-model fitting, ensemble sampling, and the null contraction stream."""
+"""Null-model fitting, ensemble sampling, and the pair-validation loop."""
 
 import numpy as np
 import pytest
@@ -8,23 +8,14 @@ from tpnet import (
     FitError,
     compute_assist,
     fit_bicm,
-    load_model,
-    null_assist_ensemble,
     sample_ensemble,
-    save_model,
 )
-from tpnet.nullmodel import (
-    _draw,
-    _rng,
-    degree_zscores,
-    ensemble_degree_zscores,
-    null_exceedance_counts,
-)
+from tpnet.assist import _assist_values
+from tpnet.nullmodel import _draw, _rng, degree_zscores, null_exceedance_counts
 from tpnet.rca import BinaryMatrix
-from tpnet.validate import compute_pvalues
 
 from .conftest import random_binary
-from .oracles import enumerate_exceedance, reference_assist
+from .oracles import enumerate_exceedance, reference_assist, reference_exceedance_counts
 
 
 def _binary(values, layer="product"):
@@ -107,6 +98,18 @@ def test_sampling_degenerate_probabilities():
         assert sample.all()
 
 
+def test_draw_into_buffer_matches_ensemble_and_fresh_draw():
+    model = fit_bicm(_binary(random_binary(np.random.default_rng(5), (4, 6), 0.5)))
+    buf = np.full(model.shape, 7.0)
+    for i, sample in enumerate(sample_ensemble(model, 20, seed=3)):
+        drawn = _draw(model, _rng(3, (i,)), out=buf)
+        fresh = np.random.default_rng(
+            np.random.SeedSequence(entropy=3, spawn_key=(i,))
+        ).random(model.shape) < model.link_probabilities
+        assert drawn is buf and sample.dtype == np.int8
+        assert np.array_equal(drawn, fresh) and np.array_equal(sample, fresh)
+
+
 def test_replay_is_bitwise_identical():
     model = fit_bicm(_binary(np.eye(3)))
     first = [s.copy() for s in sample_ensemble(model, 50, seed=9)]
@@ -132,8 +135,13 @@ def test_sample_mean_tracks_probabilities():
 def test_degree_zscores_are_moderate():
     rng = np.random.default_rng(8)
     model = fit_bicm(_binary(random_binary(rng, (5, 6), 0.5)))
-    ensemble = sample_ensemble(model, 2000, seed=77)
-    row_z, col_z = ensemble_degree_zscores(model, ensemble)
+    samples = list(sample_ensemble(model, 2000, seed=77))
+    row_z, col_z = degree_zscores(
+        model,
+        np.sum([s.sum(axis=1) for s in samples], axis=0),
+        np.sum([s.sum(axis=0) for s in samples], axis=0),
+        len(samples),
+    )
     assert np.abs(row_z).max() < 4.0
     assert np.abs(col_z).max() < 4.0
 
@@ -185,20 +193,17 @@ def test_fused_counts_match_reference_path(fixture_seed, max_dim, n, stream_key)
     counts, degree_sums = null_exceedance_counts(
         tech, prod, empirical.values, n, seed, stream_key
     )
-    reference = compute_pvalues(
-        empirical, null_assist_ensemble(tech, prod, n, seed, stream_key)
+    reference, reference_sums = reference_exceedance_counts(
+        tech, prod, empirical.values, n, seed, stream_key
     )
     assert counts.dtype == np.int32
-    assert np.array_equal(counts, reference.exceed_counts)
+    assert np.array_equal(counts, reference)
 
-    for layer, (model, (row_sum, col_sum)) in enumerate(
-        zip((tech, prod), degree_sums)
+    for model, fused_sums, expected_sums in zip(
+        (tech, prod), degree_sums, reference_sums
     ):
-        draws = (
-            _draw(model, _rng(seed, (*stream_key, i, layer))) for i in range(n)
-        )
-        expected = ensemble_degree_zscores(model, draws)
-        fused = degree_zscores(model, row_sum, col_sum, n)
+        fused = degree_zscores(model, *fused_sums, n)
+        expected = degree_zscores(model, *expected_sums, n)
         for got, want in zip(fused, expected):
             assert np.array_equal(got, want)
 
@@ -207,8 +212,6 @@ def test_null_assist_requires_shared_countries():
     tech = fit_bicm(_binary(np.eye(2), layer="technology"))
     prod_values = np.ones((3, 2), dtype=int)
     prod = fit_bicm(_binary(prod_values))
-    with pytest.raises(AxisMismatchError):
-        next(null_assist_ensemble(tech, prod, 1, seed=0))
     with pytest.raises(AxisMismatchError):
         null_exceedance_counts(tech, prod, np.zeros((2, 2)), 1, seed=0)
     with pytest.raises(AxisMismatchError):
@@ -221,9 +224,14 @@ def test_degenerate_models_reproduce_empirical_contraction():
     tech_m = _binary(np.ones((2, 2)), layer="technology")
     prod_m = _binary(np.ones((2, 3)))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
-    draws = list(null_assist_ensemble(tech, prod, 1, seed=5))
-    empirical = compute_assist(tech_m, prod_m)
-    assert np.allclose(draws[0].values, empirical.values)
+    empirical = compute_assist(tech_m, prod_m).values
+    # every null weight v satisfies e <= v < next float above e, so v == e
+    tied, _ = null_exceedance_counts(tech, prod, empirical, 20, seed=5)
+    above, _ = null_exceedance_counts(
+        tech, prod, np.nextafter(empirical, np.inf), 20, seed=5
+    )
+    assert (tied == 0).all()
+    assert (above == 20).all()
 
 
 def test_null_stream_matches_reference_contraction():
@@ -231,12 +239,14 @@ def test_null_stream_matches_reference_contraction():
     tech_m = _binary(random_binary(rng, (4, 3), 0.5), layer="technology")
     prod_m = _binary(random_binary(rng, (4, 4), 0.5))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
-    from tpnet.nullmodel import _draw, _rng
-
-    for i, draw in enumerate(null_assist_ensemble(tech, prod, 5, seed=21)):
-        tech_draw = _draw(tech, _rng(21, (i, 0)))
-        prod_draw = _draw(prod, _rng(21, (i, 1)))
-        assert np.allclose(draw.values, reference_assist(tech_draw, prod_draw))
+    tech_buf, prod_buf, values = np.empty((4, 3)), np.empty((4, 4)), np.empty((3, 4))
+    # the loop's draws, buffers and kernel call, one sample at a time
+    for i in range(5):
+        tech_draw = _draw(tech, _rng(21, (i, 0)), out=tech_buf)
+        prod_draw = _draw(prod, _rng(21, (i, 1)), out=prod_buf)
+        expected = reference_assist(tech_draw, prod_draw)
+        _assist_values(tech_draw, prod_draw, out=values)
+        assert np.allclose(values, expected)
 
 
 def test_null_distribution_matches_exhaustive_enumeration():
@@ -250,21 +260,7 @@ def test_null_distribution_matches_exhaustive_enumeration():
         tech.link_probabilities, prod.link_probabilities, empirical.values
     )
     n = 4000
-    counts = np.zeros(empirical.values.shape)
-    for draw in null_assist_ensemble(tech, prod, n, seed=33):
-        counts += empirical.values > draw.values
+    counts, _ = null_exceedance_counts(tech, prod, empirical.values, n, seed=33)
     mc = counts / n
     assert np.abs(mc - exact).max() < 3 * np.sqrt(0.25 / n) + 1e-9
 
-
-def test_model_save_load_roundtrip(tmp_path):
-    values = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 0]])  # has pinned nodes
-    model = fit_bicm(_binary(values))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.country_ids == model.country_ids
-    assert loaded.activity_ids == model.activity_ids
-    assert np.array_equal(loaded.link_probabilities, model.link_probabilities)
-    assert np.array_equal(loaded.row_multipliers, model.row_multipliers)
-    assert loaded.fit_residual == model.fit_residual

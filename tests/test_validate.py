@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from tpnet import (
     AxisMismatchError,
     compute_assist,
-    compute_pvalues,
     degree_report,
     fit_bicm,
     intersect_pairs,
     load_hs_sections,
-    null_assist_ensemble,
     significance_profile,
     tier_threshold,
 )
-from tpnet.assist import AssistMatrix
+from tpnet.nullmodel import null_exceedance_counts
 from tpnet.rca import BinaryMatrix
 from tpnet import exports
 from tpnet.validate import TIER_ORDER, PairValidation
@@ -27,13 +25,14 @@ from tpnet.validate import TIER_ORDER, PairValidation
 from .oracles import reference_network, reference_profile
 
 
-def _assist(values, techs=None, prods=None, t1=2012, t2=2012):
-    values = np.asarray(values, dtype=float)
-    techs = techs or tuple(f"t{i}" for i in range(values.shape[0]))
-    prods = prods or tuple(f"{10 + j} p" for j in range(values.shape[1]))
-    return AssistMatrix(
-        tech_ids=techs, product_ids=prods, values=values,
-        common_country_ids=("A", "B"), t1=t1, t2=t2,
+def _null_validation(empirical, tech, prod, n, seed):
+    """The pair's counts from the pipeline's null loop."""
+    counts, _ = null_exceedance_counts(
+        fit_bicm(tech), fit_bicm(prod), empirical.values, n, seed
+    )
+    return PairValidation(
+        tech_ids=empirical.tech_ids, product_ids=empirical.product_ids,
+        empirical=empirical.values, exceed_counts=counts, n_samples=n,
     )
 
 
@@ -88,8 +87,7 @@ def test_zero_empirical_weight_is_never_significant():
     prod = BinaryMatrix("product", ("A", "B"), ("p0", "p1"), [[1, 0], [1, 0]])
     empirical = compute_assist(tech, prod)
     assert empirical.values[0, 1] == 0.0
-    nulls = null_assist_ensemble(fit_bicm(tech), fit_bicm(prod), 300, seed=4)
-    validation = compute_pvalues(empirical, nulls)
+    validation = _null_validation(empirical, tech, prod, 300, seed=4)
     assert validation.exceed_counts[0, 1] == 0
     link = validation.link("t0", empirical.product_ids[1])
     assert not link.passes("95")
@@ -100,8 +98,7 @@ def test_all_tied_nulls_give_zero_exceedance():
     tech = BinaryMatrix("technology", ("A", "B"), ("t0",), [[1], [0]])
     prod = BinaryMatrix("product", ("A", "B"), ("p0", "p1"), [[1, 1], [1, 0]])
     empirical = compute_assist(tech, prod)
-    nulls = null_assist_ensemble(fit_bicm(tech), fit_bicm(prod), 100, seed=1)
-    validation = compute_pvalues(empirical, nulls)
+    validation = _null_validation(empirical, tech, prod, 100, seed=1)
     assert (validation.exceed_counts == 0).all()
     assert (validation.p_values == 1.0).all()
 
@@ -113,22 +110,12 @@ def test_exceedance_fractions_consistent_across_seeds():
     prod = BinaryMatrix("product", ("A", "B", "C"), ("p0", "p1", "p2"),
                         [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     empirical = compute_assist(tech, prod)
-    tech_model, prod_model = fit_bicm(tech), fit_bicm(prod)
     n = 4000
     fractions = []
     for seed in (71, 72):
-        v = compute_pvalues(
-            empirical, null_assist_ensemble(tech_model, prod_model, n, seed=seed)
-        )
+        v = _null_validation(empirical, tech, prod, n, seed=seed)
         fractions.append(v.exceed_counts / n)
     assert np.abs(fractions[0] - fractions[1]).max() < 3 * np.sqrt(0.25 / n)
-
-
-def test_compute_pvalues_rejects_axis_mismatch():
-    empirical = _assist([[1.0]])
-    bad = _assist([[1.0]], techs=("other",))
-    with pytest.raises(AxisMismatchError):
-        compute_pvalues(empirical, iter([bad]))
 
 
 def test_intersect_single_pair_is_that_pair():
