@@ -14,15 +14,15 @@ from pathlib import Path
 import click
 
 from . import exports
-from .assist import compute_assist
 from .config import RunConfig, parse_config
 from .errors import TpnetError
-from .panels import aggregate_window, align_countries
+from .panels import aggregate_window
 from .pipeline import (
-    _binary_for_window,
+    _stage,
     compute_rankings,
+    contract_pair,
+    load_inputs,
     load_panels,
-    resolve_lags,
     run_pipeline,
     run_robustness,
 )
@@ -87,7 +87,7 @@ def main(verbose: bool):
 def ingest(config_path, seed, samples, tier, digits, out_dir):
     """Load and check the two panels; write a summary."""
     cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-    tech, prod = _run(load_panels, cfg)
+    tech, prod = _run(_stage, "ingest", load_panels, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -113,13 +113,6 @@ def ingest(config_path, seed, samples, tier, digits, out_dir):
     )
 
 
-def _window_jobs(cfg, tech, prod):
-    lags = resolve_lags(cfg, tech, prod)
-    tech_ends = sorted({t1 for spec in lags for t1, _ in spec.pairs})
-    prod_ends = sorted({t2 for spec in lags for _, t2 in spec.pairs})
-    return lags, tech_ends, prod_ends
-
-
 @main.command()
 @_common_options
 def rca(config_path, seed, samples, tier, digits, out_dir):
@@ -127,14 +120,13 @@ def rca(config_path, seed, samples, tier, digits, out_dir):
     cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
 
     def work(cfg):
-        tech, prod = load_panels(cfg)
-        _, tech_ends, prod_ends = _window_jobs(cfg, tech, prod)
+        tech, prod, lags = load_inputs(cfg)
+        tech_ends, prod_ends = zip(*(pair for spec in lags for pair in spec.pairs))
         out = Path(cfg.output_dir) / "rca"
         out.mkdir(parents=True, exist_ok=True)
         for panel, ends in ((tech, tech_ends), (prod, prod_ends)):
-            for end in ends:
-                window = aggregate_window(panel, cfg.delta, end)
-                ratios = compute_rca(window)
+            for end in sorted(set(ends)):
+                ratios = _stage("rca", compute_rca, aggregate_window(panel, cfg.delta, end))
                 binary = binarize(ratios)
                 stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
                 exports.write_matrix_csv(
@@ -158,16 +150,12 @@ def assist(config_path, seed, samples, tier, digits, out_dir):
     cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
 
     def work(cfg):
-        tech, prod = load_panels(cfg)
-        lags, _, _ = _window_jobs(cfg, tech, prod)
+        tech, prod, lags = load_inputs(cfg)
         out = Path(cfg.output_dir) / "assist"
         out.mkdir(parents=True, exist_ok=True)
         for spec in lags:
             for t1, t2 in spec.pairs:
-                tech_bin = _binary_for_window(tech, cfg.delta, t1)
-                prod_bin = _binary_for_window(prod, cfg.delta, t2)
-                tech_bin, prod_bin, _ = align_countries(tech_bin, prod_bin)
-                matrix = compute_assist(tech_bin, prod_bin)
+                _, _, matrix = _stage("assist", contract_pair, cfg, tech, prod, (t1, t2))
                 exports.write_assist_csv(matrix, out / f"assist_{t1}_{t2}.csv")
         return out
 
@@ -195,9 +183,10 @@ def efc(config_path, seed, samples, tier, digits, out_dir):
     cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
 
     def work(cfg):
-        tech, prod = load_panels(cfg)
-        lags, _, _ = _window_jobs(cfg, tech, prod)
-        tech_ranking, _, prod_ranking, _ = compute_rankings(cfg, tech, prod, lags)
+        tech, prod, lags = load_inputs(cfg)
+        tech_ranking, _, prod_ranking, _ = _stage(
+            "efc", compute_rankings, cfg, tech, prod, lags
+        )
         out = Path(cfg.output_dir) / "rankings"
         out.mkdir(parents=True, exist_ok=True)
         exports.write_ranking_csv(tech_ranking, out / "technology_ranks.csv")
@@ -237,12 +226,7 @@ def robustness(config_path, seed, samples, tier, digits, out_dir, deltas):
         delta_list = [int(d) for d in deltas.split(",") if d.strip()]
     except ValueError:
         raise click.ClickException(f"bad --deltas value {deltas!r}")
-
-    def work(cfg):
-        benchmark = run_pipeline(cfg, write=False).lag_results[0].network
-        return run_robustness(cfg, benchmark, delta_list)
-
-    rob = _run(work, cfg)
+    rob = _run(lambda c: run_robustness(c, deltas=delta_list), cfg)
     click.echo(
         f"{rob.configurations} configurations against a "
         f"{rob.benchmark_edges}-edge benchmark"

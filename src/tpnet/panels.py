@@ -77,11 +77,6 @@ class ActivityPanel:
     def shape(self) -> tuple[int, int]:
         return (len(self.country_ids), len(self.activity_ids))
 
-    def year_matrix(self, year: int) -> np.ndarray:
-        if year not in self.values:
-            raise WindowError(f"panel has no data for year {year}")
-        return self.values[year]
-
 
 @dataclass(frozen=True)
 class WindowedMatrix:
@@ -174,7 +169,8 @@ def load_panel(
 def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
     """Read a UTF-8 CSV with header ``country,activity,year,value`` into a panel.
 
-    A leading byte-order mark is ignored and blank lines are skipped.
+    A leading byte-order mark is ignored, blank lines are skipped, and
+    whitespace around the fields is ignored.
     """
     path = Path(path)
     if not path.is_file():
@@ -191,15 +187,19 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
             )
 
         def rows():
+            # int() and float() skip whitespace themselves: only the labels
+            # are stripped, and only a row without 4 fields or a year can be blank.
             for row in reader:
-                if not "".join(row).strip():
-                    continue
-                if len(row) != 4:
-                    raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
-                yield map(str.strip, row)
+                if len(row) != 4 or not row[2].strip():
+                    if not "".join(row).strip():
+                        continue
+                    if len(row) != 4:
+                        raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+                country, activity, year, value = row
+                yield country.strip(), activity.strip(), year, value
 
         return _ingest(rows(), layer_kind, f"{path}: no data rows",
-                       lambda what, raw, _: PanelError(f"{path}:{reader.line_num}: {what} {raw!r}"))
+                       lambda what, raw, _: PanelError(f"{path}:{reader.line_num}: {what} {raw.strip()!r}"))
 
 
 def aggregate_window(panel: ActivityPanel, delta: int, end_year: int) -> WindowedMatrix:

@@ -20,14 +20,14 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import exports
-from .assist import compute_assist
+from .assist import AssistMatrix, compute_assist
 from .config import LagSpec, RunConfig, config_to_dict, resolve_lag
 from .efc import (
     ActivityRanking,
@@ -204,10 +204,32 @@ def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tu
     return tuple(resolved)
 
 
+def load_inputs(cfg: RunConfig) -> tuple[ActivityPanel, ActivityPanel, tuple[LagSpec, ...]]:
+    """The staged prelude of every command: read both panels under the
+    ``ingest`` tag, then resolve the lags under ``configure``."""
+    tech, prod = _stage("ingest", load_panels, cfg)
+    return tech, prod, _stage("configure", resolve_lags, cfg, tech, prod)
+
+
 def _binary_for_window(
     panel: ActivityPanel, delta: int, end_year: int
 ) -> BinaryMatrix:
     return binarize(compute_rca(aggregate_window(panel, delta, end_year)))
+
+
+def contract_pair(
+    cfg: RunConfig,
+    tech_panel: ActivityPanel,
+    prod_panel: ActivityPanel,
+    pair: tuple[int, int],
+) -> tuple[BinaryMatrix, BinaryMatrix, AssistMatrix]:
+    """Windows, RCA and alignment of one (t1, t2) pair, then its contraction."""
+    t1, t2 = pair
+    tech_bin = _binary_for_window(tech_panel, cfg.delta, t1)
+    prod_bin = _binary_for_window(prod_panel, cfg.delta, t2)
+    tech_bin, prod_bin, common = align_countries(tech_bin, prod_bin)
+    logger.info("pair (%s, %s): %d common countries", t1, t2, len(common))
+    return tech_bin, prod_bin, compute_assist(tech_bin, prod_bin)
 
 
 def _flag_sampling_bias(
@@ -252,12 +274,7 @@ def validate_pair(
     The null draws, their comparison with the empirical matrix and the
     sampling-bias audit are one pass, ``null_exceedance_counts``.
     """
-    t1, t2 = pair
-    tech_bin = _binary_for_window(tech_panel, cfg.delta, t1)
-    prod_bin = _binary_for_window(prod_panel, cfg.delta, t2)
-    tech_bin, prod_bin, common = align_countries(tech_bin, prod_bin)
-    logger.info("pair (%s, %s): %d common countries", t1, t2, len(common))
-    empirical = compute_assist(tech_bin, prod_bin)
+    tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, pair)
     tech_model = fit_bicm(tech_bin)
     prod_model = fit_bicm(prod_bin)
     counts_key = cache.key(
@@ -273,7 +290,7 @@ def validate_pair(
             stream_key,
         )
         n = cfg.samples
-        _flag_sampling_bias(tech_model, prod_model, degree_sums, n, (t1, t2))
+        _flag_sampling_bias(tech_model, prod_model, degree_sums, n, pair)
         cache.store(
             "counts", counts_key, counts=counts.astype(np.int64), n=np.array([n])
         )
@@ -283,8 +300,8 @@ def validate_pair(
         empirical=empirical.values,
         exceed_counts=counts,
         n_samples=n,
-        t1=t1,
-        t2=t2,
+        t1=pair[0],
+        t2=pair[1],
     )
 
 
@@ -517,20 +534,7 @@ class RobustnessReport:
             "benchmark_edges": self.benchmark_edges,
             "delta_t": self.delta_t,
             "configurations": self.configurations,
-            "rows": [
-                {
-                    "delta": r.delta,
-                    "end_year": r.end_year,
-                    "t1": r.t1,
-                    "t2": r.t2,
-                    "edges_at_tier": r.edges_at_tier,
-                    "overlap_at_tier": r.overlap_at_tier,
-                    "edges_at_lax": r.edges_at_lax,
-                    "overlap_at_lax": r.overlap_at_lax,
-                    "outside_benchmark_span": r.outside_benchmark_span,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "mean_overlaps": {
                 str(d): v for d, v in self.mean_overlaps().items()
             },
@@ -558,23 +562,38 @@ def enumerate_windows(
 
 def run_robustness(
     cfg: RunConfig,
-    benchmark: ValidatedNetwork,
+    benchmark: Optional[ValidatedNetwork] = None,
     deltas: Sequence[int] = (3, 4, 10),
     write: bool = True,
 ) -> RobustnessReport:
     """Rerun the single-pair pipeline over alternative windows and report the
     fraction of benchmark edges each configuration recovers.
 
-    Every window length in ``deltas`` is tried at every end-year it fits, at
-    the benchmark's tier and at the laxer 90% tier. Windows reaching outside
-    the span covered by the benchmark's own product windows are flagged.
+    The panels are read once. Without a ``benchmark``, only the first lag is
+    validated, with ``run_pipeline``'s stream and cache keys, so it is that
+    run's first network. Every window length in ``deltas`` (each >= 1, none
+    repeated; checked before any work) is tried at every end-year it fits,
+    at the benchmark's tier and at the laxer 90% tier. Windows reaching
+    outside the span of the benchmark's own product windows are flagged.
     """
-    if benchmark.edge_count == 0:
-        raise ConfigError("benchmark network has no edges to recover")
+    deltas = tuple(deltas)
+    if min(deltas, default=1) < 1:
+        raise ConfigError(f"window lengths must be >= 1, got {min(deltas)}")
+    if len(set(deltas)) < len(deltas):
+        raise ConfigError(f"window lengths must not repeat, got {list(deltas)}")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = ArtifactCache(out_dir / "cache")
-    tech_panel, prod_panel = _stage("ingest", load_panels, cfg)
+    if benchmark is None:
+        tech_panel, prod_panel, lags = load_inputs(cfg)
+        benchmark = _stage(
+            f"validate_lag_{lags[0].delta_t}",
+            run_lag, cfg, tech_panel, prod_panel, lags[0], 0, cache,
+        ).network
+    else:
+        tech_panel, prod_panel = _stage("ingest", load_panels, cfg)
+    if benchmark.edge_count == 0:
+        raise ConfigError("benchmark network has no edges to recover")
     if (
         benchmark.tech_ids != tech_panel.activity_ids
         or benchmark.product_ids != prod_panel.activity_ids
@@ -582,20 +601,16 @@ def run_robustness(
         raise ConfigError("benchmark axes do not match the configured panels")
     delta_t = benchmark.lag if benchmark.lag is not None else cfg.lags[0].delta_t
     bench_t2 = [t2 for _, t2 in benchmark.pairs if t2 is not None]
-    span = (
-        (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None
-    )
+    span = (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None
     benchmark_edges = benchmark.edge_count
     tier = benchmark.tier
 
     rows = []
     for delta in deltas:
         for t1, t2 in enumerate_windows(tech_panel, prod_panel, delta, delta_t):
-            run_cfg = cfg.replace(delta=delta)
             validation = _stage(
-                f"robustness_d{delta}_{t2}",
-                validate_pair,
-                run_cfg, tech_panel, prod_panel, (t1, t2), (1, delta, t2), cache,
+                f"robustness_d{delta}_{t2}", validate_pair, cfg.replace(delta=delta),
+                tech_panel, prod_panel, (t1, t2), (1, delta, t2), cache,
             )
             at_tier = validation.tier_mask(tier)
             at_lax = validation.tier_mask(LAX_TIER)

@@ -116,8 +116,15 @@ def test_read_panel_csv_accepts_byte_order_mark(tmp_path):
         ("FRA,x,2001,inf", "non-finite value 'inf'"),
         ("FRA,x,2001,-3", "negative value '-3'"),
         ("FRA,x,2001", "expected 4 fields, got 3"),
+        (" FRA , x , 20o1 , 1 ", "unparseable year '20o1'"),
+        ("FRA,x,  ,1", "unparseable year ''"),
+        ("FRA,x, 2001 ,\tabc ", "non-numeric value 'abc'"),
+        (" FRA ,x,2001, nan", "non-finite value 'nan'"),
+        ("FRA, x ,2001 , -3 ", "negative value '-3'"),
+        (" FRA , x , 2001 ", "expected 4 fields, got 3"),
     ],
-    ids=["year", "value", "nan", "inf", "negative", "fields"],
+    ids=["year", "value", "nan", "inf", "negative", "fields", "padded-year",
+         "blank-year", "padded-value", "padded-nan", "padded-negative", "padded-fields"],
 )
 def test_read_panel_csv_names_offending_line(tmp_path, row, message):
     # the blank line 3 is skipped but still counted
@@ -129,6 +136,19 @@ def test_read_panel_csv_names_offending_line(tmp_path, row, message):
     with pytest.raises(PanelError) as excinfo:
         read_panel_csv(path, "product")
     assert str(excinfo.value) == f"{path}:4: {message}"
+
+
+def test_read_panel_csv_ignores_field_padding(tmp_path):
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("country,activity,year,value\nFRA,x,2000,1.5\nDEU,y,2001,2\n", encoding="utf-8")
+    padded.write_text(
+        "country,activity,year,value\n FRA ,\tx, 2000 ,1.5 \n , , , \nDEU , y,2001\t, 2\n",
+        encoding="utf-8",
+    )
+    a, b = read_panel_csv(plain, "product"), read_panel_csv(padded, "product")
+    assert (a.country_ids, a.activity_ids, a.years) == (b.country_ids, b.activity_ids, b.years)
+    for year in a.years:
+        assert a.values[year].tobytes() == b.values[year].tobytes()
 
 
 def test_read_panel_csv_header_only_has_no_data_rows(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tpnet import (
     ConfigError,
     fit_bicm,
     nullmodel,
+    pipeline,
     run_pipeline,
     run_robustness,
     serialize_config,
@@ -225,6 +227,14 @@ def test_robustness_rejects_empty_benchmark(planted_panel_files, tmp_path):
         run_robustness(cfg, empty)
 
 
+@pytest.mark.parametrize("deltas", [(0,), (-1,), (3, 3)], ids=["zero", "negative", "repeated"])
+def test_robustness_rejects_bad_deltas_before_ingest(planted_panel_files, tmp_path, deltas):
+    cfg = _config(planted_panel_files, tmp_path, samples=50)
+    with pytest.raises(ConfigError, match="window lengths must"):
+        run_robustness(cfg, deltas=deltas)
+    assert not list((tmp_path / "out" / "cache").glob("*"))
+
+
 def test_enumerate_windows_counts(planted_decade_panel_files, tmp_path):
     cfg = _config(planted_decade_panel_files, tmp_path, delta=5)
     tech_panel, prod_panel = load_panels(cfg)
@@ -322,7 +332,10 @@ def test_cli_rejects_negative_seed_before_ingest(planted_panel_files, tmp_path):
     assert not out.exists()
 
 
-def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path):
+@pytest.mark.parametrize(
+    "command", ["ingest", "rca", "assist", "validate", "efc", "report", "robustness"]
+)
+def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path, command):
     tech_csv, _ = planted_panel_files
     cfg = RunConfig(
         technology_panel=str(tech_csv),
@@ -334,6 +347,34 @@ def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path):
     )
     config_path = _write_config(cfg, tmp_path)
     runner = CliRunner()
-    result = runner.invoke(main, ["validate", "--config", str(config_path)])
+    result = runner.invoke(main, [command, "--config", str(config_path)])
     assert result.exit_code != 0
     assert "[ingest]" in result.output
+
+
+def test_cli_robustness_matches_library_two_step(planted_panel_files, tmp_path, monkeypatch):
+    lags = (LagSpec(0, ((2011, 2011), (2013, 2013))), LagSpec(2, ((2011, 2013),)))
+    cfg = _config(planted_panel_files, tmp_path, samples=100, lags=lags)
+    library_cfg = cfg.replace(output_dir=str(tmp_path / "library"))
+    benchmark = run_pipeline(library_cfg, write=False).lag_results[0].network
+    report = run_robustness(library_cfg, benchmark, (1, 2))
+
+    reads = []
+    read_panel_csv = pipeline.read_panel_csv
+
+    def counting_read(*args, **kwargs):
+        reads.append(args)
+        return read_panel_csv(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_panel_csv", counting_read)
+    result = CliRunner().invoke(
+        main, ["robustness", "--config", str(_write_config(cfg, tmp_path)), "--deltas", "1,2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(reads) == 2
+    out, library = tmp_path / "out", tmp_path / "library"
+    robustness_json = Path("robustness") / "report.json"
+    assert (out / robustness_json).read_bytes() == (library / robustness_json).read_bytes()
+    # lag 0's two pairs plus one entry per window; nothing for lag 2
+    assert len(list((out / "cache").iterdir())) == 2 + report.configurations
+    assert len(list((library / "cache").iterdir())) == 3 + report.configurations
