@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import exports
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .errors import TpnetError
 from .panels import aggregate_window
 from .pipeline import (
@@ -30,6 +30,9 @@ from .rca import binarize, compute_rca
 
 
 def _common_options(fn):
+    """The one entry path of every command: parse the config, apply the
+    overrides given, call ``fn(cfg, **command_options)``, and report a
+    library error as a one-line ``Error:`` with exit status 1."""
     @click.option("--config", "config_path", required=True,
                   type=click.Path(exists=True, dir_okay=False),
                   help="Path to the JSON run configuration.")
@@ -41,35 +44,17 @@ def _common_options(fn):
     @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
                   help="Override the output directory.")
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
+    def command(config_path, seed, samples, tier, digits, out_dir, **command_options):
+        overrides = dict(seed=seed, samples=samples, tier=tier, digits=digits, output_dir=out_dir)
+        try:
+            cfg = parse_config(config_path).replace(
+                **{name: value for name, value in overrides.items() if value is not None}
+            )
+            fn(cfg, **command_options)
+        except TpnetError as exc:
+            raise click.ClickException(str(exc))
 
-    return wrapper
-
-
-def _load_config(config_path, seed, samples, tier, digits, out_dir) -> RunConfig:
-    cfg = _run(parse_config, config_path)
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if samples is not None:
-        overrides["samples"] = samples
-    if tier is not None:
-        overrides["tier"] = tier
-    if digits is not None:
-        overrides["digits"] = digits
-    if out_dir is not None:
-        overrides["output_dir"] = out_dir
-    if overrides:
-        cfg = _run(lambda: cfg.replace(**overrides))
-    return cfg
-
-
-def _run(fn, *args):
-    try:
-        return fn(*args)
-    except TpnetError as exc:
-        raise click.ClickException(str(exc))
+    return command
 
 
 @click.group()
@@ -84,149 +69,116 @@ def main(verbose: bool):
 
 @main.command()
 @_common_options
-def ingest(config_path, seed, samples, tier, digits, out_dir):
+def ingest(cfg):
     """Load and check the two panels; write a summary."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-    tech, prod = _run(_stage, "ingest", load_panels, cfg)
+    tech, prod = _stage("ingest", load_panels, cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "technology": {
-            "countries": len(tech.country_ids),
-            "activities": len(tech.activity_ids),
-            "years": list(tech.years),
+    exports.write_json(
+        {
+            panel.layer_kind: {
+                "countries": len(panel.country_ids),
+                "activities": len(panel.activity_ids),
+                "years": list(panel.years),
+            }
+            for panel in (tech, prod)
         },
-        "product": {
-            "countries": len(prod.country_ids),
-            "activities": len(prod.activity_ids),
-            "years": list(prod.years),
-        },
-    }
-    exports.write_json(summary, out / "ingest.json")
-    click.echo(
-        f"technology panel: {len(tech.country_ids)} countries x "
-        f"{len(tech.activity_ids)} activities, years {tech.years[0]}-{tech.years[-1]}"
+        out / "ingest.json",
     )
-    click.echo(
-        f"product panel: {len(prod.country_ids)} countries x "
-        f"{len(prod.activity_ids)} activities, years {prod.years[0]}-{prod.years[-1]}"
-    )
+    for panel in (tech, prod):
+        click.echo(
+            f"{panel.layer_kind} panel: {len(panel.country_ids)} countries x "
+            f"{len(panel.activity_ids)} activities, years {panel.years[0]}-{panel.years[-1]}"
+        )
 
 
 @main.command()
 @_common_options
-def rca(config_path, seed, samples, tier, digits, out_dir):
+def rca(cfg):
     """Write RCA and binary specialization matrices for every configured window."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-
-    def work(cfg):
-        tech, prod, lags = load_inputs(cfg)
-        tech_ends, prod_ends = zip(*(pair for spec in lags for pair in spec.pairs))
-        out = Path(cfg.output_dir) / "rca"
-        out.mkdir(parents=True, exist_ok=True)
-        for panel, ends in ((tech, tech_ends), (prod, prod_ends)):
-            for end in sorted(set(ends)):
-                ratios = _stage("rca", compute_rca, aggregate_window(panel, cfg.delta, end))
-                binary = binarize(ratios)
-                stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
-                exports.write_matrix_csv(
-                    ratios.country_ids, ratios.activity_ids, ratios.values,
-                    out / f"rca_{stem}.csv",
-                )
-                exports.write_matrix_csv(
-                    binary.country_ids, binary.activity_ids, binary.values,
-                    out / f"m_{stem}.csv",
-                )
-        return out
-
-    out = _run(work, cfg)
+    tech, prod, lags = load_inputs(cfg)
+    tech_ends, prod_ends = zip(*(pair for spec in lags for pair in spec.pairs))
+    out = Path(cfg.output_dir) / "rca"
+    out.mkdir(parents=True, exist_ok=True)
+    for panel, ends in ((tech, tech_ends), (prod, prod_ends)):
+        for end in sorted(set(ends)):
+            ratios = _stage("rca", compute_rca, aggregate_window(panel, cfg.delta, end))
+            binary = binarize(ratios)
+            stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
+            exports.write_matrix_csv(
+                ratios.country_ids, ratios.activity_ids, ratios.values,
+                out / f"rca_{stem}.csv",
+            )
+            exports.write_matrix_csv(
+                binary.country_ids, binary.activity_ids, binary.values,
+                out / f"m_{stem}.csv",
+            )
     click.echo(f"wrote RCA and binary matrices to {out}")
 
 
 @main.command()
 @_common_options
-def assist(config_path, seed, samples, tier, digits, out_dir):
+def assist(cfg):
     """Write the contraction matrix for every configured period pair."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-
-    def work(cfg):
-        tech, prod, lags = load_inputs(cfg)
-        out = Path(cfg.output_dir) / "assist"
-        out.mkdir(parents=True, exist_ok=True)
-        for spec in lags:
-            for t1, t2 in spec.pairs:
-                _, _, matrix = _stage("assist", contract_pair, cfg, tech, prod, (t1, t2))
-                exports.write_assist_csv(matrix, out / f"assist_{t1}_{t2}.csv")
-        return out
-
-    out = _run(work, cfg)
+    tech, prod, lags = load_inputs(cfg)
+    out = Path(cfg.output_dir) / "assist"
+    out.mkdir(parents=True, exist_ok=True)
+    for spec in lags:
+        for t1, t2 in spec.pairs:
+            _, _, matrix = _stage("assist", contract_pair, cfg, tech, prod, (t1, t2))
+            exports.write_assist_csv(matrix, out / f"assist_{t1}_{t2}.csv")
     click.echo(f"wrote assist matrices to {out}")
 
 
-@main.command()
-@_common_options
-def validate(config_path, seed, samples, tier, digits, out_dir):
-    """Run the full validation and write the per-lag networks."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-    result = _run(lambda c: run_pipeline(c, reports=False), cfg)
+def _echo_networks(result, tier):
     for lag_result in result.lag_results:
         click.echo(
             f"lag {lag_result.spec.delta_t}: {lag_result.network.edge_count} edges "
-            f"at tier {cfg.tier}"
+            f"at tier {tier}"
         )
 
 
 @main.command()
 @_common_options
-def efc(config_path, seed, samples, tier, digits, out_dir):
+def validate(cfg):
+    """Run the full validation and write the per-lag networks."""
+    _echo_networks(run_pipeline(cfg, reports=False), cfg.tier)
+
+
+@main.command()
+@_common_options
+def efc(cfg):
     """Write complexity rankings for the most recent configured windows."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-
-    def work(cfg):
-        tech, prod, lags = load_inputs(cfg)
-        tech_ranking, _, prod_ranking, _ = _stage(
-            "efc", compute_rankings, cfg, tech, prod, lags
-        )
-        out = Path(cfg.output_dir) / "rankings"
-        out.mkdir(parents=True, exist_ok=True)
-        exports.write_ranking_csv(tech_ranking, out / "technology_ranks.csv")
-        exports.write_ranking_csv(prod_ranking, out / "product_ranks.csv")
-        return out
-
-    out = _run(work, cfg)
+    tech, prod, lags = load_inputs(cfg)
+    tech_ranking, _, prod_ranking, _ = _stage("efc", compute_rankings, cfg, tech, prod, lags)
+    out = Path(cfg.output_dir) / "rankings"
+    out.mkdir(parents=True, exist_ok=True)
+    exports.write_ranking_csv(tech_ranking, out / "technology_ranks.csv")
+    exports.write_ranking_csv(prod_ranking, out / "product_ranks.csv")
     click.echo(f"wrote rankings to {out}")
 
 
 @main.command()
 @_common_options
-def report(config_path, seed, samples, tier, digits, out_dir):
+def report(cfg):
     """Run everything: networks, degree reports, profiles, rankings, curves."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
-    result = _run(run_pipeline, cfg)
-    for lag_result in result.lag_results:
-        click.echo(
-            f"lag {lag_result.spec.delta_t}: {lag_result.network.edge_count} edges "
-            f"at tier {cfg.tier}"
-        )
-    if result.curves:
-        for curve in result.curves:
-            click.echo(
-                f"{curve.side} curve final value: {curve.final_value}"
-            )
+    result = run_pipeline(cfg)
+    _echo_networks(result, cfg.tier)
+    for curve in result.curves:
+        click.echo(f"{curve.side} curve final value: {curve.final_value}")
 
 
 @main.command()
 @_common_options
 @click.option("--deltas", default="3,4,10", show_default=True,
               help="Comma-separated window lengths to test.")
-def robustness(config_path, seed, samples, tier, digits, out_dir, deltas):
+def robustness(cfg, deltas):
     """Benchmark-edge recovery across alternative aggregation windows."""
-    cfg = _load_config(config_path, seed, samples, tier, digits, out_dir)
     try:
         delta_list = [int(d) for d in deltas.split(",") if d.strip()]
     except ValueError:
         raise click.ClickException(f"bad --deltas value {deltas!r}")
-    rob = _run(lambda c: run_robustness(c, deltas=delta_list), cfg)
+    rob = run_robustness(cfg, deltas=delta_list)
     click.echo(
         f"{rob.configurations} configurations against a "
         f"{rob.benchmark_edges}-edge benchmark"

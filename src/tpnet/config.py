@@ -18,12 +18,20 @@ Schema (JSON object; unknown keys rejected):
 When a lag entry omits "pairs", the pairs are derived the same way: product
 window end-years first, technology end-year = t2 - delta_t. Every explicit
 pair must satisfy t2 - t1 = delta_t.
+
+``RunConfig`` and ``LagSpec`` hold the only type checks, so a config built in
+Python is checked exactly as one parsed from JSON. Paths are strings. Integer
+fields take what ``operator.index`` takes (Python or numpy integers) except
+booleans, and are stored as Python ints; floats (even 5.0), strings and null
+are rejected, never rounded or read as a path. ``tier`` may be a string or a
+number (95 reads as "95"). ``digits`` may be null.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,17 +39,15 @@ from typing import Optional, Sequence
 from .errors import ConfigError
 from .validate import TIER_LEVELS
 
-_CONFIG_KEYS = {
-    "technology_panel",
-    "product_panel",
-    "delta",
-    "samples",
-    "seed",
-    "tier",
-    "digits",
-    "output_dir",
-    "lags",
-}
+
+def _int(name: str, value) -> int:
+    """``value`` as a Python int, or a ConfigError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,11 +61,20 @@ class LagSpec:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for t1, t2 in self.pairs:
+        object.__setattr__(self, "delta_t", _int("delta_t", self.delta_t))
+        pairs = []
+        for pair in self.pairs:
+            try:
+                t1, t2 = pair
+            except (TypeError, ValueError):
+                raise ConfigError(f"pair must be two years [t1, t2], got {pair!r}")
+            t1, t2 = _int("t1", t1), _int("t2", t2)
             if t2 - t1 != self.delta_t:
                 raise ConfigError(
                     f"pair ({t1}, {t2}) does not match lag {self.delta_t}"
                 )
+            pairs.append((t1, t2))
+        object.__setattr__(self, "pairs", tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -75,6 +90,13 @@ class RunConfig:
     lags: tuple[LagSpec, ...] = (LagSpec(0),)
 
     def __post_init__(self):
+        for name in ("technology_panel", "product_panel", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        optional = ("digits",) if self.digits is not None else ()
+        for name in ("delta", "samples", "seed", *optional):
+            object.__setattr__(self, name, _int(name, getattr(self, name)))
         if self.delta < 1:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
         if self.samples < 1:
@@ -85,6 +107,7 @@ class RunConfig:
             raise ConfigError(
                 f"tier must be one of {sorted(TIER_LEVELS)}, got {self.tier!r}"
             )
+        object.__setattr__(self, "tier", str(self.tier))
         if self.digits is not None and self.digits < 1:
             raise ConfigError(f"digits must be >= 1, got {self.digits}")
         if not self.lags:
@@ -119,6 +142,7 @@ def resolve_lag(lag: LagSpec, product_years: Sequence[int], delta: int) -> LagSp
 
 
 def _parse_lags(raw, where: str) -> tuple[LagSpec, ...]:
+    """Check the lags' JSON structure; ``LagSpec`` checks the years."""
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: lags must be a list")
     lags = []
@@ -129,40 +153,22 @@ def _parse_lags(raw, where: str) -> tuple[LagSpec, ...]:
         if unknown:
             raise ConfigError(f"{where}: unknown lag keys {sorted(unknown)}")
         pairs = entry.get("pairs", [])
-        try:
-            parsed = tuple((int(t1), int(t2)) for t1, t2 in pairs)
-        except (TypeError, ValueError):
+        if not isinstance(pairs, list) or not all(isinstance(p, list) for p in pairs):
             raise ConfigError(f"{where}: pairs must be [t1, t2] integer lists")
-        lags.append(LagSpec(int(entry["delta_t"]), parsed))
+        lags.append(LagSpec(entry["delta_t"], pairs))
     return tuple(lags)
 
 
 def config_from_dict(data: dict, where: str = "config") -> RunConfig:
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {field.name for field in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     for key in ("technology_panel", "product_panel"):
         if key not in data:
             raise ConfigError(f"{where}: missing required key {key!r}")
-    kwargs = dict(
-        technology_panel=str(data["technology_panel"]),
-        product_panel=str(data["product_panel"]),
-    )
-    if "delta" in data:
-        kwargs["delta"] = int(data["delta"])
-    if "samples" in data:
-        kwargs["samples"] = int(data["samples"])
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    if "tier" in data:
-        kwargs["tier"] = str(data["tier"])
-    if "digits" in data and data["digits"] is not None:
-        kwargs["digits"] = int(data["digits"])
-    if "output_dir" in data:
-        kwargs["output_dir"] = str(data["output_dir"])
     if "lags" in data:
-        kwargs["lags"] = _parse_lags(data["lags"], where)
-    return RunConfig(**kwargs)
+        data = {**data, "lags": _parse_lags(data["lags"], where)}
+    return RunConfig(**data)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -171,26 +177,21 @@ def parse_config(path: str | Path) -> RunConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(data, where=str(path))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "technology_panel": cfg.technology_panel,
-        "product_panel": cfg.product_panel,
-        "delta": cfg.delta,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tier": cfg.tier,
-        "digits": cfg.digits,
-        "output_dir": cfg.output_dir,
-        "lags": [
-            {"delta_t": lag.delta_t, "pairs": [list(p) for p in lag.pairs]}
-            for lag in cfg.lags
-        ],
-    }
+    data = dataclasses.asdict(cfg)
+    # lists, not tuples: Manifest compares this with a snapshot read back from JSON
+    data["lags"] = [
+        {"delta_t": lag.delta_t, "pairs": [list(p) for p in lag.pairs]}
+        for lag in cfg.lags
+    ]
+    return data
 
 
 def serialize_config(cfg: RunConfig, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 from xml.sax.saxutils import escape, quoteattr
@@ -212,26 +212,6 @@ def _profile_chunks(profiles: _Profiles):
     yield "\n  }"
 
 
-def degree_report_dict(report: DegreeReport) -> dict:
-    return {
-        "rows": [
-            {
-                "section": r.section,
-                "chapters": r.chapters,
-                "products_in_axis": r.products_in_axis,
-                "nodes": r.nodes,
-                "node_pct": r.node_pct,
-                "edges": r.edges,
-                "edge_pct": r.edge_pct,
-            }
-            for r in report.rows
-        ],
-        "total_nodes": report.total_nodes,
-        "total_edges": report.total_edges,
-        "unclassified_chapters": list(report.unclassified_chapters),
-    }
-
-
 def network_report(
     net: ValidatedNetwork,
     report: DegreeReport,
@@ -256,7 +236,7 @@ def network_report(
         "edge_count": net.edge_count,
         "tech_nodes": sum(1 for d in net.tech_degrees().values() if d > 0),
         "product_nodes": sum(1 for d in net.product_degrees().values() if d > 0),
-        "degree_report": degree_report_dict(report),
+        "degree_report": asdict(report),
         "tech_subclass_degrees": dict(sorted(tech_subclass_degrees.items())),
         "significance_profiles": _Profiles(
             net.tech_ids, fractions, tiers, tuple(connected)

@@ -173,48 +173,58 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
     whitespace around the fields is ignored.
     """
     path = Path(path)
-    if not path.is_file():
-        raise PanelError(f"{path}: no such file")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError(f"{path}: file is empty")
-        if tuple(h.strip().lower() for h in header) != PANEL_CSV_HEADER:
-            raise PanelError(
-                f"{path}: expected header {','.join(PANEL_CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
+    try:
+        if not path.is_file():
+            raise PanelError(f"{path}: no such file")
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise PanelError(f"{path}: file is empty")
+            if tuple(h.strip().lower() for h in header) != PANEL_CSV_HEADER:
+                raise PanelError(
+                    f"{path}: expected header {','.join(PANEL_CSV_HEADER)!r}, got {','.join(header)!r}"
+                )
 
-        def rows():
-            # int() and float() skip whitespace themselves: only the labels
-            # are stripped, and only a row without 4 fields or a year can be blank.
-            for row in reader:
-                if len(row) != 4 or not row[2].strip():
-                    if not "".join(row).strip():
-                        continue
-                    if len(row) != 4:
-                        raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
-                country, activity, year, value = row
-                yield country.strip(), activity.strip(), year, value
+            def rows():
+                # int() and float() skip whitespace themselves: only the labels
+                # are stripped, and only a row without 4 fields or a year can be blank.
+                for row in reader:
+                    if len(row) != 4 or not row[2].strip():
+                        if not "".join(row).strip():
+                            continue
+                        if len(row) != 4:
+                            raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+                    country, activity, year, value = row
+                    yield country.strip(), activity.strip(), year, value
 
-        return _ingest(rows(), layer_kind, f"{path}: no data rows",
-                       lambda what, raw, _: PanelError(f"{path}:{reader.line_num}: {what} {raw.strip()!r}"))
+            return _ingest(rows(), layer_kind, f"{path}: no data rows",
+                           lambda what, raw, _: PanelError(f"{path}:{reader.line_num}: {what} {raw.strip()!r}"))
+    except UnicodeDecodeError as exc:
+        raise PanelError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise PanelError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
+def missing_years(panel: ActivityPanel, delta: int, end_year: int) -> list[int]:
+    """The years of the ``delta``-year window ending at ``end_year`` that
+    ``panel`` lacks, ascending; empty when the window fits."""
+    return sorted(set(range(end_year - delta + 1, end_year + 1)) - set(panel.years))
 
 
 def aggregate_window(panel: ActivityPanel, delta: int, end_year: int) -> WindowedMatrix:
     """Sum the yearly matrices over [end_year - delta + 1, end_year]."""
     if delta < 1:
         raise WindowError(f"window length must be >= 1, got {delta}")
-    wanted = range(end_year - delta + 1, end_year + 1)
-    missing = sorted(set(wanted) - set(panel.years))
+    missing = missing_years(panel, delta, end_year)
     if missing:
         raise WindowError(
             f"{panel.layer_kind} panel is missing years {missing} for the "
             f"{delta}-year window ending {end_year}"
         )
     total = np.zeros(panel.shape)
-    for year in wanted:
+    for year in range(end_year - delta + 1, end_year + 1):
         total += panel.values[year]
     return WindowedMatrix(
         layer_kind=panel.layer_kind,

@@ -43,6 +43,7 @@ from .panels import (
     aggregate_activities,
     aggregate_window,
     align_countries,
+    missing_years,
     read_panel_csv,
 )
 from .rca import BinaryMatrix, binarize, compute_rca
@@ -192,9 +193,7 @@ def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tu
         spec = resolve_lag(lag, prod.years, cfg.delta)
         for t1, t2 in spec.pairs:
             for panel, end in ((tech, t1), (prod, t2)):
-                missing = sorted(
-                    set(range(end - cfg.delta + 1, end + 1)) - set(panel.years)
-                )
+                missing = missing_years(panel, cfg.delta, end)
                 if missing:
                     raise ConfigError(
                         f"lag {spec.delta_t} pair ({t1}, {t2}): {panel.layer_kind} "
@@ -548,16 +547,12 @@ def enumerate_windows(
     delta_t: int,
 ) -> list[tuple[int, int]]:
     """All (t1, t2) with both delta-year windows inside their panels."""
-    tech_years = set(tech_panel.years)
-    prod_years = set(prod_panel.years)
-    pairs = []
-    for t2 in sorted(prod_years):
-        t1 = t2 - delta_t
-        if set(range(t2 - delta + 1, t2 + 1)) <= prod_years and set(
-            range(t1 - delta + 1, t1 + 1)
-        ) <= tech_years:
-            pairs.append((t1, t2))
-    return pairs
+    return [
+        (t2 - delta_t, t2)
+        for t2 in sorted(prod_panel.years)
+        if not missing_years(prod_panel, delta, t2)
+        and not missing_years(tech_panel, delta, t2 - delta_t)
+    ]
 
 
 def run_robustness(

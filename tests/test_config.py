@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tpnet import ConfigError, parse_config, serialize_config
+from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig, config_to_dict, default_pairs, resolve_lag
 
 
@@ -108,3 +111,58 @@ def test_config_to_dict_round_trips_lags():
         {"delta_t": 0, "pairs": [[2012, 2012]]},
         {"delta_t": 10, "pairs": [[2002, 2012]]},
     ]
+
+
+_MALFORMED = [
+    *(
+        ({field: value}, f"{field} must be an integer")
+        for field in ("delta", "samples", "seed")
+        for value in ("5", None, 5.7, True)
+    ),
+    *(({"digits": value}, "digits must be an integer") for value in ("2", 2.0, True)),
+    ({"technology_panel": 3}, "technology_panel must be a string"),
+    ({"product_panel": None}, "product_panel must be a string"),
+    ({"output_dir": ["out"]}, "output_dir must be a string"),
+    ({"lags": [{"delta_t": 0, "pairs": [[2011.0, 2011]]}]}, "t1 must be an integer"),
+    ({"lags": [{"delta_t": 0, "pairs": [[2011, "2011"]]}]}, "t2 must be an integer"),
+    ({"lags": [{"delta_t": "x"}]}, "delta_t must be an integer"),
+    ({"lags": [{"delta_t": 0.0, "pairs": [[2011, 2011]]}]}, "delta_t must be an integer"),
+    ({"lags": [{"delta_t": 0, "pairs": [[2011]]}]}, "pair must be two years"),
+    ({"lags": [{"delta_t": 0, "pairs": 2011}]}, "pairs must be"),
+]
+
+
+@pytest.mark.parametrize("override, message", _MALFORMED, ids=repr)
+def test_malformed_value_is_a_config_error(tmp_path, override, message):
+    payload = {"technology_panel": "t.csv", "product_panel": "p.csv",
+               "output_dir": str(tmp_path / "out"), **override}
+    path = _write(tmp_path, payload)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    result = CliRunner().invoke(main, ["ingest", "--config", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and message in result.output
+    assert len(result.output.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_lenient_values_keep_their_meaning(tmp_path):
+    path = _write(tmp_path, {"technology_panel": "t", "product_panel": "p",
+                             "tier": 95, "digits": None})
+    cfg = parse_config(path)
+    assert cfg.tier == "95"
+    assert cfg.digits is None
+    numpy_lag = LagSpec(np.int64(2), ((np.int64(2009), 2011),))
+    numpy_cfg = RunConfig("t", "p", seed=np.int64(3), lags=(numpy_lag,))
+    assert type(numpy_cfg.seed) is int and numpy_cfg.seed == 3
+    assert numpy_cfg.lags == (LagSpec(2, ((2009, 2011),)),)
+    assert all(type(t) is int for t in numpy_cfg.lags[0].pairs[0])
+    assert config_to_dict(numpy_cfg) == json.loads(json.dumps(config_to_dict(numpy_cfg)))
+
+
+def test_non_utf8_config_names_the_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"technology_panel": "caf\xe9.csv", "product_panel": "p.csv"}')
+    with pytest.raises(ConfigError, match="latin1.json: not UTF-8 text"):
+        parse_config(path)

@@ -1,5 +1,7 @@
 """Panel loading, window aggregation, and country alignment."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,16 @@ def test_read_panel_csv_header_only_has_no_data_rows(tmp_path):
         path.write_text("country,activity,year,value\n" + body, encoding="utf-8")
         with pytest.raises(PanelError, match="no data rows"):
             read_panel_csv(path, "product")
+
+
+def test_read_panel_csv_names_file_it_cannot_read(tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"country,activity,year,value\nFRA,caf\xe9,2000,1\n")
+    with pytest.raises(PanelError, match=f"^{re.escape(str(latin1))}: not UTF-8 text"):
+        read_panel_csv(latin1, "product")
+    too_long = tmp_path / ("x" * 5000)
+    with pytest.raises(PanelError, match=r"x{5000}: cannot read \("):
+        read_panel_csv(too_long, "product")
 
 
 _IDS = st.text(alphabet="AZaz019", min_size=1, max_size=6)

@@ -352,6 +352,20 @@ def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path, command):
     assert "[ingest]" in result.output
 
 
+@pytest.mark.parametrize("unreadable", ["latin1", "long_path"])
+def test_cli_unreadable_panel_is_tagged(planted_panel_files, tmp_path, unreadable):
+    prod_csv = tmp_path / ("x" * 5000)
+    if unreadable == "latin1":
+        prod_csv = tmp_path / "latin1.csv"
+        prod_csv.write_bytes(b"country,activity,year,value\nFRA,caf\xe9,2011,1\n")
+    cfg = _config(planted_panel_files, tmp_path, product_panel=str(prod_csv))
+    result = CliRunner().invoke(main, ["ingest", "--config", str(_write_config(cfg, tmp_path))])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: [ingest] ")
+    assert len(result.output.splitlines()) == 1
+
+
 def test_cli_robustness_matches_library_two_step(planted_panel_files, tmp_path, monkeypatch):
     lags = (LagSpec(0, ((2011, 2011), (2013, 2013))), LagSpec(2, ((2011, 2013),)))
     cfg = _config(planted_panel_files, tmp_path, samples=100, lags=lags)
