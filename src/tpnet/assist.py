@@ -10,10 +10,17 @@ Degeneracy conventions: countries with zero product diversification carry no
 co-occurrence information and are skipped; technologies held by no country
 keep an all-zero row and are flagged inactive so the matrix shape is stable
 across period pairs.
+
+Contractions run on one OpenBLAS thread (``_one_blas_thread``): OpenBLAS
+rounds the product differently at different thread counts for some shapes,
+and artifacts must not depend on the machine's CPU count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +61,59 @@ class AssistMatrix:
         return self.values[mask].sum(axis=1)
 
 
+_OPENBLAS_THREAD_FUNCTIONS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into the
+    process, numpy's among them; empty where none is found or there is no
+    ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in p.rpartition("/")[2].lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file deleted since it was mapped
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block and restore the previous
+    counts on exit, so contractions round the same way on any machine.
+
+    The setting is global to the process: only a coordinating thread may
+    enter this, never a worker, whose restore would change the thread count
+    under another worker's GEMM. Without OpenBLAS it does nothing.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
 def _assist_values(tech: np.ndarray, prod: np.ndarray, out: Optional[np.ndarray] = None):
     """Contraction kernel of the empirical path and of the null loop.
 
@@ -78,9 +138,10 @@ def compute_assist(tech: BinaryMatrix, prod: BinaryMatrix) -> AssistMatrix:
             "technology and product layers must be aligned to the same country "
             "list before contraction"
         )
-    values, u, _ = _assist_values(
-        tech.values.astype(np.float64), prod.values.astype(np.float64)
-    )
+    with _one_blas_thread():
+        values, u, _ = _assist_values(
+            tech.values.astype(np.float64), prod.values.astype(np.float64)
+        )
     inactive = tuple(t for t, k in zip(tech.activity_ids, u) if k == 0)
     return AssistMatrix(
         tech_ids=tech.activity_ids,

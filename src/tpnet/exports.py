@@ -71,6 +71,19 @@ def _tech_group(tech_id: str) -> str:
     return tech_id.split(" ")[0]
 
 
+_GRAPHML_HEAD = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="layer" for="node" attr.name="layer" attr.type="string"/>
+  <key id="group" for="node" attr.name="group" attr.type="string"/>
+  <key id="degree" for="node" attr.name="degree" attr.type="int"/>
+  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>
+  <key id="p_value" for="edge" attr.name="p_value" attr.type="double"/>
+  <key id="tier" for="edge" attr.name="tier" attr.type="string"/>
+  <graph id="G" edgedefault="directed">
+"""
+
+
 def write_graphml(
     net: ValidatedNetwork,
     path: str | Path,
@@ -82,44 +95,40 @@ def write_graphml(
     would render as clutter in graph viewers.
     """
     sections = dict(product_sections) if product_sections else {}
-    tech_degrees = net.tech_degrees()
-    product_degrees = net.product_degrees()
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="layer" for="node" attr.name="layer" attr.type="string"/>',
-        '  <key id="group" for="node" attr.name="group" attr.type="string"/>',
-        '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-        '  <key id="p_value" for="edge" attr.name="p_value" attr.type="double"/>',
-        '  <key id="tier" for="edge" attr.name="tier" attr.type="string"/>',
-        '  <graph id="G" edgedefault="directed">',
-    ]
+    tech_degrees = {t: d for t, d in net.tech_degrees().items() if d > 0}
+    product_degrees = {p: d for p, d in net.product_degrees().items() if d > 0}
+    # each connected id is quoted once, for its node and all of its edges
+    tech_attrs = {t: quoteattr(f"t:{t}") for t in tech_degrees}
+    product_attrs = {p: quoteattr(f"p:{p}") for p in product_degrees}
+    tier_text: dict[str, str] = {}
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(_GRAPHML_HEAD)
 
-    def node(node_id: str, layer: str, group: str, degree: int) -> None:
-        lines.append(f"    <node id={quoteattr(node_id)}>")
-        lines.append(f'      <data key="layer">{escape(layer)}</data>')
-        lines.append(f'      <data key="group">{escape(group)}</data>')
-        lines.append(f'      <data key="degree">{degree}</data>')
-        lines.append("    </node>")
+        def node(node_attr: str, layer: str, group: str, degree: int) -> None:
+            fh.write(
+                f"    <node id={node_attr}>\n"
+                f'      <data key="layer">{escape(layer)}</data>\n'
+                f'      <data key="group">{escape(group)}</data>\n'
+                f'      <data key="degree">{degree}</data>\n'
+                "    </node>\n"
+            )
 
-    for tech in sorted(t for t, d in tech_degrees.items() if d > 0):
-        node(f"t:{tech}", "technology", _tech_group(tech), tech_degrees[tech])
-    for product in sorted(p for p, d in product_degrees.items() if d > 0):
-        group = sections.get(product_chapter(product), product_chapter(product))
-        node(f"p:{product}", "product", group, product_degrees[product])
-    for tech, product, weight, p_value, tier in _edge_rows(net):
-        lines.append(
-            f"    <edge source={quoteattr('t:' + tech)} "
-            f"target={quoteattr('p:' + product)}>"
-        )
-        lines.append(f'      <data key="weight">{_fmt(weight)}</data>')
-        lines.append(f'      <data key="p_value">{_fmt(p_value)}</data>')
-        lines.append(f'      <data key="tier">{escape(tier)}</data>')
-        lines.append("    </edge>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for tech in sorted(tech_degrees):
+            node(tech_attrs[tech], "technology", _tech_group(tech), tech_degrees[tech])
+        for product in sorted(product_degrees):
+            group = sections.get(product_chapter(product), product_chapter(product))
+            node(product_attrs[product], "product", group, product_degrees[product])
+        for tech, product, weight, p_value, tier in _edge_rows(net):
+            if tier not in tier_text:
+                tier_text[tier] = escape(tier)
+            fh.write(
+                f"    <edge source={tech_attrs[tech]} target={product_attrs[product]}>\n"
+                f'      <data key="weight">{_fmt(weight)}</data>\n'
+                f'      <data key="p_value">{_fmt(p_value)}</data>\n'
+                f'      <data key="tier">{tier_text[tier]}</data>\n'
+                "    </edge>\n"
+            )
+        fh.write("  </graph>\n</graphml>\n")
 
 
 def _json_ready(obj):

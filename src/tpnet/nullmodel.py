@@ -11,25 +11,29 @@ multiplier.
 Sampling draws every matrix entry as an independent Bernoulli variable. Each
 sample index derives its own random substream from (seed, stream_key, index),
 so ensembles are reproducible bit-for-bit and order-insensitive: accumulating
-over samples can be parallelized across indices without changing any result.
+over samples is parallelized across indices without changing any result.
 
 Validation runs ``null_exceedance_counts``: one loop per period pair that
 draws both layers with ``_draw``, contracts them with the empirical path's
 kernel, compares the result with the empirical matrix and adds the degree
-sums for the sampling-bias audit, all in buffers allocated once. It is the
-only code in the package that samples null contractions; ``sample_ensemble``
-streams single-layer draws for inspecting the model.
+sums for the sampling-bias audit, all in buffers allocated once. Its samples
+are split across one thread per available CPU, with BLAS pinned to one
+thread. It is the only code in the package that samples null contractions;
+``sample_ensemble`` streams single-layer draws for inspecting the model.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .assist import _assist_values
+from .assist import _assist_values, _one_blas_thread
 from .errors import AxisMismatchError, FitError, PanelError
 from .rca import BinaryMatrix
 
@@ -248,6 +252,19 @@ def sample_ensemble(
     return NullEnsemble(model=model, n=n, seed=seed, stream_key=stream_key)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# A uint8 tally holds at most this many draws before it is folded into the
+# int32 counts.
+_TALLY_DRAWS = np.iinfo(np.uint8).max
+
+
 def null_exceedance_counts(
     tech_model: BiCMModel,
     prod_model: BiCMModel,
@@ -265,6 +282,11 @@ def null_exceedance_counts(
     of the empirical matrix. A link's count is the number of draws whose
     null weight the empirical weight strictly exceeds; ties do not count.
 
+    Sample i runs on worker ``i % workers``, one worker per available CPU
+    (at most n): the calling thread is worker 0 and a thread pool runs the
+    rest, with BLAS on one thread throughout. Counts and degree sums are sums
+    of integers, so they are the same bits for any worker count.
+
     Returns (counts, degree_sums): int32 counts, and per layer (technology,
     product) the row and column degree sums over all n draws, for
     ``degree_zscores``.
@@ -279,27 +301,56 @@ def null_exceedance_counts(
     shape = (tech_model.shape[1], prod_model.shape[1])
     if empirical.shape != shape:
         raise AxisMismatchError("empirical matrix does not match the model axes")
-    tech = np.empty(tech_model.shape)
-    prod = np.empty(prod_model.shape)
-    values = np.empty(shape)
-    exceeds = np.empty(shape, dtype=bool)
+    workers = min(_available_cpus(), n)
     counts = np.zeros(shape, dtype=np.int32)
-    degree_sums = tuple(
-        (np.zeros(model.shape[0]), np.zeros(model.shape[1]))
-        for model in (tech_model, prod_model)
-    )
-    (tech_rows, tech_cols), (prod_rows, prod_cols) = degree_sums
-    for i in range(n):
-        _draw(tech_model, _rng(seed, (*stream_key, i, 0)), out=tech)
-        _draw(prod_model, _rng(seed, (*stream_key, i, 1)), out=prod)
-        tech_rows += tech.sum(axis=1)
-        prod_cols += prod.sum(axis=0)  # before the kernel scales prod by 1/d
-        _, u, d = _assist_values(tech, prod, out=values)
-        tech_cols += u
-        prod_rows += d
-        np.greater(empirical, values, out=exceeds)
-        np.add(counts, exceeds, out=counts)
-    return counts, degree_sums
+    counts_lock = threading.Lock()
+    # Allocated here rather than in the workers: buffers allocated in worker
+    # threads land in per-thread malloc arenas and raise the peak RSS.
+    buffers = [
+        (
+            np.empty(tech_model.shape),
+            np.empty(prod_model.shape),
+            np.empty(shape),
+            np.empty(shape, dtype=bool),
+            np.zeros(shape, dtype=np.uint8),
+        )
+        for _ in range(workers)
+    ]
+    degree_sums = [
+        tuple(np.zeros(k) for k in (*tech_model.shape, *prod_model.shape))
+        for _ in range(workers)
+    ]
+
+    def run(worker: int) -> None:
+        tech, prod, values, exceeds, tally = buffers[worker]
+        tech_rows, tech_cols, prod_rows, prod_cols = degree_sums[worker]
+        samples = range(worker, n, workers)
+        for k, i in enumerate(samples, 1):
+            _draw(tech_model, _rng(seed, (*stream_key, i, 0)), out=tech)
+            _draw(prod_model, _rng(seed, (*stream_key, i, 1)), out=prod)
+            tech_rows += tech.sum(axis=1)
+            prod_cols += prod.sum(axis=0)  # before the kernel scales prod by 1/d
+            _, u, d = _assist_values(tech, prod, out=values)
+            tech_cols += u
+            prod_rows += d
+            np.greater(empirical, values, out=exceeds)
+            np.add(tally, exceeds.view(np.uint8), out=tally)
+            if k % _TALLY_DRAWS == 0 or k == len(samples):
+                with counts_lock:
+                    np.add(counts, tally, out=counts)
+                tally.fill(0)
+
+    with _one_blas_thread():
+        if workers == 1:
+            run(0)
+        else:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                futures = [pool.submit(run, w) for w in range(1, workers)]
+                run(0)
+                for future in futures:
+                    future.result()
+    tech_rows, tech_cols, prod_rows, prod_cols = (sum(s) for s in zip(*degree_sums))
+    return counts, ((tech_rows, tech_cols), (prod_rows, prod_cols))
 
 
 def degree_zscores(

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tpnet.assist import _openblas_thread_controls
 from tpnet.rca import BinaryMatrix
 
 PLANTED_COUNTRIES = tuple(f"C{i}" for i in range(6))
@@ -109,3 +110,11 @@ def random_binary_no_empty(rng: np.random.Generator, shape, density=0.5) -> np.n
         if m[:, j].sum() == 0:
             m[rng.integers(shape[0]), j] = 1
     return m
+
+
+def blas_threads() -> list[int]:
+    """Thread count of each OpenBLAS in the process; skips without one."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    return [get() for get, _ in controls]

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
+
+from tpnet.validate import product_chapter
 
 
 def reference_panel(records):
@@ -252,3 +255,48 @@ def reference_report_json(net, report, profile, tech_subclass_degrees, meta):
         },
     }
     return json.dumps(_reference_json_ready(payload), sort_keys=True, indent=2) + "\n"
+
+
+def reference_graphml(net, product_sections=None):
+    """GraphML text built the direct way: every line in a list, each id quoted
+    and each tier escaped where it is written, joined once at the end."""
+    sections = dict(product_sections) if product_sections else {}
+    tech_degrees = net.tech_degrees()
+    product_degrees = net.product_degrees()
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="layer" for="node" attr.name="layer" attr.type="string"/>',
+        '  <key id="group" for="node" attr.name="group" attr.type="string"/>',
+        '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>',
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
+        '  <key id="p_value" for="edge" attr.name="p_value" attr.type="double"/>',
+        '  <key id="tier" for="edge" attr.name="tier" attr.type="string"/>',
+        '  <graph id="G" edgedefault="directed">',
+    ]
+
+    def node(node_id, layer, group, degree):
+        lines.append(f"    <node id={quoteattr(node_id)}>")
+        lines.append(f'      <data key="layer">{escape(layer)}</data>')
+        lines.append(f'      <data key="group">{escape(group)}</data>')
+        lines.append(f'      <data key="degree">{degree}</data>')
+        lines.append("    </node>")
+
+    for tech in sorted(t for t, d in tech_degrees.items() if d > 0):
+        node(f"t:{tech}", "technology", tech.split(" ")[0], tech_degrees[tech])
+    for product in sorted(p for p, d in product_degrees.items() if d > 0):
+        group = sections.get(product_chapter(product), product_chapter(product))
+        node(f"p:{product}", "product", group, product_degrees[product])
+    rows, cols, weights, p_values, tiers = net.edge_arrays()
+    for i, j, weight, p_value, tier in zip(rows, cols, weights, p_values, tiers):
+        lines.append(
+            f"    <edge source={quoteattr('t:' + net.tech_ids[i])} "
+            f"target={quoteattr('p:' + net.product_ids[j])}>"
+        )
+        lines.append(f'      <data key="weight">{float(weight)!r}</data>')
+        lines.append(f'      <data key="p_value">{float(p_value)!r}</data>')
+        lines.append(f'      <data key="tier">{escape(tier or net.tier)}</data>')
+        lines.append("    </edge>")
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"

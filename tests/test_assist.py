@@ -1,12 +1,19 @@
 """Contraction of two binary layers into the directed assist matrix."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tpnet
 from tpnet import AxisMismatchError, compute_assist
+from tpnet.assist import _one_blas_thread, _openblas_thread_controls
 from tpnet.rca import BinaryMatrix
 
-from .conftest import random_binary
+from .conftest import blas_threads, random_binary
 from .oracles import reference_assist
 
 
@@ -130,3 +137,60 @@ def test_permutation_equivariance():
         tuple(prod.activity_ids[j] for j in col_perm), prod_values[:, col_perm],
     )
     assert np.allclose(compute_assist(tech, prod_c).values, base[:, col_perm])
+
+
+@pytest.mark.parametrize("prior", [None, 2])
+def test_one_blas_thread_pins_and_restores(prior):
+    start = blas_threads()
+    controls = _openblas_thread_controls()
+    try:
+        for _, set_threads in controls if prior else ():
+            set_threads(prior)
+        before = blas_threads()
+        with _one_blas_thread():
+            assert blas_threads() == [1] * len(before)
+            with _one_blas_thread():
+                assert blas_threads() == [1] * len(before)
+            assert blas_threads() == [1] * len(before)
+        assert blas_threads() == before
+        with pytest.raises(RuntimeError, match="inside the pin"):
+            with _one_blas_thread():
+                raise RuntimeError("inside the pin")
+        assert blas_threads() == before
+    finally:
+        for (_, set_threads), count in zip(controls, start):
+            set_threads(count)
+
+
+_CONTRACTION_DIGEST = """
+import hashlib
+import numpy as np
+from tpnet import compute_assist
+from tpnet.rca import BinaryMatrix
+
+rng = np.random.default_rng(17)
+countries = tuple(f"c{i}" for i in range(120))
+layers = [
+    BinaryMatrix(kind, countries, tuple(f"{kind[0]}{j}" for j in range(width)),
+                 (rng.random((120, width)) < 0.4).astype(int))
+    for kind, width in (("technology", 388), ("product", 974))
+]
+print(hashlib.sha256(compute_assist(*layers).values.tobytes()).hexdigest())
+"""
+
+
+def test_contraction_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS rounds this shape differently at one and two threads unless
+    # the contraction is pinned to one.
+    blas_threads()
+    src = str(Path(tpnet.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", _CONTRACTION_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1

@@ -17,7 +17,7 @@ from tpnet.validate import (
     tier_threshold,
 )
 
-from .oracles import reference_report_json
+from .oracles import reference_graphml, reference_report_json
 
 
 def _network():
@@ -57,6 +57,31 @@ def test_graphml_is_readable_by_networkx(tmp_path):
     assert product["group"] == "Metals"
     edge = graph.edges["t:Y02A 10", "p:810520"]
     assert edge["weight"] == pytest.approx(0.4)
+
+
+def test_graphml_matches_reference_on_markup_and_non_ascii_ids(tmp_path):
+    tech_ids = ('Y02A & <10>', "Y02E \"60\"", "Y02W '30'", "Y04S \u00e9t\u00e9", "Y10T 1")
+    product_ids = ("85<01>", "28&2200", "01'01\"01", "72 \u4e2d\u6587", "99 <x>")
+    rng = np.random.default_rng(4)
+    n = 1000
+    validations = [
+        PairValidation(
+            tech_ids=tech_ids, product_ids=product_ids,
+            empirical=rng.random((5, 5)),
+            # 900-999 passes tier 90 only, so those edges carry no main tier
+            exceed_counts=rng.choice([0, 900, 960, 995, 1000], size=(5, 5)),
+            n_samples=n, t1=2012 + k, t2=2014 + k,
+        )
+        for k in range(2)
+    ]
+    net = intersect_pairs(validations, "90")
+    tiers = net.edge_arrays()[4]
+    assert None in tiers.tolist() and net.edge_count > 5
+    sections = {"85": "Machinery & <electrical>", "72": "M\u00e9taux"}
+    for product_sections in (None, sections):
+        path = tmp_path / "net.graphml"
+        exports.write_graphml(net, path, product_sections)
+        assert path.read_bytes() == reference_graphml(net, product_sections).encode("utf-8")
 
 
 def test_matrix_and_assist_csv(tmp_path):

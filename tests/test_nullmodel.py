@@ -1,5 +1,7 @@
 """Null-model fitting, ensemble sampling, and the pair-validation loop."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from tpnet import (
     FitError,
     compute_assist,
     fit_bicm,
+    nullmodel,
     sample_ensemble,
 )
 from tpnet.assist import _assist_values
 from tpnet.nullmodel import _draw, _rng, degree_zscores, null_exceedance_counts
 from tpnet.rca import BinaryMatrix
 
-from .conftest import random_binary
+from .conftest import blas_threads, random_binary
 from .oracles import enumerate_exceedance, reference_assist, reference_exceedance_counts
 
 
@@ -206,6 +209,72 @@ def test_fused_counts_match_reference_path(fixture_seed, max_dim, n, stream_key)
         expected = degree_zscores(model, *expected_sums, n)
         for got, want in zip(fused, expected):
             assert np.array_equal(got, want)
+
+
+def _exceedance_fixture(fixture_seed):
+    rng = np.random.default_rng(fixture_seed)
+    tech_m, prod_m = _degenerate_layers(rng, 9, 6, 8)
+    tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
+    return tech, prod, compute_assist(tech_m, prod_m).values
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 600])
+def test_counts_do_not_depend_on_worker_count(monkeypatch, workers, n):
+    monkeypatch.setattr(nullmodel, "_available_cpus", lambda: workers)
+    tech, prod, empirical = _exceedance_fixture(n)
+    counts, degree_sums = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
+    reference, reference_sums = reference_exceedance_counts(
+        tech, prod, empirical, n, 3, (0, 1)
+    )
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, reference)
+    if n == 600:  # past the uint8 tally's fold of every 255 draws
+        assert counts.max() > 255
+    for (rows, cols), (want_rows, want_cols) in zip(degree_sums, reference_sums):
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+def test_concurrent_folds_lose_no_count(monkeypatch):
+    # more workers than cores, a fold after every draw and frequent thread
+    # switches: a fold that is not atomic would lose counts
+    monkeypatch.setattr(nullmodel, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(nullmodel, "_TALLY_DRAWS", 1)
+    tech, prod, empirical = _exceedance_fixture(9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts, _ = null_exceedance_counts(tech, prod, empirical, 3000, seed=4)
+    finally:
+        sys.setswitchinterval(interval)
+    reference, _ = reference_exceedance_counts(tech, prod, empirical, 3000, 4)
+    assert np.array_equal(counts, reference)
+
+
+@pytest.mark.parametrize("failing_sample", [0, 4])
+def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample):
+    # with 3 workers sample 0 runs in the calling thread, sample 4 in the pool
+    monkeypatch.setattr(nullmodel, "_available_cpus", lambda: 3)
+    real_rng, real_draw = nullmodel._rng, nullmodel._draw
+    sample_of = {}
+
+    def keyed_rng(seed, key):
+        rng = real_rng(seed, key)
+        sample_of[id(rng)] = key[-2]
+        return rng
+
+    def failing_draw(model, rng, out=None):
+        if sample_of[id(rng)] == failing_sample:
+            raise RuntimeError(f"draw {failing_sample} failed")
+        return real_draw(model, rng, out=out)
+
+    monkeypatch.setattr(nullmodel, "_rng", keyed_rng)
+    monkeypatch.setattr(nullmodel, "_draw", failing_draw)
+    before = blas_threads()
+    tech, prod, empirical = _exceedance_fixture(5)
+    with pytest.raises(RuntimeError, match=f"draw {failing_sample} failed"):
+        null_exceedance_counts(tech, prod, empirical, 7, seed=2)
+    assert blas_threads() == before
 
 
 def test_null_assist_requires_shared_countries():
