@@ -179,6 +179,8 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(data, where=str(path))

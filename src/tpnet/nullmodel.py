@@ -17,8 +17,8 @@ Validation runs ``null_exceedance_counts``: one loop per period pair that
 draws both layers with ``_draw``, contracts them with the empirical path's
 kernel, compares the result with the empirical matrix and adds the degree
 sums for the sampling-bias audit, all in buffers allocated once. Its samples
-are split across one thread per available CPU, with BLAS pinned to one
-thread. It is the only code in the package that samples null contractions;
+are split across a pool of one thread per available CPU, with BLAS pinned to
+one thread. It is the only code in the package that samples null contractions;
 ``sample_ensemble`` streams single-layer draws for inspecting the model.
 """
 
@@ -282,10 +282,10 @@ def null_exceedance_counts(
     of the empirical matrix. A link's count is the number of draws whose
     null weight the empirical weight strictly exceeds; ties do not count.
 
-    Sample i runs on worker ``i % workers``, one worker per available CPU
-    (at most n): the calling thread is worker 0 and a thread pool runs the
-    rest, with BLAS on one thread throughout. Counts and degree sums are sums
-    of integers, so they are the same bits for any worker count.
+    Sample i runs on worker ``i % workers``, one pool thread per available
+    CPU (at most n), with BLAS on one thread throughout. Counts and degree
+    sums are sums of integers, so they are the same bits for any worker
+    count.
 
     Returns (counts, degree_sums): int32 counts, and per layer (technology,
     product) the row and column degree sums over all n draws, for
@@ -340,15 +340,8 @@ def null_exceedance_counts(
                     np.add(counts, tally, out=counts)
                 tally.fill(0)
 
-    with _one_blas_thread():
-        if workers == 1:
-            run(0)
-        else:
-            with ThreadPoolExecutor(workers - 1) as pool:
-                futures = [pool.submit(run, w) for w in range(1, workers)]
-                run(0)
-                for future in futures:
-                    future.result()
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run, range(workers)))
     tech_rows, tech_cols, prod_rows, prod_cols = (sum(s) for s in zip(*degree_sums))
     return counts, ((tech_rows, tech_cols), (prod_rows, prod_cols))
 

@@ -10,8 +10,13 @@ empirical matrix and yields the exceedance counts and the degree sums its
 sampling-bias audit reads. Only the exceedance counts, the one costly
 intermediate, are cached on disk, keyed by a content hash of their inputs, so
 a rerun from the cache reproduces identical downstream results; windows, RCA,
-contractions and fits are recomputed. A manifest in the output directory
-records which stages completed.
+contractions and fits are recomputed.
+
+Every run, pipeline or robustness, starts with ``load_inputs``: the panels
+are read under the ``ingest`` tag and the lags resolved under ``configure``.
+A written pipeline run records each completed stage in ``manifest.json`` in
+the output directory, all through one recorder; the manifest is replaced
+through a temp file, so a killed run never leaves a partial one.
 """
 
 from __future__ import annotations
@@ -61,6 +66,19 @@ logger = logging.getLogger(__name__)
 LAX_TIER = "90"
 
 
+def _publish(path: Path, write) -> None:
+    """Write ``path`` through ``write(tmp)`` on a per-process temp name, then
+    move it into place: runs sharing an output directory never write the
+    same file, a run killed mid-write never leaves a partial ``path``, and
+    the temp file is gone either way."""
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp{path.suffix}")
+    try:
+        write(tmp)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 class ArtifactCache:
     """Write-once npz store keyed by a content hash of each artifact's inputs."""
 
@@ -99,14 +117,7 @@ class ArtifactCache:
         path = self._path(kind, key)
         if path is None or path.exists():
             return
-        # A per-process temp name: runs sharing an output directory never
-        # write the same file, and the replace publishes it atomically.
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-        try:
-            np.savez(tmp, **arrays)
-            tmp.replace(path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _publish(path, lambda tmp: np.savez(tmp, **arrays))
 
 
 @dataclass(frozen=True)
@@ -143,20 +154,28 @@ def _stage(stage: str, fn, *args, **kwargs):
 
 
 class Manifest:
-    """Stage-completion record kept next to the outputs."""
+    """Stage-completion record kept next to the outputs.
+
+    A previous manifest for the same config is extended; one for another
+    config, or one that cannot be read back as a JSON object, is replaced.
+    """
 
     def __init__(self, out_dir: Path, cfg: RunConfig):
         self.path = out_dir / "manifest.json"
         snapshot = config_to_dict(cfg)
         snapshot.pop("output_dir", None)
-        if self.path.exists():
+        self.data = {"config": snapshot, "stages": {}, "outputs": []}
+        try:
             previous = json.loads(self.path.read_text(encoding="utf-8"))
-            if previous.get("config") == snapshot:
-                self.data = previous
-            else:
-                self.data = {"config": snapshot, "stages": {}, "outputs": []}
-        else:
-            self.data = {"config": snapshot, "stages": {}, "outputs": []}
+        except FileNotFoundError:
+            return
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            logger.warning("%s is unreadable (%s); starting a new one", self.path, exc)
+            return
+        if not isinstance(previous, dict):
+            logger.warning("%s is not a JSON object; starting a new one", self.path)
+        elif previous.get("config") == snapshot:
+            self.data = previous
 
     def complete(self, stage: str, **info) -> None:
         self.data["stages"][stage] = dict(sorted(info.items()))
@@ -170,9 +189,8 @@ class Manifest:
         self._write()
 
     def _write(self) -> None:
-        self.path.write_text(
-            json.dumps(self.data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+        _publish(self.path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def load_panels(cfg: RunConfig) -> tuple[ActivityPanel, ActivityPanel]:
@@ -280,15 +298,14 @@ def validate_pair(
         "counts", empirical.values, tech_model.link_probabilities,
         prod_model.link_probabilities, cfg.samples, cfg.seed, *stream_key,
     )
+    n = cfg.samples
     cached = cache.load("counts", counts_key)
     if cached is not None:
-        counts, n = cached["counts"], int(cached["n"][0])
+        counts = cached["counts"]
     else:
         counts, degree_sums = null_exceedance_counts(
-            tech_model, prod_model, empirical.values, cfg.samples, cfg.seed,
-            stream_key,
+            tech_model, prod_model, empirical.values, n, cfg.seed, stream_key
         )
-        n = cfg.samples
         _flag_sampling_bias(tech_model, prod_model, degree_sums, n, pair)
         cache.store(
             "counts", counts_key, counts=counts.astype(np.int64), n=np.array([n])
@@ -391,90 +408,67 @@ def run_pipeline(
     JSON reports, rankings, or curves.
     """
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cache = ArtifactCache(out_dir / "cache")
     manifest = Manifest(out_dir, cfg) if write else None
+    record = manifest.complete if manifest else lambda stage, **info: None
 
-    tech_panel, prod_panel = _stage("ingest", load_panels, cfg)
-    if manifest:
-        manifest.complete(
-            "ingest",
-            technology_shape=list(tech_panel.shape),
-            product_shape=list(prod_panel.shape),
-        )
-    lags = _stage("configure", resolve_lags, cfg, tech_panel, prod_panel)
-    if manifest:
-        manifest.complete(
-            "configure",
-            lags=[
-                {"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
-                for spec in lags
-            ],
-        )
+    tech_panel, prod_panel, lags = load_inputs(cfg)
+    record("ingest", technology_shape=list(tech_panel.shape),
+           product_shape=list(prod_panel.shape))
+    record("configure", lags=[
+        {"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
+        for spec in lags
+    ])
 
     lag_results = []
     for lag_index, spec in enumerate(lags):
+        stage = f"validate_lag_{spec.delta_t}"
         result = _stage(
-            f"validate_lag_{spec.delta_t}",
-            run_lag, cfg, tech_panel, prod_panel, spec, lag_index, cache,
+            stage, run_lag, cfg, tech_panel, prod_panel, spec, lag_index, cache
         )
         lag_results.append(result)
-        if manifest:
-            manifest.complete(
-                f"validate_lag_{spec.delta_t}",
-                pairs=[list(p) for p in spec.pairs],
-                edges=result.network.edge_count,
-            )
+        record(stage, pairs=[list(p) for p in spec.pairs],
+               edges=result.network.edge_count)
 
     tech_ranking, tech_fit, prod_ranking, prod_fit = _stage(
         "efc", compute_rankings, cfg, tech_panel, prod_panel, lags
     )
-    if manifest:
-        manifest.complete(
-            "efc",
-            technology_activities=len(tech_ranking),
-            product_activities=len(prod_ranking),
-        )
+    record("efc", technology_activities=len(tech_ranking),
+           product_activities=len(prod_ranking))
 
+    rankings = {"technology": tech_ranking, "product": prod_ranking}
     curves: list[LinkDifferenceCurve] = []
     if len(lag_results) >= 2:
         ordered = sorted(lag_results, key=lambda r: r.spec.delta_t)
-        base, lagged = ordered[0], ordered[-1]
+        base, lagged = ordered[0].network, ordered[-1].network
         curves = [
-            cumulative_link_difference(
-                base.network, lagged.network, tech_ranking, "technology"
-            ),
-            cumulative_link_difference(
-                base.network, lagged.network, prod_ranking, "product"
-            ),
+            cumulative_link_difference(base, lagged, ranking, side)
+            for side, ranking in rankings.items()
         ]
 
     if write:
         sections = load_hs_sections()
         for result in lag_results:
+            stage = f"report_lag_{result.spec.delta_t}"
             _stage(
-                f"report_lag_{result.spec.delta_t}",
-                _write_lag_outputs,
+                stage, _write_lag_outputs,
                 out_dir, manifest, cfg, result, sections, reports,
             )
-            manifest.complete(f"report_lag_{result.spec.delta_t}")
+            record(stage)
         if reports:
-            rank_dir = out_dir / "rankings"
-            rank_dir.mkdir(exist_ok=True)
-            for name, ranking in (
-                ("technology", tech_ranking), ("product", prod_ranking)
-            ):
-                path = rank_dir / f"{name}_ranks.csv"
-                exports.write_ranking_csv(ranking, path)
+            tables = [
+                (f"rankings/{side}_ranks.csv", exports.write_ranking_csv, ranking)
+                for side, ranking in rankings.items()
+            ] + [
+                (f"curves/{curve.side}_curve.csv", exports.write_curve_csv, curve)
+                for curve in curves
+            ]
+            for name, writer, table in tables:
+                path = out_dir / name
+                path.parent.mkdir(exist_ok=True)
+                writer(table, path)
                 manifest.add_output(path, out_dir)
-            if curves:
-                curve_dir = out_dir / "curves"
-                curve_dir.mkdir(exist_ok=True)
-                for curve in curves:
-                    path = curve_dir / f"{curve.side}_curve.csv"
-                    exports.write_curve_csv(curve, path)
-                    manifest.add_output(path, out_dir)
-            manifest.complete("report")
+            record("report")
 
     return PipelineResult(
         config=cfg,
@@ -577,16 +571,13 @@ def run_robustness(
     if len(set(deltas)) < len(deltas):
         raise ConfigError(f"window lengths must not repeat, got {list(deltas)}")
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cache = ArtifactCache(out_dir / "cache")
+    tech_panel, prod_panel, lags = load_inputs(cfg)
     if benchmark is None:
-        tech_panel, prod_panel, lags = load_inputs(cfg)
         benchmark = _stage(
             f"validate_lag_{lags[0].delta_t}",
             run_lag, cfg, tech_panel, prod_panel, lags[0], 0, cache,
         ).network
-    else:
-        tech_panel, prod_panel = _stage("ingest", load_panels, cfg)
     if benchmark.edge_count == 0:
         raise ConfigError("benchmark network has no edges to recover")
     if (
@@ -594,7 +585,7 @@ def run_robustness(
         or benchmark.product_ids != prod_panel.activity_ids
     ):
         raise ConfigError("benchmark axes do not match the configured panels")
-    delta_t = benchmark.lag if benchmark.lag is not None else cfg.lags[0].delta_t
+    delta_t = benchmark.lag if benchmark.lag is not None else lags[0].delta_t
     bench_t2 = [t2 for _, t2 in benchmark.pairs if t2 is not None]
     span = (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None
     benchmark_edges = benchmark.edge_count

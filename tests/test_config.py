@@ -1,6 +1,7 @@
 """Run-configuration parsing, defaults, and round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,4 +166,11 @@ def test_non_utf8_config_names_the_file(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"technology_panel": "caf\xe9.csv", "product_panel": "p.csv"}')
     with pytest.raises(ConfigError, match="latin1.json: not UTF-8 text"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_names_the_file(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot read")):
         parse_config(path)

@@ -253,7 +253,7 @@ def test_concurrent_folds_lose_no_count(monkeypatch):
 
 @pytest.mark.parametrize("failing_sample", [0, 4])
 def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample):
-    # with 3 workers sample 0 runs in the calling thread, sample 4 in the pool
+    # with 3 workers sample 0 is worker 0's first draw, sample 4 worker 1's second
     monkeypatch.setattr(nullmodel, "_available_cpus", lambda: 3)
     real_rng, real_draw = nullmodel._rng, nullmodel._draw
     sample_of = {}

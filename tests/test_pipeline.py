@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from tpnet import (
     ConfigError,
+    StageError,
     fit_bicm,
     nullmodel,
     pipeline,
@@ -19,7 +20,7 @@ from tpnet import (
     significance_profile,
 )
 from tpnet.cli import main
-from tpnet.config import LagSpec, RunConfig
+from tpnet.config import LagSpec, RunConfig, config_to_dict
 from tpnet.pipeline import (
     ArtifactCache,
     _flag_sampling_bias,
@@ -139,6 +140,68 @@ def test_rerun_from_cache_is_identical(planted_panel_files, tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_manifest_records_every_stage_and_output(planted_panel_files, tmp_path):
+    # lag 0 leaves its pairs to the panels; configure records them resolved
+    lags = (LagSpec(0), LagSpec(2, ((2011, 2013),)))
+    cfg = _config(planted_panel_files, tmp_path, samples=100, lags=lags)
+    run_pipeline(cfg)
+    snapshot = config_to_dict(cfg)
+    del snapshot["output_dir"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {
+        "config": snapshot,
+        "stages": {
+            "ingest": {"product_shape": [6, 5], "technology_shape": [6, 4]},
+            "configure": {"lags": [
+                {"delta_t": 0, "pairs": [[2011, 2011], [2013, 2013]]},
+                {"delta_t": 2, "pairs": [[2011, 2013]]},
+            ]},
+            "validate_lag_0": {"edges": 1, "pairs": [[2011, 2011], [2013, 2013]]},
+            "validate_lag_2": {"edges": 1, "pairs": [[2011, 2013]]},
+            "efc": {"product_activities": 5, "technology_activities": 4},
+            "report_lag_0": {},
+            "report_lag_2": {},
+            "report": {},
+        },
+        "outputs": [
+            "curves/product_curve.csv",
+            "curves/technology_curve.csv",
+            "lag_0/edges.csv",
+            "lag_0/network.graphml",
+            "lag_0/report.json",
+            "lag_2/edges.csv",
+            "lag_2/network.graphml",
+            "lag_2/report.json",
+            "rankings/product_ranks.csv",
+            "rankings/technology_ranks.csv",
+        ],
+    }
+
+    memory = tmp_path / "memory"
+    run_pipeline(cfg.replace(output_dir=str(memory)), write=False)
+    assert not (memory / "manifest.json").exists()
+
+
+def test_truncated_manifest_is_replaced(planted_panel_files, tmp_path, caplog):
+    cfg = _config(planted_panel_files, tmp_path, samples=100)
+    config_path = _write_config(cfg, tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", "--config", str(config_path)]).exit_code == 0
+    path = tmp_path / "out" / "manifest.json"
+    complete = path.read_bytes()
+    # what a run killed while writing the manifest used to leave behind
+    path.write_bytes(complete[:40])
+    with caplog.at_level("WARNING", logger="tpnet.pipeline"):
+        result = runner.invoke(main, ["validate", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    assert "manifest.json is unreadable" in caplog.text
+    assert path.read_bytes() == complete
+    assert sorted(json.loads(complete)["stages"]) == [
+        "configure", "efc", "ingest", "report_lag_0", "validate_lag_0"
+    ]
+    assert [p.name for p in path.parent.glob("manifest*")] == ["manifest.json"]
+
+
 def test_cache_store_loads_back_without_temp_files(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     key = ArtifactCache.key("counts", np.arange(6).reshape(2, 3), 400, 7)
@@ -225,6 +288,16 @@ def test_robustness_rejects_empty_benchmark(planted_panel_files, tmp_path):
     )
     with pytest.raises(ConfigError, match="no edges"):
         run_robustness(cfg, empty)
+
+
+def test_robustness_given_benchmark_resolves_lags(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, lags=(LagSpec(0, ((2013, 2013),)),))
+    benchmark = run_pipeline(cfg, write=False).network(0)
+    # a lag whose technology window starts before the panels do
+    unfit = cfg.replace(lags=(LagSpec(3, ((2010, 2013),)),))
+    with pytest.raises(StageError, match=r"^\[configure\] lag 3 pair \(2010, 2013\)"):
+        run_robustness(unfit, benchmark, deltas=(2,))
+    assert not (tmp_path / "out" / "robustness").exists()
 
 
 @pytest.mark.parametrize("deltas", [(0,), (-1,), (3, 3)], ids=["zero", "negative", "repeated"])
