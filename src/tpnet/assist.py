@@ -114,16 +114,23 @@ def _one_blas_thread():
             set_(count)
 
 
-def _assist_values(tech: np.ndarray, prod: np.ndarray, out: Optional[np.ndarray] = None):
+def _assist_values(
+    tech: np.ndarray,
+    prod: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    d: Optional[np.ndarray] = None,
+):
     """Contraction kernel of the empirical path and of the null loop.
 
     ``tech`` and ``prod`` are float64 0/1 layers on the same country axis;
-    ``prod`` is scaled by 1/d in place. Returns (values, ubiquity,
-    diversification), with values written into ``out`` when given.
-    Zero-diversification countries contribute nothing; zero-ubiquity
-    technology rows stay zero.
+    ``prod`` is scaled by 1/d in place, where the diversification ``d`` is
+    ``prod``'s row sums unless given (the null loop draws only some of the
+    product columns). Returns (values, ubiquity, diversification), with
+    values written into ``out`` when given. Zero-diversification countries
+    contribute nothing; zero-ubiquity technology rows stay zero.
     """
-    d = prod.sum(axis=1)
+    if d is None:
+        d = prod.sum(axis=1)
     u = tech.sum(axis=0)
     prod *= np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
     values = np.matmul(tech.T, prod, out=out)

@@ -8,26 +8,20 @@ probability 1 (stripping repeats until no degenerate nodes remain), and
 remaining nodes are grouped by degree value so equal degrees share one
 multiplier.
 
-Sampling draws every matrix entry as an independent Bernoulli variable. Each
-sample index derives its own random substream from (seed, stream_key, index),
-so ensembles are reproducible bit-for-bit and order-insensitive: accumulating
-over samples is parallelized across indices without changing any result.
-
-Validation runs ``null_exceedance_counts``: one loop per period pair that
-draws both layers with ``_draw``, contracts them with the empirical path's
-kernel, compares the result with the empirical matrix and adds the degree
-sums for the sampling-bias audit, all in buffers allocated once. Its samples
-are split across a pool of one thread per available CPU, with BLAS pinned to
-one thread. It is the only code in the package that samples null contractions;
-``sample_ensemble`` streams single-layer draws for inspecting the model.
+Each sample index derives its own random substreams from (seed,
+stream_key, index), so ensembles are reproducible bit-for-bit.
+``sample_ensemble`` streams single-layer Bernoulli draws for inspecting the
+model; ``null_exceedance_counts`` is the only code that samples null
+contractions. Activities of one degree share one probability column, so
+every cell of a (technology class, product class) pair has the same null
+law: each draw contracts one representative column per class with the
+empirical path's kernel, and each cell counts, by binary search in its class
+pair's sorted null weights, the draws its empirical weight beats.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -204,14 +198,14 @@ def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 
 
 def _draw(
-    model: BiCMModel, rng: np.random.Generator, out: np.ndarray | None = None
+    probabilities: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
     """One Bernoulli layer as float64 0/1, written into ``out`` when given:
-    entry (c, a) is 1 with probability ``link_probabilities[c, a]``."""
+    entry (c, a) is 1 with probability ``probabilities[c, a]``."""
     if out is None:
-        out = np.empty(model.shape)
+        out = np.empty(probabilities.shape)
     rng.random(out=out)
-    return np.less(out, model.link_probabilities, out=out)
+    return np.less(out, probabilities, out=out)
 
 
 @dataclass(frozen=True)
@@ -235,8 +229,9 @@ class NullEnsemble:
         return self.n
 
     def __iter__(self) -> Iterator[np.ndarray]:
+        p = self.model.link_probabilities
         for i in range(self.n):
-            yield _draw(self.model, _rng(self.seed, (*self.stream_key, i))).astype(np.int8)
+            yield _draw(p, _rng(self.seed, (*self.stream_key, i))).astype(np.int8)
 
     def sample_mean(self) -> np.ndarray:
         total = np.zeros(self.model.shape)
@@ -252,17 +247,18 @@ def sample_ensemble(
     return NullEnsemble(model=model, n=n, seed=seed, stream_key=stream_key)
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+# Bytes of null weights stored between two sort-and-count passes, whatever n.
+_CHUNK_BYTES = 1 << 23
 
 
-# A uint8 tally holds at most this many draws before it is folded into the
-# int32 counts.
-_TALLY_DRAWS = np.iinfo(np.uint8).max
+def _classes(model: BiCMModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Activities grouped by identical probability column: each class's first
+    member, which represents it, each activity's class and each class's size."""
+    _, first, inverse, size = np.unique(
+        model.link_probabilities.T, axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    return first, inverse.reshape(-1), size
 
 
 def null_exceedance_counts(
@@ -272,24 +268,27 @@ def null_exceedance_counts(
     n: int,
     seed: int,
     stream_key: tuple[int, ...] = (),
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Exceedance counts over n null contractions, drawn, contracted and
-    compared in one pass.
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray | None, np.ndarray], ...]]:
+    """Exceedance counts over n null contractions per degree class pair.
 
-    Draw i samples the technology layer from substream (seed, *stream_key,
-    i, 0) and the product layer from (seed, *stream_key, i, 1) with
-    ``_draw``, and contracts them with ``assist._assist_values``, the kernel
-    of the empirical matrix. A link's count is the number of draws whose
-    null weight the empirical weight strictly exceeds; ties do not count.
+    Draw i samples three blocks, block b from substream (seed, *stream_key,
+    i, b): 0 and 1, the columns of the technology and of the product class
+    representatives, with ``_draw``; 2, each country's link count over the
+    other members of each product class, Binomial(size - 1, p). Block 1's row
+    sums plus block 2's are the countries' product degrees d. The empirical
+    matrix's kernel, ``assist._assist_values``, contracts blocks 0 and 1 with
+    that d into one null weight per class pair, with the law of its cells.
 
-    Sample i runs on worker ``i % workers``, one pool thread per available
-    CPU (at most n), with BLAS on one thread throughout. Counts and degree
-    sums are sums of integers, so they are the same bits for any worker
-    count.
+    Up to ``_CHUNK_BYTES`` of null weights are stored, then sorted per class
+    pair; one ``searchsorted`` per class pair counts, for each of its cells,
+    the draws whose null weight its empirical weight strictly exceeds (ties do
+    not count). Counts add across chunks; BLAS runs on one thread throughout.
 
     Returns (counts, degree_sums): int32 counts, and per layer (technology,
     product) the row and column degree sums over all n draws, for
-    ``degree_zscores``.
+    ``degree_zscores``. Only drawn degrees are summed: each class
+    representative's column sums stand for its class's members, and the
+    technology row sums, which the null weight never uses, are None.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -301,56 +300,61 @@ def null_exceedance_counts(
     shape = (tech_model.shape[1], prod_model.shape[1])
     if empirical.shape != shape:
         raise AxisMismatchError("empirical matrix does not match the model axes")
-    workers = min(_available_cpus(), n)
-    counts = np.zeros(shape, dtype=np.int32)
-    counts_lock = threading.Lock()
-    # Allocated here rather than in the workers: buffers allocated in worker
-    # threads land in per-thread malloc arenas and raise the peak RSS.
-    buffers = [
-        (
-            np.empty(tech_model.shape),
-            np.empty(prod_model.shape),
-            np.empty(shape),
-            np.empty(shape, dtype=bool),
-            np.zeros(shape, dtype=np.uint8),
-        )
-        for _ in range(workers)
-    ]
-    degree_sums = [
-        tuple(np.zeros(k) for k in (*tech_model.shape, *prod_model.shape))
-        for _ in range(workers)
-    ]
+    tech_first, tech_class, tech_size = _classes(tech_model)
+    prod_first, prod_class, prod_size = _classes(prod_model)
+    tech_p = tech_model.link_probabilities[:, tech_first]
+    prod_p = prod_model.link_probabilities[:, prod_first]
+    k_t, k_p = len(tech_first), len(prod_first)
+    # Cells grouped by class pair in one array: technology class a's segment
+    # holds its rows with products ordered by class, transposed, so class pair
+    # (a, b) is the contiguous rows bounds[b]:bounds[b + 1] of that segment.
+    bounds = np.concatenate(([0], np.cumsum(prod_size)))
+    prod_order = np.argsort(prod_class, kind="stable")
+    splits = np.cumsum(tech_size)[:-1]
+    tech_rows = np.split(np.argsort(tech_class, kind="stable"), splits)
 
-    def run(worker: int) -> None:
-        tech, prod, values, exceeds, tally = buffers[worker]
-        tech_rows, tech_cols, prod_rows, prod_cols = degree_sums[worker]
-        samples = range(worker, n, workers)
-        for k, i in enumerate(samples, 1):
-            _draw(tech_model, _rng(seed, (*stream_key, i, 0)), out=tech)
-            _draw(prod_model, _rng(seed, (*stream_key, i, 1)), out=prod)
-            tech_rows += tech.sum(axis=1)
+    def by_class(flat: np.ndarray) -> list[np.ndarray]:
+        return [part.reshape(shape[1], -1) for part in np.split(flat, splits * shape[1])]
+
+    cells = by_class(np.empty(empirical.size))
+    tallies = by_class(np.zeros(empirical.size, dtype=np.int32))
+    for rows, block in zip(tech_rows, cells):
+        block[...] = empirical[np.ix_(rows, prod_order)].T
+    stored = np.empty((k_t * k_p, min(n, max(1, _CHUNK_BYTES // (8 * k_t * k_p)))))
+    tech, prod, values = np.empty(tech_p.shape), np.empty(prod_p.shape), np.empty((k_t, k_p))
+    tech_cols, prod_rows, prod_cols = np.zeros(k_t), np.zeros(tech_p.shape[0]), np.zeros(k_p)
+    with _one_blas_thread():
+        for i in range(n):
+            _draw(tech_p, _rng(seed, (*stream_key, i, 0)), out=tech)
+            _draw(prod_p, _rng(seed, (*stream_key, i, 1)), out=prod)
+            others = _rng(seed, (*stream_key, i, 2)).binomial(prod_size - 1, prod_p)
+            d = prod.sum(axis=1) + others.sum(axis=1)
             prod_cols += prod.sum(axis=0)  # before the kernel scales prod by 1/d
-            _, u, d = _assist_values(tech, prod, out=values)
+            _, u, _ = _assist_values(tech, prod, out=values, d=d)
             tech_cols += u
             prod_rows += d
-            np.greater(empirical, values, out=exceeds)
-            np.add(tally, exceeds.view(np.uint8), out=tally)
-            if k % _TALLY_DRAWS == 0 or k == len(samples):
-                with counts_lock:
-                    np.add(counts, tally, out=counts)
-                tally.fill(0)
-
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run, range(workers)))
-    tech_rows, tech_cols, prod_rows, prod_cols = (sum(s) for s in zip(*degree_sums))
-    return counts, ((tech_rows, tech_cols), (prod_rows, prod_cols))
+            j = i % stored.shape[1]
+            stored[:, j] = values.ravel()
+            if j < stored.shape[1] - 1 and i < n - 1:
+                continue
+            null = stored[:, :j + 1]
+            null.sort(axis=1)
+            for a, (block, tally) in enumerate(zip(cells, tallies)):
+                for b in range(k_p):
+                    s = slice(bounds[b], bounds[b + 1])
+                    tally[s] += np.searchsorted(null[a * k_p + b], block[s], side="left")
+    counts = np.empty(shape, dtype=np.int32)
+    for rows, tally in zip(tech_rows, tallies):
+        counts[np.ix_(rows, prod_order)] = tally.T
+    return counts, ((None, tech_cols[tech_class]), (prod_rows, prod_cols[prod_class]))
 
 
 def degree_zscores(
-    model: BiCMModel, row_sum: np.ndarray, col_sum: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+    model: BiCMModel, row_sum: np.ndarray | None, col_sum: np.ndarray | None, count: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Z-scores of mean sampled degrees against their expectations, from the
-    row and column degree sums over ``count`` draws.
+    row and column degree sums over ``count`` draws; a sum given as None (a
+    degree that was not drawn) scores None.
 
     Diagnostic for sampling bias; values beyond ~4 sigma deserve a warning
     but are not an error (they occur with small probability by chance).
@@ -360,14 +364,10 @@ def degree_zscores(
         raise ValueError("empty ensemble")
     p = model.link_probabilities
     var = p * (1.0 - p)
-    row_sd = np.sqrt(var.sum(axis=1) / count)
-    col_sd = np.sqrt(var.sum(axis=0) / count)
-    row_z = np.divide(
-        row_sum / count - p.sum(axis=1), row_sd,
-        out=np.zeros(p.shape[0]), where=row_sd > 0,
-    )
-    col_z = np.divide(
-        col_sum / count - p.sum(axis=0), col_sd,
-        out=np.zeros(p.shape[1]), where=col_sd > 0,
-    )
-    return row_z, col_z
+    scores = []
+    for axis, total in ((1, row_sum), (0, col_sum)):
+        sd = np.sqrt(var.sum(axis=axis) / count)
+        scores.append(None if total is None else np.divide(
+            total / count - p.sum(axis=axis), sd, out=np.zeros(sd.shape), where=sd > 0
+        ))
+    return tuple(scores)

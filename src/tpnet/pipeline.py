@@ -258,17 +258,18 @@ def _flag_sampling_bias(
 ) -> None:
     """Warn (never fail) when sampled degrees drift past 4 sigma.
 
-    Audits the degree sums of the n draws the validation consumed; a 4-sigma
+    Audits the degree sums of the n draws the validation consumed, skipping
+    a sum given as None (a degree the draws never sample); a 4-sigma
     excursion happens by chance now and then, so it is a flag for the log
     only.
     """
     for layer, model, (row_sum, col_sum) in zip(
         ("technology", "product"), (tech_model, prod_model), degree_sums
     ):
-        row_z, col_z = degree_zscores(model, row_sum, col_sum, n)
         worst = max(
-            float(np.abs(row_z).max(initial=0.0)),
-            float(np.abs(col_z).max(initial=0.0)),
+            float(np.abs(z).max(initial=0.0))
+            for z in degree_zscores(model, row_sum, col_sum, n)
+            if z is not None
         )
         if worst > 4.0:
             logger.warning(
@@ -294,8 +295,10 @@ def validate_pair(
     tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, pair)
     tech_model = fit_bicm(tech_bin)
     prod_model = fit_bicm(prod_bin)
+    # The literal names the sampling scheme: counts drawn under another
+    # scheme have other bits for the same inputs, so they must not be read.
     counts_key = cache.key(
-        "counts", empirical.values, tech_model.link_probabilities,
+        "counts", "degree-class draws", empirical.values, tech_model.link_probabilities,
         prod_model.link_probabilities, cfg.samples, cfg.seed, *stream_key,
     )
     n = cfg.samples

@@ -102,6 +102,63 @@ def reference_exceedance_counts(tech_model, prod_model, empirical, n, seed, stre
     return counts, tuple(degree_sums)
 
 
+def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_key=()):
+    """Exceedance counts of the per-class pair-validation loop, computed draw
+    by draw and cell by cell.
+
+    Activities are grouped by their probability column as a tuple of floats,
+    classes in sorted order. Draw i takes block b from substream (seed,
+    *stream_key, i, b), drawn here: 0 and 1 the class columns of each layer
+    with ``rng.random(shape) < p``, 2 each country's count over the other
+    members of each product class with ``rng.binomial(size - 1, p)``. The
+    class columns are contracted with the float expression of the library's
+    kernel on the same operand layout, with d the class columns' row sums
+    plus block 2's, and each cell is compared strictly with its class pair's
+    null weight.
+
+    Returns (counts, degree_sums): degree sums per layer (technology,
+    product) as (row sums, column sums), each activity's column sum being
+    its class column's, and None for the technology row sums, never drawn.
+    """
+    layers = []
+    for m in (tech_model, prod_model):
+        columns = [tuple(col) for col in m.link_probabilities.T]
+        classes = sorted(set(columns))
+        layers.append((
+            np.array(classes).T,
+            [classes.index(col) for col in columns],
+            np.array([columns.count(c) for c in classes]),
+        ))
+    (tech_p, tech_class, _), (prod_p, prod_class, prod_size) = layers
+    counts = np.zeros(empirical.shape, dtype=np.int64)
+    tech_cols, prod_cols = np.zeros(tech_p.shape[1]), np.zeros(prod_p.shape[1])
+    prod_rows = np.zeros(prod_p.shape[0])
+    for i in range(n):
+        tech, prod, others = (
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, i, block))
+            )
+            for block in range(3)
+        )
+        tech = tech.random(tech_p.shape) < tech_p
+        prod = prod.random(prod_p.shape) < prod_p
+        d = prod.sum(axis=1, dtype=np.int64) + others.binomial(prod_size - 1, prod_p).sum(axis=1)
+        u = tech.sum(axis=0, dtype=np.int64)
+        tech_cols += u
+        prod_cols += prod.sum(axis=0)
+        prod_rows += d
+        inv_d = np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)
+        values = tech.T.astype(np.float64) @ (prod * inv_d[:, None])
+        values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
+        for t, a in enumerate(tech_class):
+            for p, b in enumerate(prod_class):
+                counts[t, p] += empirical[t, p] > values[a, b]
+    return counts, (
+        (None, tech_cols[tech_class]),
+        (prod_rows, prod_cols[prod_class]),
+    )
+
+
 def _all_configs(prob: np.ndarray):
     """Every binary matrix of prob's shape with its Bernoulli probability."""
     n_rows, n_cols = prob.shape

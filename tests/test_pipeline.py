@@ -24,6 +24,7 @@ from tpnet.config import LagSpec, RunConfig, config_to_dict
 from tpnet.pipeline import (
     ArtifactCache,
     _flag_sampling_bias,
+    contract_pair,
     enumerate_windows,
     load_panels,
 )
@@ -224,6 +225,27 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
     assert np.array_equal(cache.load("counts", other)["counts"], counts)
 
 
+def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp_path):
+    # an entry under the key without the scheme tag, as the full-layer loop
+    # stored its counts: every cell at n, so reading it would keep every link
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
+    tech_panel, prod_panel = load_panels(cfg)
+    tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, (2013, 2013))
+    untagged = ArtifactCache.key(
+        "counts", empirical.values, fit_bicm(tech_bin).link_probabilities,
+        fit_bicm(prod_bin).link_probabilities, cfg.samples, cfg.seed, 0, 0, 0,
+    )
+    planted = np.full(empirical.values.shape, cfg.samples)
+    ArtifactCache(tmp_path / "out" / "cache").store(
+        "counts", untagged, counts=planted, n=np.array([cfg.samples])
+    )
+    counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    assert not np.array_equal(counts, planted)
+    assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
+
+
 def test_each_pair_draws_each_layer_once_per_sample(
     planted_panel_files, tmp_path, monkeypatch
 ):
@@ -239,7 +261,7 @@ def test_each_pair_draws_each_layer_once_per_sample(
     run_pipeline(cfg, write=False)
     pairs = [(0, 0, 0), (0, 0, 1)]
     assert set(draws) == {
-        (*pair, i, layer) for pair in pairs for i in range(30) for layer in (0, 1)
+        (*pair, i, block) for pair in pairs for i in range(30) for block in (0, 1, 2)
     }
     assert set(draws.values()) == {1}
 
