@@ -11,7 +11,7 @@ from tpnet import (
     nullmodel,
     sample_ensemble,
 )
-from tpnet.assist import _assist_values
+from tpnet.assist import _assist_values, _openblas_thread_controls
 from tpnet.nullmodel import _draw, _rng, degree_zscores, null_exceedance_counts
 from tpnet.rca import BinaryMatrix
 
@@ -241,6 +241,31 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, draws, n):
     monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", _chunk_bytes(tech, prod, draws))
     counts, degree_sums = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
     reference, reference_sums = reference_class_counts(tech, prod, empirical, n, 3, (0, 1))
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, reference)
+    if n == 600:  # int32 counts, well past what a byte holds
+        assert counts.max() > 255
+    _assert_same_degree_sums(degree_sums, reference_sums)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 600])
+def test_counts_do_not_depend_on_worker_count(workers, n):
+    # the caller's OpenBLAS runs `workers` threads; the loop contracts on one
+    # and hands the caller's count back
+    tech, prod, empirical = _exceedance_fixture(n)
+    reference, reference_sums = reference_class_counts(tech, prod, empirical, n, 3, (0, 1))
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(workers)
+    try:
+        counts, degree_sums = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+    assert after == [workers] * len(controls)
     assert counts.dtype == np.int32
     assert np.array_equal(counts, reference)
     if n == 600:  # int32 counts, well past what a byte holds
