@@ -153,11 +153,7 @@ class ActivityRanking:
         return len(self.ranks)
 
 
-def rank_activities(
-    m: BinaryMatrix,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    rank_stability_window: int = DEFAULT_RANK_STABILITY_WINDOW,
-) -> tuple[ActivityRanking, FitnessComplexity]:
+def rank_activities(m: BinaryMatrix) -> tuple[ActivityRanking, FitnessComplexity]:
     """Rank a layer's activities, stripping empty rows/columns first.
 
     Stripped activities tie at the worst rank; stripped countries are simply
@@ -178,7 +174,7 @@ def rank_activities(
         delta=m.delta,
         end_year=m.end_year,
     )
-    result = run_efc(core, max_iterations, rank_stability_window)
+    result = run_efc(core)
     ranks = dict(result.activity_rank)
     worst = len(ranks) + 1
     for activity in stripped:

@@ -8,8 +8,8 @@ probability 1 (stripping repeats until no degenerate nodes remain), and
 remaining nodes are grouped by degree value so equal degrees share one
 multiplier.
 
-Each sample index derives its own random substreams from (seed,
-stream_key, index), so ensembles are reproducible bit-for-bit.
+Each sample index derives its own random substream from (seed, stream_key,
+index), so ensembles are reproducible bit-for-bit.
 ``sample_ensemble`` streams single-layer Bernoulli draws for inspecting the
 model; ``null_exceedance_counts`` is the only code that samples null
 contractions. Activities of one degree share one probability column, so
@@ -261,6 +261,14 @@ def _classes(model: BiCMModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, inverse.reshape(-1), size
 
 
+def _worst_z(sums: np.ndarray, mean: np.ndarray, var: np.ndarray, n: int) -> float:
+    """Largest |z| of the mean sampled degrees ``sums / n`` against their
+    expectations; a degree with no variance (pinned to 0 or 1) scores 0."""
+    sd = np.sqrt(var / n)
+    z = np.divide(sums / n - mean, sd, out=np.zeros(sd.shape), where=sd > 0)
+    return float(np.abs(z).max(initial=0.0))
+
+
 def null_exceedance_counts(
     tech_model: BiCMModel,
     prod_model: BiCMModel,
@@ -268,27 +276,28 @@ def null_exceedance_counts(
     n: int,
     seed: int,
     stream_key: tuple[int, ...] = (),
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray | None, np.ndarray], ...]]:
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Exceedance counts over n null contractions per degree class pair.
 
-    Draw i samples three blocks, block b from substream (seed, *stream_key,
-    i, b): 0 and 1, the columns of the technology and of the product class
-    representatives, with ``_draw``; 2, each country's link count over the
-    other members of each product class, Binomial(size - 1, p). Block 1's row
-    sums plus block 2's are the countries' product degrees d. The empirical
-    matrix's kernel, ``assist._assist_values``, contracts blocks 0 and 1 with
-    that d into one null weight per class pair, with the law of its cells.
+    Draw i takes, from its one substream (seed, *stream_key, i) and in this
+    order, the columns of the technology and of the product class
+    representatives, with ``_draw``, then each country's link count over the
+    other members of each product class, Binomial(size - 1, p). The product
+    representatives' row sums plus those counts are the countries' product
+    degrees d. The empirical matrix's kernel, ``assist._assist_values``,
+    contracts the representatives with that d into one null weight per class
+    pair, with the law of its cells.
 
     Up to ``_CHUNK_BYTES`` of null weights are stored, then sorted per class
     pair; one ``searchsorted`` per class pair counts, for each of its cells,
     the draws whose null weight its empirical weight strictly exceeds (ties do
     not count). Counts add across chunks; BLAS runs on one thread throughout.
 
-    Returns (counts, degree_sums): int32 counts, and per layer (technology,
-    product) the row and column degree sums over all n draws, for
-    ``degree_zscores``. Only drawn degrees are summed: each class
-    representative's column sums stand for its class's members, and the
-    technology row sums, which the null weight never uses, are None.
+    Returns (counts, drift): int32 counts, and per layer (technology,
+    product) the largest |z| of the drawn degrees' means over the n draws
+    against their expectations, the sampling-bias audit. Class members share
+    their representative's column, so the z-scores are taken per class; the
+    technology row degrees never enter a null weight and are not drawn.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -325,10 +334,10 @@ def null_exceedance_counts(
     tech_cols, prod_rows, prod_cols = np.zeros(k_t), np.zeros(tech_p.shape[0]), np.zeros(k_p)
     with _one_blas_thread():
         for i in range(n):
-            _draw(tech_p, _rng(seed, (*stream_key, i, 0)), out=tech)
-            _draw(prod_p, _rng(seed, (*stream_key, i, 1)), out=prod)
-            others = _rng(seed, (*stream_key, i, 2)).binomial(prod_size - 1, prod_p)
-            d = prod.sum(axis=1) + others.sum(axis=1)
+            rng = _rng(seed, (*stream_key, i))
+            _draw(tech_p, rng, out=tech)
+            _draw(prod_p, rng, out=prod)
+            d = prod.sum(axis=1) + rng.binomial(prod_size - 1, prod_p).sum(axis=1)
             prod_cols += prod.sum(axis=0)  # before the kernel scales prod by 1/d
             _, u, _ = _assist_values(tech, prod, out=values, d=d)
             tech_cols += u
@@ -346,28 +355,12 @@ def null_exceedance_counts(
     counts = np.empty(shape, dtype=np.int32)
     for rows, tally in zip(tech_rows, tallies):
         counts[np.ix_(rows, prod_order)] = tally.T
-    return counts, ((None, tech_cols[tech_class]), (prod_rows, prod_cols[prod_class]))
-
-
-def degree_zscores(
-    model: BiCMModel, row_sum: np.ndarray | None, col_sum: np.ndarray | None, count: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Z-scores of mean sampled degrees against their expectations, from the
-    row and column degree sums over ``count`` draws; a sum given as None (a
-    degree that was not drawn) scores None.
-
-    Diagnostic for sampling bias; values beyond ~4 sigma deserve a warning
-    but are not an error (they occur with small probability by chance).
-    Nodes pinned to probability 0 or 1 have no variance and score 0.
-    """
-    if count < 1:
-        raise ValueError("empty ensemble")
-    p = model.link_probabilities
-    var = p * (1.0 - p)
-    scores = []
-    for axis, total in ((1, row_sum), (0, col_sum)):
-        sd = np.sqrt(var.sum(axis=axis) / count)
-        scores.append(None if total is None else np.divide(
-            total / count - p.sum(axis=axis), sd, out=np.zeros(sd.shape), where=sd > 0
-        ))
-    return tuple(scores)
+    tech_var, prod_var = tech_p * (1.0 - tech_p), prod_p * (1.0 - prod_p)
+    drift = (
+        _worst_z(tech_cols, tech_p.sum(axis=0), tech_var.sum(axis=0), n),
+        max(
+            _worst_z(prod_rows, prod_p @ prod_size, prod_var @ prod_size, n),
+            _worst_z(prod_cols, prod_p.sum(axis=0), prod_var.sum(axis=0), n),
+        ),
+    )
+    return counts, drift

@@ -3,11 +3,11 @@ validation, ranking, reports, and the window-robustness harness.
 
 Runs are deterministic given (config, seed): every random substream is derived
 from the master seed plus a structural key (lag index, pair index, sample
-index, layer), and all writers are deterministic. Each period pair's null
-sampling is one pass of ``nullmodel.null_exceedance_counts``, the package's
-only null loop: it draws both layers, contracts them with the kernel of the
-empirical matrix and yields the exceedance counts and the degree sums its
-sampling-bias audit reads. Only the exceedance counts, the one costly
+index), and all writers are deterministic. Each period pair's null sampling
+is one pass of ``nullmodel.null_exceedance_counts``, the package's only null
+loop: it draws both layers, contracts them with the kernel of the empirical
+matrix and yields the exceedance counts and each layer's worst sampled-degree
+z-score, the sampling-bias audit. Only the exceedance counts, the one costly
 intermediate, are cached on disk, keyed by a content hash of their inputs, so
 a rerun from the cache reproduces identical downstream results; windows, RCA,
 contractions and fits are recomputed.
@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import os
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,7 +43,7 @@ from .efc import (
     rank_activities,
 )
 from .errors import ConfigError, StageError, TpnetError
-from .nullmodel import BiCMModel, degree_zscores, fit_bicm, null_exceedance_counts
+from .nullmodel import fit_bicm, null_exceedance_counts
 from .panels import (
     ActivityPanel,
     aggregate_activities,
@@ -107,11 +108,19 @@ class ArtifactCache:
         return self.root / f"{kind}-{key}.npz"
 
     def load(self, kind: str, key: str) -> Optional[dict[str, np.ndarray]]:
+        """The entry's arrays, or None when there is none. An entry that
+        cannot be read (empty, truncated, not an npz) is removed with a
+        warning and counts as a miss, so ``store`` writes a fresh one."""
         path = self._path(kind, key)
         if path is None or not path.exists():
             return None
-        with np.load(path, allow_pickle=False) as data:
-            return {name: data[name] for name in data.files}
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                return {name: data[name] for name in data.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            logger.warning("%s is unreadable (%s); removing it", path, exc)
+            path.unlink(missing_ok=True)
+            return None
 
     def store(self, kind: str, key: str, **arrays: np.ndarray) -> None:
         path = self._path(kind, key)
@@ -249,36 +258,6 @@ def contract_pair(
     return tech_bin, prod_bin, compute_assist(tech_bin, prod_bin)
 
 
-def _flag_sampling_bias(
-    tech_model: BiCMModel,
-    prod_model: BiCMModel,
-    degree_sums: tuple[tuple[np.ndarray, np.ndarray], ...],
-    n: int,
-    pair: tuple[int, int],
-) -> None:
-    """Warn (never fail) when sampled degrees drift past 4 sigma.
-
-    Audits the degree sums of the n draws the validation consumed, skipping
-    a sum given as None (a degree the draws never sample); a 4-sigma
-    excursion happens by chance now and then, so it is a flag for the log
-    only.
-    """
-    for layer, model, (row_sum, col_sum) in zip(
-        ("technology", "product"), (tech_model, prod_model), degree_sums
-    ):
-        worst = max(
-            float(np.abs(z).max(initial=0.0))
-            for z in degree_zscores(model, row_sum, col_sum, n)
-            if z is not None
-        )
-        if worst > 4.0:
-            logger.warning(
-                "pair %s: %s layer sampled degrees drift %.2f sigma from "
-                "expectation over %d draws",
-                pair, layer, worst, n,
-            )
-
-
 def validate_pair(
     cfg: RunConfig,
     tech_panel: ActivityPanel,
@@ -290,7 +269,10 @@ def validate_pair(
     """Full single-pair chain: windows, RCA, alignment, contraction, nulls.
 
     The null draws, their comparison with the empirical matrix and the
-    sampling-bias audit are one pass, ``null_exceedance_counts``.
+    sampling-bias audit are one pass, ``null_exceedance_counts``. A layer
+    whose sampled degrees drift past 4 sigma over the n draws gets a log
+    warning, never a failure: such an excursion happens by chance now and
+    then.
     """
     tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, pair)
     tech_model = fit_bicm(tech_bin)
@@ -298,21 +280,26 @@ def validate_pair(
     # The literal names the sampling scheme: counts drawn under another
     # scheme have other bits for the same inputs, so they must not be read.
     counts_key = cache.key(
-        "counts", "degree-class draws", empirical.values, tech_model.link_probabilities,
-        prod_model.link_probabilities, cfg.samples, cfg.seed, *stream_key,
+        "counts", "degree-class draws, one substream per sample", empirical.values,
+        tech_model.link_probabilities, prod_model.link_probabilities,
+        cfg.samples, cfg.seed, *stream_key,
     )
     n = cfg.samples
     cached = cache.load("counts", counts_key)
     if cached is not None:
         counts = cached["counts"]
     else:
-        counts, degree_sums = null_exceedance_counts(
+        counts, drift = null_exceedance_counts(
             tech_model, prod_model, empirical.values, n, cfg.seed, stream_key
         )
-        _flag_sampling_bias(tech_model, prod_model, degree_sums, n, pair)
-        cache.store(
-            "counts", counts_key, counts=counts.astype(np.int64), n=np.array([n])
-        )
+        for layer, worst in zip(("technology", "product"), drift):
+            if worst > 4.0:
+                logger.warning(
+                    "pair %s: %s layer sampled degrees drift %.2f sigma from "
+                    "expectation over %d draws",
+                    pair, layer, worst, n,
+                )
+        cache.store("counts", counts_key, counts=counts, n=np.array([n]))
     return PairValidation(
         tech_ids=empirical.tech_ids,
         product_ids=empirical.product_ids,
@@ -563,13 +550,16 @@ def run_robustness(
 
     The panels are read once. Without a ``benchmark``, only the first lag is
     validated, with ``run_pipeline``'s stream and cache keys, so it is that
-    run's first network. Every window length in ``deltas`` (each >= 1, none
-    repeated; checked before any work) is tried at every end-year it fits,
-    at the benchmark's tier and at the laxer 90% tier. Windows reaching
-    outside the span of the benchmark's own product windows are flagged.
+    run's first network. Every window length in ``deltas`` (at least one,
+    each >= 1, none repeated; checked before any work) is tried at every
+    end-year it fits, at the benchmark's tier and at the laxer 90% tier.
+    Windows reaching outside the span of the benchmark's own product windows
+    are flagged.
     """
     deltas = tuple(deltas)
-    if min(deltas, default=1) < 1:
+    if not deltas:
+        raise ConfigError("window lengths must list at least one length")
+    if min(deltas) < 1:
         raise ConfigError(f"window lengths must be >= 1, got {min(deltas)}")
     if len(set(deltas)) < len(deltas):
         raise ConfigError(f"window lengths must not repeat, got {list(deltas)}")

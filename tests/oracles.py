@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -107,18 +108,19 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
     by draw and cell by cell.
 
     Activities are grouped by their probability column as a tuple of floats,
-    classes in sorted order. Draw i takes block b from substream (seed,
-    *stream_key, i, b), drawn here: 0 and 1 the class columns of each layer
-    with ``rng.random(shape) < p``, 2 each country's count over the other
-    members of each product class with ``rng.binomial(size - 1, p)``. The
-    class columns are contracted with the float expression of the library's
-    kernel on the same operand layout, with d the class columns' row sums
-    plus block 2's, and each cell is compared strictly with its class pair's
-    null weight.
+    classes in sorted order. Draw i takes from its one substream (seed,
+    *stream_key, i), in this order: the class columns of the technology and
+    of the product layer with ``rng.random(shape) < p``, then each country's
+    count over the other members of each product class with
+    ``rng.binomial(size - 1, p)``. The class columns are contracted with the
+    float expression of the library's kernel on the same operand layout, with
+    d the class columns' row sums plus those counts, and each cell is
+    compared strictly with its class pair's null weight.
 
-    Returns (counts, degree_sums): degree sums per layer (technology,
-    product) as (row sums, column sums), each activity's column sum being
-    its class column's, and None for the technology row sums, never drawn.
+    Returns (counts, drift): drift per layer (technology, product) is the
+    largest |z| over every drawn degree, each activity carrying its class
+    column's sum and its own probabilities, and the product layer's
+    countries their d; technology country degrees are not drawn.
     """
     layers = []
     for m in (tech_model, prod_model):
@@ -134,15 +136,12 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
     tech_cols, prod_cols = np.zeros(tech_p.shape[1]), np.zeros(prod_p.shape[1])
     prod_rows = np.zeros(prod_p.shape[0])
     for i in range(n):
-        tech, prod, others = (
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, i, block))
-            )
-            for block in range(3)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, i))
         )
-        tech = tech.random(tech_p.shape) < tech_p
-        prod = prod.random(prod_p.shape) < prod_p
-        d = prod.sum(axis=1, dtype=np.int64) + others.binomial(prod_size - 1, prod_p).sum(axis=1)
+        tech = rng.random(tech_p.shape) < tech_p
+        prod = rng.random(prod_p.shape) < prod_p
+        d = prod.sum(axis=1, dtype=np.int64) + rng.binomial(prod_size - 1, prod_p).sum(axis=1)
         u = tech.sum(axis=0, dtype=np.int64)
         tech_cols += u
         prod_cols += prod.sum(axis=0)
@@ -153,10 +152,23 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
         for t, a in enumerate(tech_class):
             for p, b in enumerate(prod_class):
                 counts[t, p] += empirical[t, p] > values[a, b]
-    return counts, (
-        (None, tech_cols[tech_class]),
-        (prod_rows, prod_cols[prod_class]),
+
+    def worst(sums, probabilities):
+        # node j's degree summed over the n draws against its links' p;
+        # a node without variance scores 0
+        z = 0.0
+        for total, p in zip(sums, probabilities):
+            var = sum(q * (1.0 - q) for q in p)
+            if var > 0:
+                z = max(z, abs(total / n - sum(p)) / math.sqrt(var / n))
+        return z
+
+    tech_all, prod_all = tech_model.link_probabilities, prod_model.link_probabilities
+    drift = (
+        worst([tech_cols[a] for a in tech_class], tech_all.T),
+        max(worst(prod_rows, prod_all), worst([prod_cols[b] for b in prod_class], prod_all.T)),
     )
+    return counts, drift
 
 
 def _all_configs(prob: np.ndarray):

@@ -12,7 +12,7 @@ from tpnet import (
     sample_ensemble,
 )
 from tpnet.assist import _assist_values, _openblas_thread_controls
-from tpnet.nullmodel import _draw, _rng, degree_zscores, null_exceedance_counts
+from tpnet.nullmodel import _draw, _rng, null_exceedance_counts
 from tpnet.rca import BinaryMatrix
 
 from .conftest import blas_threads, random_binary
@@ -138,34 +138,14 @@ def test_sample_mean_tracks_probabilities():
     assert np.abs(mean - 0.5).max() < 0.03  # ~4 sigma at n=4000
 
 
-def test_degree_zscores_are_moderate():
-    rng = np.random.default_rng(8)
-    model = fit_bicm(_binary(random_binary(rng, (5, 6), 0.5)))
-    samples = list(sample_ensemble(model, 2000, seed=77))
-    row_z, col_z = degree_zscores(
-        model,
-        np.sum([s.sum(axis=1) for s in samples], axis=0),
-        np.sum([s.sum(axis=0) for s in samples], axis=0),
-        len(samples),
-    )
-    assert np.abs(row_z).max() < 4.0
-    assert np.abs(col_z).max() < 4.0
-
-
 def test_paired_stream_zscores_cover_both_layers():
     rng = np.random.default_rng(81)
     tech = fit_bicm(_binary(random_binary(rng, (4, 3), 0.5), layer="technology"))
     prod = fit_bicm(_binary(random_binary(rng, (4, 5), 0.5)))
-    _, layers = null_exceedance_counts(tech, prod, np.zeros((3, 5)), 1500, seed=5)
-    assert len(layers) == 2
-    # technology row degrees never enter the null weight, so they are not drawn
-    assert layers[0][0] is None
-    tech_rows_z, tech_z = degree_zscores(tech, *layers[0], 1500)
-    assert tech_rows_z is None
-    assert np.abs(tech_z).max() < 4.0
-    row_z, col_z = degree_zscores(prod, *layers[1], 1500)
-    assert np.abs(row_z).max() < 4.0
-    assert np.abs(col_z).max() < 4.0
+    _, drift = null_exceedance_counts(tech, prod, np.zeros((3, 5)), 1500, seed=5)
+    assert len(drift) == 2
+    # each layer's worst |z| of its drawn degrees: some drift, never 4 sigma
+    assert all(0.0 < worst < 4.0 for worst in drift)
 
 
 def _degenerate_layers(rng, countries, techs, products):
@@ -201,22 +181,22 @@ def test_fused_counts_match_reference_path(fixture_seed, max_dim, n, stream_key)
     empirical = compute_assist(tech_m, prod_m)
     seed = 11 + fixture_seed
 
-    counts, degree_sums = null_exceedance_counts(
+    counts, drift = null_exceedance_counts(
         tech, prod, empirical.values, n, seed, stream_key
     )
-    reference, reference_sums = reference_class_counts(
+    reference, reference_drift = reference_class_counts(
         tech, prod, empirical.values, n, seed, stream_key
     )
     assert counts.dtype == np.int32
     assert np.array_equal(counts, reference)
-    _assert_same_degree_sums(degree_sums, reference_sums)
+    _assert_same_drift(drift, reference_drift)
 
 
-def _assert_same_degree_sums(got, want):
-    for got_layer, want_layer in zip(got, want, strict=True):
-        for got_sum, want_sum in zip(got_layer, want_layer, strict=True):
-            assert (got_sum is None) == (want_sum is None)
-            assert got_sum is None or np.array_equal(got_sum, want_sum)
+def _assert_same_drift(got, want):
+    # per class on one side, per activity and country on the other
+    assert len(got) == len(want) == 2
+    assert all(isinstance(worst, float) for worst in got)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def _exceedance_fixture(fixture_seed):
@@ -239,13 +219,13 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, draws, n):
     # passes, the last one short when draws does not divide n
     tech, prod, empirical = _exceedance_fixture(n)
     monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", _chunk_bytes(tech, prod, draws))
-    counts, degree_sums = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
-    reference, reference_sums = reference_class_counts(tech, prod, empirical, n, 3, (0, 1))
+    counts, drift = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
+    reference, reference_drift = reference_class_counts(tech, prod, empirical, n, 3, (0, 1))
     assert counts.dtype == np.int32
     assert np.array_equal(counts, reference)
     if n == 600:  # int32 counts, well past what a byte holds
         assert counts.max() > 255
-    _assert_same_degree_sums(degree_sums, reference_sums)
+    _assert_same_drift(drift, reference_drift)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -254,13 +234,13 @@ def test_counts_do_not_depend_on_worker_count(workers, n):
     # the caller's OpenBLAS runs `workers` threads; the loop contracts on one
     # and hands the caller's count back
     tech, prod, empirical = _exceedance_fixture(n)
-    reference, reference_sums = reference_class_counts(tech, prod, empirical, n, 3, (0, 1))
+    reference, reference_drift = reference_class_counts(tech, prod, empirical, n, 3, (0, 1))
     controls = _openblas_thread_controls()
     previous = [get() for get, _ in controls]
     for _, set_ in controls:
         set_(workers)
     try:
-        counts, degree_sums = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
+        counts, drift = null_exceedance_counts(tech, prod, empirical, n, 3, (0, 1))
         after = [get() for get, _ in controls]
     finally:
         for (_, set_), count in zip(controls, previous):
@@ -270,7 +250,7 @@ def test_counts_do_not_depend_on_worker_count(workers, n):
     assert np.array_equal(counts, reference)
     if n == 600:  # int32 counts, well past what a byte holds
         assert counts.max() > 255
-    _assert_same_degree_sums(degree_sums, reference_sums)
+    _assert_same_drift(drift, reference_drift)
 
 
 def test_class_counts_follow_the_full_layer_law():
@@ -303,7 +283,7 @@ def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample)
 
     def keyed_rng(seed, key):
         rng = real_rng(seed, key)
-        sample_of[id(rng)] = key[-2]
+        sample_of[id(rng)] = key[-1]
         return rng
 
     def failing_draw(probabilities, rng, out=None):
@@ -355,8 +335,9 @@ def test_null_stream_matches_reference_contraction():
     tech_buf, prod_buf, values = np.empty((4, 3)), np.empty((4, 4)), np.empty((3, 4))
     # the loop's draws, buffers and kernel call, one sample at a time
     for i in range(5):
-        tech_draw = _draw(tech.link_probabilities, _rng(21, (i, 0)), out=tech_buf)
-        prod_draw = _draw(prod.link_probabilities, _rng(21, (i, 1)), out=prod_buf)
+        rng = _rng(21, (i,))
+        tech_draw = _draw(tech.link_probabilities, rng, out=tech_buf)
+        prod_draw = _draw(prod.link_probabilities, rng, out=prod_buf)
         expected = reference_assist(tech_draw, prod_draw)
         _assist_values(tech_draw, prod_draw, out=values)
         assert np.allclose(values, expected)

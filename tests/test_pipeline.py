@@ -23,7 +23,6 @@ from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig, config_to_dict
 from tpnet.pipeline import (
     ArtifactCache,
-    _flag_sampling_bias,
     contract_pair,
     enumerate_windows,
     load_panels,
@@ -226,24 +225,51 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
 
 
 def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp_path):
-    # an entry under the key without the scheme tag, as the full-layer loop
-    # stored its counts: every cell at n, so reading it would keep every link
+    # entries under the keys of earlier schemes, as the full-layer loop (no
+    # tag) and the three-substream class loop stored their counts: every cell
+    # at n, so reading either would keep every link
     cfg = _config(
         planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
     )
     tech_panel, prod_panel = load_panels(cfg)
     tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, (2013, 2013))
-    untagged = ArtifactCache.key(
-        "counts", empirical.values, fit_bicm(tech_bin).link_probabilities,
+    inputs = (
+        empirical.values, fit_bicm(tech_bin).link_probabilities,
         fit_bicm(prod_bin).link_probabilities, cfg.samples, cfg.seed, 0, 0, 0,
     )
     planted = np.full(empirical.values.shape, cfg.samples)
-    ArtifactCache(tmp_path / "out" / "cache").store(
-        "counts", untagged, counts=planted, n=np.array([cfg.samples])
-    )
+    for tag in ((), ("degree-class draws",)):
+        ArtifactCache(tmp_path / "out" / "cache").store(
+            "counts", ArtifactCache.key("counts", *tag, *inputs),
+            counts=planted, n=np.array([cfg.samples]),
+        )
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
+    assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda entry: b"", lambda entry: entry[: len(entry) // 2], lambda entry: b"partial"],
+    ids=["empty", "truncated", "not-npz"],
+)
+def test_unreadable_cache_entry_is_a_miss(planted_panel_files, tmp_path, caplog, damage):
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=50, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
+    cold = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    [entry] = (tmp_path / "out" / "cache").iterdir()
+    entry.write_bytes(damage(entry.read_bytes()))
+    config_path = _write_config(cfg, tmp_path)
+    with caplog.at_level("WARNING", logger="tpnet"):
+        result = CliRunner().invoke(main, ["validate", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith(f"{entry} is unreadable")
+    with np.load(entry, allow_pickle=False) as data:
+        assert data["counts"].dtype == np.int32
+        assert np.array_equal(data["counts"], cold)
+        assert data["n"].tolist() == [cfg.samples]
 
 
 def test_each_pair_draws_each_layer_once_per_sample(
@@ -261,24 +287,32 @@ def test_each_pair_draws_each_layer_once_per_sample(
     run_pipeline(cfg, write=False)
     pairs = [(0, 0, 0), (0, 0, 1)]
     assert set(draws) == {
-        (*pair, i, block) for pair in pairs for i in range(30) for block in (0, 1, 2)
-    }
+(*pair, i) for pair in pairs for i in range(30)}
     assert set(draws.values()) == {1}
 
 
-def test_sampling_bias_flag_reports_every_draw(caplog):
-    ids = ("c0", "c1")
-    tech = fit_bicm(BinaryMatrix("technology", ids, ("t0", "t1"), np.eye(2, dtype=int)))
-    prod = fit_bicm(BinaryMatrix("product", ids, ("p0", "p1"), np.eye(2, dtype=int)))
-    n = 1500
-    expected = np.full(2, 1.0 * n)
-    sums = ((expected + [200.0, 0.0], expected), (expected, expected))
+def test_sampling_bias_flag_reports_every_draw(
+    planted_panel_files, tmp_path, monkeypatch, caplog
+):
+    # the loop's audit reads 4.5 sigma on the technology layer and 3.9 on the
+    # product layer: one warning for the pair, none for a rerun from the cache
+    real_counts = pipeline.null_exceedance_counts
+
+    def drifting_counts(*args):
+        counts, _ = real_counts(*args)
+        return counts, (4.5, 3.9)
+
+    monkeypatch.setattr(pipeline, "null_exceedance_counts", drifting_counts)
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
     with caplog.at_level("WARNING", logger="tpnet.pipeline"):
-        _flag_sampling_bias(tech, prod, sums, n, (2011, 2013))
-    assert len(caplog.records) == 1
-    message = caplog.records[0].getMessage()
-    assert "technology layer" in message
-    assert "over 1500 draws" in message
+        run_pipeline(cfg, write=False)
+        run_pipeline(cfg, write=False)
+    assert [r.getMessage() for r in caplog.records] == [
+        "pair (2013, 2013): technology layer sampled degrees drift 4.50 sigma "
+        "from expectation over 30 draws"
+    ]
 
 
 def test_robustness_overlap_on_matching_configuration(planted_panel_files, tmp_path):
@@ -322,7 +356,9 @@ def test_robustness_given_benchmark_resolves_lags(planted_panel_files, tmp_path)
     assert not (tmp_path / "out" / "robustness").exists()
 
 
-@pytest.mark.parametrize("deltas", [(0,), (-1,), (3, 3)], ids=["zero", "negative", "repeated"])
+@pytest.mark.parametrize(
+    "deltas", [(0,), (-1,), (3, 3), ()], ids=["zero", "negative", "repeated", "empty"]
+)
 def test_robustness_rejects_bad_deltas_before_ingest(planted_panel_files, tmp_path, deltas):
     cfg = _config(planted_panel_files, tmp_path, samples=50)
     with pytest.raises(ConfigError, match="window lengths must"):
