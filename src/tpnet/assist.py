@@ -114,28 +114,23 @@ def _one_blas_thread():
             set_(count)
 
 
-def _assist_values(
-    tech: np.ndarray,
-    prod: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    d: Optional[np.ndarray] = None,
-):
+def _assist_values(tech: np.ndarray, prod: np.ndarray, d: Optional[np.ndarray] = None):
     """Contraction kernel of the empirical path and of the null loop.
 
-    ``tech`` and ``prod`` are float64 0/1 layers on the same country axis;
-    ``prod`` is scaled by 1/d in place, where the diversification ``d`` is
-    ``prod``'s row sums unless given (the null loop draws only some of the
-    product columns). Returns (values, ubiquity, diversification), with
-    values written into ``out`` when given. Zero-diversification countries
-    contribute nothing; zero-ubiquity technology rows stay zero.
+    ``tech`` is a float64 0/1 layer and ``prod`` a 0/1 layer on the same
+    country axis; neither is written. ``prod``'s rows are weighted by 1/d,
+    where the diversification ``d`` is ``prod``'s row sums unless given (the
+    null loop draws only some of the product columns). Returns (values,
+    ubiquity). Zero-diversification countries contribute nothing;
+    zero-ubiquity technology rows stay zero.
     """
     if d is None:
         d = prod.sum(axis=1)
     u = tech.sum(axis=0)
-    prod *= np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
-    values = np.matmul(tech.T, prod, out=out)
+    weighted = prod * np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
+    values = tech.T @ weighted
     values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
-    return values, u, d
+    return values, u
 
 
 def compute_assist(tech: BinaryMatrix, prod: BinaryMatrix) -> AssistMatrix:
@@ -146,9 +141,7 @@ def compute_assist(tech: BinaryMatrix, prod: BinaryMatrix) -> AssistMatrix:
             "list before contraction"
         )
     with _one_blas_thread():
-        values, u, _ = _assist_values(
-            tech.values.astype(np.float64), prod.values.astype(np.float64)
-        )
+        values, u = _assist_values(tech.values.astype(np.float64), prod.values)
     inactive = tuple(t for t, k in zip(tech.activity_ids, u) if k == 0)
     return AssistMatrix(
         tech_ids=tech.activity_ids,

@@ -62,6 +62,8 @@ class LagSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "delta_t", _int("delta_t", self.delta_t))
+        if self.delta_t < 0:
+            raise ConfigError(f"delta_t must be >= 0, got {self.delta_t}")
         pairs = []
         for pair in self.pairs:
             try:

@@ -109,10 +109,7 @@ def run_efc(
             _ranking_order(country_ranks, fitness),
             _ranking_order(activity_ranks, complexity),
         )
-        if orders == prev_orders:
-            streak += 1
-        else:
-            streak = 0
+        streak = streak + 1 if orders == prev_orders else 0
         prev_orders = orders
         if streak >= rank_stability_window:
             stable = True
@@ -220,12 +217,10 @@ def cumulative_link_difference(
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if side == "technology":
-        deg_base = net_base.tech_degrees()
-        deg_lagged = net_lagged.tech_degrees()
-    else:
-        deg_base = net_base.product_degrees()
-        deg_lagged = net_lagged.product_degrees()
+    deg_base, deg_lagged = (
+        net.tech_degrees() if side == "technology" else net.product_degrees()
+        for net in (net_base, net_lagged)
+    )
     connected = {a for a, d in deg_base.items() if d > 0}
     connected |= {a for a, d in deg_lagged.items() if d > 0}
     missing = sorted(a for a in connected if a not in ranking)

@@ -180,8 +180,8 @@ def fit_bicm(
         q = np.outer(x_block, y_block)
         p[np.ix_(active_rows, active_cols)] = q / (1.0 + q)
 
-    row_err = np.abs(p.sum(axis=1) - observed.sum(axis=1)).max() if n_rows else 0.0
-    col_err = np.abs(p.sum(axis=0) - observed.sum(axis=0)).max() if n_cols else 0.0
+    row_err = np.abs(p.sum(axis=1) - observed.sum(axis=1)).max()
+    col_err = np.abs(p.sum(axis=0) - observed.sum(axis=0)).max()
     return BiCMModel(
         layer_kind=m.layer_kind,
         country_ids=m.country_ids,
@@ -253,12 +253,13 @@ _CHUNK_BYTES = 1 << 23
 
 def _classes(model: BiCMModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Activities grouped by identical probability column: each class's first
-    member, which represents it, each activity's class and each class's size."""
+    member, which represents it, the activities in class order and each
+    class's size."""
     _, first, inverse, size = np.unique(
         model.link_probabilities.T, axis=0,
         return_index=True, return_inverse=True, return_counts=True,
     )
-    return first, inverse.reshape(-1), size
+    return first, np.argsort(inverse.reshape(-1), kind="stable"), size
 
 
 def _worst_z(sums: np.ndarray, mean: np.ndarray, var: np.ndarray, n: int) -> float:
@@ -288,10 +289,11 @@ def null_exceedance_counts(
     contracts the representatives with that d into one null weight per class
     pair, with the law of its cells.
 
-    Up to ``_CHUNK_BYTES`` of null weights are stored, then sorted per class
-    pair; one ``searchsorted`` per class pair counts, for each of its cells,
-    the draws whose null weight its empirical weight strictly exceeds (ties do
-    not count). Counts add across chunks; BLAS runs on one thread throughout.
+    Each chunk of draws, at most ``_CHUNK_BYTES`` of null weights, is sorted
+    per class pair; one ``searchsorted`` per class pair counts, for each cell
+    of its rectangle in the class-ordered empirical matrix, the draws its
+    empirical weight strictly exceeds (ties do not count). Counts add across
+    chunks; BLAS runs on one thread throughout.
 
     Returns (counts, drift): int32 counts, and per layer (technology,
     product) the largest |z| of the drawn degrees' means over the n draws
@@ -309,52 +311,41 @@ def null_exceedance_counts(
     shape = (tech_model.shape[1], prod_model.shape[1])
     if empirical.shape != shape:
         raise AxisMismatchError("empirical matrix does not match the model axes")
-    tech_first, tech_class, tech_size = _classes(tech_model)
-    prod_first, prod_class, prod_size = _classes(prod_model)
+    tech_first, tech_order, tech_size = _classes(tech_model)
+    prod_first, prod_order, prod_size = _classes(prod_model)
     tech_p = tech_model.link_probabilities[:, tech_first]
     prod_p = prod_model.link_probabilities[:, prod_first]
     k_t, k_p = len(tech_first), len(prod_first)
-    # Cells grouped by class pair in one array: technology class a's segment
-    # holds its rows with products ordered by class, transposed, so class pair
-    # (a, b) is the contiguous rows bounds[b]:bounds[b + 1] of that segment.
-    bounds = np.concatenate(([0], np.cumsum(prod_size)))
-    prod_order = np.argsort(prod_class, kind="stable")
-    splits = np.cumsum(tech_size)[:-1]
-    tech_rows = np.split(np.argsort(tech_class, kind="stable"), splits)
-
-    def by_class(flat: np.ndarray) -> list[np.ndarray]:
-        return [part.reshape(shape[1], -1) for part in np.split(flat, splits * shape[1])]
-
-    cells = by_class(np.empty(empirical.size))
-    tallies = by_class(np.zeros(empirical.size, dtype=np.int32))
-    for rows, block in zip(tech_rows, cells):
-        block[...] = empirical[np.ix_(rows, prod_order)].T
-    stored = np.empty((k_t * k_p, min(n, max(1, _CHUNK_BYTES // (8 * k_t * k_p)))))
-    tech, prod, values = np.empty(tech_p.shape), np.empty(prod_p.shape), np.empty((k_t, k_p))
+    # Rows and columns in class order: the cells of class pair (a, b) are the
+    # rectangle (tech_spans[a], prod_spans[b]) of ``ordered`` and ``tally``.
+    grid = np.ix_(tech_order, prod_order)
+    ordered, tally = empirical[grid], np.zeros(shape, dtype=np.int32)
+    tech_spans, prod_spans = (
+        [slice(stop - k, stop) for k, stop in zip(size.tolist(), np.cumsum(size).tolist())]
+        for size in (tech_size, prod_size)
+    )
+    null = np.empty((k_t, k_p, min(n, max(1, _CHUNK_BYTES // (8 * k_t * k_p)))))
+    tech, prod = np.empty(tech_p.shape), np.empty(prod_p.shape)
     tech_cols, prod_rows, prod_cols = np.zeros(k_t), np.zeros(tech_p.shape[0]), np.zeros(k_p)
     with _one_blas_thread():
-        for i in range(n):
-            rng = _rng(seed, (*stream_key, i))
-            _draw(tech_p, rng, out=tech)
-            _draw(prod_p, rng, out=prod)
-            d = prod.sum(axis=1) + rng.binomial(prod_size - 1, prod_p).sum(axis=1)
-            prod_cols += prod.sum(axis=0)  # before the kernel scales prod by 1/d
-            _, u, _ = _assist_values(tech, prod, out=values, d=d)
-            tech_cols += u
-            prod_rows += d
-            j = i % stored.shape[1]
-            stored[:, j] = values.ravel()
-            if j < stored.shape[1] - 1 and i < n - 1:
-                continue
-            null = stored[:, :j + 1]
-            null.sort(axis=1)
-            for a, (block, tally) in enumerate(zip(cells, tallies)):
-                for b in range(k_p):
-                    s = slice(bounds[b], bounds[b + 1])
-                    tally[s] += np.searchsorted(null[a * k_p + b], block[s], side="left")
+        for start in range(0, n, null.shape[2]):
+            chunk = null[:, :, :min(null.shape[2], n - start)]
+            for j in range(chunk.shape[2]):
+                rng = _rng(seed, (*stream_key, start + j))
+                _draw(tech_p, rng, out=tech)
+                _draw(prod_p, rng, out=prod)
+                d = prod.sum(axis=1) + rng.binomial(prod_size - 1, prod_p).sum(axis=1)
+                values, u = _assist_values(tech, prod, d)
+                chunk[:, :, j] = values
+                tech_cols += u
+                prod_rows += d
+                prod_cols += prod.sum(axis=0)
+            chunk.sort(axis=2)
+            for a, rows in enumerate(tech_spans):
+                for b, cols in enumerate(prod_spans):
+                    tally[rows, cols] += np.searchsorted(chunk[a, b], ordered[rows, cols], side="left")
     counts = np.empty(shape, dtype=np.int32)
-    for rows, tally in zip(tech_rows, tallies):
-        counts[np.ix_(rows, prod_order)] = tally.T
+    counts[grid] = tally
     tech_var, prod_var = tech_p * (1.0 - tech_p), prod_p * (1.0 - prod_p)
     drift = (
         _worst_z(tech_cols, tech_p.sum(axis=0), tech_var.sum(axis=0), n),

@@ -107,20 +107,27 @@ class ArtifactCache:
             return None
         return self.root / f"{kind}-{key}.npz"
 
-    def load(self, kind: str, key: str) -> Optional[dict[str, np.ndarray]]:
+    def load(self, kind: str, key: str, check=lambda arrays: None) -> Optional[dict]:
         """The entry's arrays, or None when there is none. An entry that
-        cannot be read (empty, truncated, not an npz) is removed with a
+        cannot be read (empty, truncated, not an npz), or whose arrays
+        ``check`` finds malformed by returning a reason, is removed with a
         warning and counts as a miss, so ``store`` writes a fresh one."""
         path = self._path(kind, key)
         if path is None or not path.exists():
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
-                return {name: data[name] for name in data.files}
+                arrays = {name: data[name] for name in data.files}
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-            logger.warning("%s is unreadable (%s); removing it", path, exc)
-            path.unlink(missing_ok=True)
-            return None
+            problem = f"unreadable ({exc})"
+        else:
+            reason = check(arrays)
+            if reason is None:
+                return arrays
+            problem = f"malformed ({reason})"
+        logger.warning("%s is %s; removing it", path, problem)
+        path.unlink(missing_ok=True)
+        return None
 
     def store(self, kind: str, key: str, **arrays: np.ndarray) -> None:
         path = self._path(kind, key)
@@ -166,7 +173,8 @@ class Manifest:
     """Stage-completion record kept next to the outputs.
 
     A previous manifest for the same config is extended; one for another
-    config, or one that cannot be read back as a JSON object, is replaced.
+    config, or one that cannot be read back as a JSON object with a
+    ``stages`` object and an ``outputs`` list of paths, is replaced.
     """
 
     def __init__(self, out_dir: Path, cfg: RunConfig):
@@ -181,8 +189,11 @@ class Manifest:
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             logger.warning("%s is unreadable (%s); starting a new one", self.path, exc)
             return
-        if not isinstance(previous, dict):
-            logger.warning("%s is not a JSON object; starting a new one", self.path)
+        outputs = previous.get("outputs") if isinstance(previous, dict) else None
+        if not (isinstance(outputs, list) and all(isinstance(rel, str) for rel in outputs)
+                and isinstance(previous.get("stages"), dict)):
+            logger.warning("%s is not a JSON object with a stages object and an "
+                           "outputs list; starting a new one", self.path)
         elif previous.get("config") == snapshot:
             self.data = previous
 
@@ -258,6 +269,17 @@ def contract_pair(
     return tech_bin, prod_bin, compute_assist(tech_bin, prod_bin)
 
 
+def _counts_problem(entry: dict, shape: tuple[int, ...], n: int) -> Optional[str]:
+    """Why a cache entry cannot hold the counts of n draws over a matrix of
+    ``shape``, or None when it can."""
+    counts = entry.get("counts")
+    if counts is None or counts.dtype.kind not in "iu" or counts.shape != shape:
+        return f"no integer counts of shape {shape}"
+    if ((counts < 0) | (counts > n)).any() or not np.array_equal(entry.get("n"), [n]):
+        return f"counts outside [0, {n}] or n other than {n}"
+    return None
+
+
 def validate_pair(
     cfg: RunConfig,
     tech_panel: ActivityPanel,
@@ -285,7 +307,10 @@ def validate_pair(
         cfg.samples, cfg.seed, *stream_key,
     )
     n = cfg.samples
-    cached = cache.load("counts", counts_key)
+    cached = cache.load(
+        "counts", counts_key,
+        check=lambda entry: _counts_problem(entry, empirical.values.shape, n),
+    )
     if cached is not None:
         counts = cached["counts"]
     else:

@@ -232,10 +232,7 @@ UNCLASSIFIED = "Unclassified"
 def load_hs_sections() -> dict[str, str]:
     """Bundled mapping from 2-digit product chapter to section name."""
     text = resources.files("tpnet.data").joinpath("hs_sections.csv").read_text("utf-8")
-    mapping = {}
-    for row in csv.DictReader(text.splitlines()):
-        mapping[row["chapter"]] = row["section"]
-    return mapping
+    return {row["chapter"]: row["section"] for row in csv.DictReader(text.splitlines())}
 
 
 def product_chapter(product_id: str) -> str:
@@ -297,23 +294,19 @@ def degree_report(
     "Unclassified" row and the report is flagged.
     """
     product_degrees = net.product_degrees()
-    section_of: dict[str, str] = {}
     unclassified: set[str] = set()
+    sections: dict[str, dict] = {}
     for product in net.product_ids:
         chapter = product_chapter(product)
         section = product_sections.get(chapter)
         if section is None:
             unclassified.add(chapter)
             section = UNCLASSIFIED
-        section_of[product] = section
-
-    sections: dict[str, dict] = {}
-    for product in net.product_ids:
         entry = sections.setdefault(
-            section_of[product], {"chapters": set(), "axis": 0, "nodes": 0, "edges": 0}
+            section, {"chapters": set(), "axis": 0, "nodes": 0, "edges": 0}
         )
         entry["axis"] += 1
-        entry["chapters"].add(product_chapter(product))
+        entry["chapters"].add(chapter)
         deg = product_degrees[product]
         if deg > 0:
             entry["nodes"] += 1

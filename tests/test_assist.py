@@ -10,7 +10,7 @@ import pytest
 
 import tpnet
 from tpnet import AxisMismatchError, compute_assist
-from tpnet.assist import _one_blas_thread, _openblas_thread_controls
+from tpnet.assist import _assist_values, _one_blas_thread, _openblas_thread_controls
 from tpnet.rca import BinaryMatrix
 
 from .conftest import blas_threads, random_binary
@@ -66,6 +66,26 @@ def test_mismatched_country_axes_rejected():
     _, prod = _layers([[1], [0]], [[1], [1]], countries=("A", "C"))
     with pytest.raises(AxisMismatchError):
         compute_assist(tech, prod)
+
+
+@pytest.mark.parametrize("given_d", [False, True])
+def test_kernel_leaves_its_inputs_unchanged(given_d):
+    # the null loop sums the product draw's columns after contracting it, and
+    # the empirical path hands over the read-only int8 layer
+    rng = np.random.default_rng(4)
+    tech = random_binary(rng, (7, 5), 0.5).astype(np.float64)
+    prod = random_binary(rng, (7, 6), 0.5).astype(np.float64)
+    prod[2] = 0.0  # a country with no product diversification
+    d = prod.sum(axis=1) + 3.0 * (prod.sum(axis=1) > 0) if given_d else None
+    tech_before, prod_before = tech.copy(), prod.copy()
+    values, u = _assist_values(tech, prod, d)
+    assert np.array_equal(tech, tech_before)
+    assert np.array_equal(prod, prod_before)
+    assert np.array_equal(u, tech.sum(axis=0))
+    if not given_d:
+        assert np.allclose(values, reference_assist(tech, prod))
+        int8_values, _ = _assist_values(tech, prod.astype(np.int8))
+        assert int8_values.tobytes() == values.tobytes()
 
 
 def test_matches_reference_on_random_layers():

@@ -85,6 +85,23 @@ def test_negative_seed_rejected(tmp_path):
     assert RunConfig("t", "p", seed=0).seed == 0
 
 
+def test_negative_lag_rejected(tmp_path):
+    # products at t2 follow technologies at t1, so t2 >= t1
+    with pytest.raises(ConfigError, match="delta_t must be >= 0, got -1"):
+        LagSpec(-1)
+    path = _write(
+        tmp_path,
+        {
+            "technology_panel": "t",
+            "product_panel": "p",
+            "lags": [{"delta_t": -1, "pairs": [[2011, 2010]]}],
+        },
+    )
+    with pytest.raises(ConfigError, match="delta_t must be >= 0, got -1"):
+        parse_config(path)
+    assert LagSpec(0, ((2011, 2011),)).delta_t == 0
+
+
 def test_duplicate_lags_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         RunConfig("t", "p", lags=(LagSpec(0), LagSpec(0)))

@@ -332,14 +332,14 @@ def test_null_stream_matches_reference_contraction():
     tech_m = _binary(random_binary(rng, (4, 3), 0.5), layer="technology")
     prod_m = _binary(random_binary(rng, (4, 4), 0.5))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
-    tech_buf, prod_buf, values = np.empty((4, 3)), np.empty((4, 4)), np.empty((3, 4))
+    tech_buf, prod_buf = np.empty((4, 3)), np.empty((4, 4))
     # the loop's draws, buffers and kernel call, one sample at a time
     for i in range(5):
         rng = _rng(21, (i,))
         tech_draw = _draw(tech.link_probabilities, rng, out=tech_buf)
         prod_draw = _draw(prod.link_probabilities, rng, out=prod_buf)
         expected = reference_assist(tech_draw, prod_draw)
-        _assist_values(tech_draw, prod_draw, out=values)
+        values, _ = _assist_values(tech_draw, prod_draw)
         assert np.allclose(values, expected)
 
 

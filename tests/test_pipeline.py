@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, caching, robustness harness, and the CLI."""
 
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -200,6 +201,21 @@ def test_truncated_manifest_is_replaced(planted_panel_files, tmp_path, caplog):
         "configure", "efc", "ingest", "report_lag_0", "validate_lag_0"
     ]
     assert [p.name for p in path.parent.glob("manifest*")] == ["manifest.json"]
+    # the same config with members a later run cannot extend
+    members = json.loads(complete)
+    for damaged in (
+        {"config": members["config"], "stages": members["stages"]},
+        {**members, "stages": []},
+        {**members, "outputs": {}},
+        {**members, "outputs": [1]},
+    ):
+        path.write_text(json.dumps(damaged), encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="tpnet.pipeline"):
+            result = runner.invoke(main, ["validate", "--config", str(config_path)])
+        assert result.exit_code == 0, result.output
+        assert "manifest.json is not a JSON object with a stages object" in caplog.text
+        assert path.read_bytes() == complete
 
 
 def test_cache_store_loads_back_without_temp_files(tmp_path):
@@ -248,12 +264,50 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
     assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
 
 
+def _npz(**arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _edited(entry: bytes, counts=lambda counts: counts, n=None) -> bytes:
+    """The counts entry ``entry`` with ``counts`` applied to its counts, and
+    with another ``n`` when given."""
+    with np.load(io.BytesIO(entry), allow_pickle=False) as data:
+        stored_n = data["n"] if n is None else np.array([n])
+        return _npz(counts=counts(data["counts"].copy()), n=stored_n)
+
+
+def _first_count(value):
+    def edit(counts):
+        counts.flat[0] = value
+        return counts
+    return edit
+
+
 @pytest.mark.parametrize(
-    "damage",
-    [lambda entry: b"", lambda entry: entry[: len(entry) // 2], lambda entry: b"partial"],
-    ids=["empty", "truncated", "not-npz"],
+    "damage, problem",
+    [
+        pytest.param(lambda entry: b"", "unreadable", id="empty"),
+        pytest.param(lambda entry: entry[: len(entry) // 2], "unreadable", id="truncated"),
+        pytest.param(lambda entry: b"partial", "unreadable", id="not-npz"),
+        pytest.param(
+            lambda entry: _npz(counts=np.zeros((2, 3), dtype=np.int32), n=np.array([50])),
+            "malformed", id="wrong-shape",
+        ),
+        pytest.param(lambda entry: _edited(entry, _first_count(51)), "malformed",
+                     id="out-of-range"),
+        pytest.param(lambda entry: _edited(entry, _first_count(-1)), "malformed",
+                     id="negative"),
+        pytest.param(lambda entry: _edited(entry, lambda c: c.astype(np.float64)),
+                     "malformed", id="float-counts"),
+        pytest.param(lambda entry: _npz(n=np.array([50])), "malformed", id="no-counts"),
+        pytest.param(lambda entry: _edited(entry, n=49), "malformed", id="other-n"),
+    ],
 )
-def test_unreadable_cache_entry_is_a_miss(planted_panel_files, tmp_path, caplog, damage):
+def test_unreadable_cache_entry_is_a_miss(
+    planted_panel_files, tmp_path, caplog, damage, problem
+):
     cfg = _config(
         planted_panel_files, tmp_path, samples=50, lags=(LagSpec(0, ((2013, 2013),)),)
     )
@@ -265,7 +319,7 @@ def test_unreadable_cache_entry_is_a_miss(planted_panel_files, tmp_path, caplog,
         result = CliRunner().invoke(main, ["validate", "--config", str(config_path)])
     assert result.exit_code == 0, result.output
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1 and warnings[0].startswith(f"{entry} is unreadable")
+    assert len(warnings) == 1 and warnings[0].startswith(f"{entry} is {problem}")
     with np.load(entry, allow_pickle=False) as data:
         assert data["counts"].dtype == np.int32
         assert np.array_equal(data["counts"], cold)
