@@ -51,7 +51,6 @@ from .pipeline import (
 )
 from .rca import BinaryMatrix, RcaMatrix, binarize, compute_rca
 from .validate import (
-    LinkValidation,
     PairValidation,
     ValidatedNetwork,
     degree_report,
@@ -76,7 +75,6 @@ __all__ = [
     "FitnessComplexity",
     "LagSpec",
     "LinkDifferenceCurve",
-    "LinkValidation",
     "NullEnsemble",
     "PairValidation",
     "PanelError",

@@ -17,7 +17,7 @@ Schema (JSON object; unknown keys rejected):
 
 When a lag entry omits "pairs", the pairs are derived the same way: product
 window end-years first, technology end-year = t2 - delta_t. Every explicit
-pair must satisfy t2 - t1 = delta_t.
+pair must satisfy t2 - t1 = delta_t, and no pair may repeat within a lag.
 
 ``RunConfig`` and ``LagSpec`` hold the only type checks, so a config built in
 Python is checked exactly as one parsed from JSON. Paths are strings. Integer
@@ -75,6 +75,8 @@ class LagSpec:
                 raise ConfigError(
                     f"pair ({t1}, {t2}) does not match lag {self.delta_t}"
                 )
+            if (t1, t2) in pairs:
+                raise ConfigError(f"pair ({t1}, {t2}) repeats in lag {self.delta_t}")
             pairs.append((t1, t2))
         object.__setattr__(self, "pairs", tuple(pairs))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assist import AssistMatrix
 from .efc import ActivityRanking, LinkDifferenceCurve
-from .validate import TIER_ORDER, DegreeReport, ValidatedNetwork, product_chapter
+from .validate import TIER_ORDER, DegreeReport, ValidatedNetwork, _standing, product_chapter
 
 
 def _fmt(value: float) -> str:
@@ -59,11 +59,12 @@ def write_edge_csv(net: ValidatedNetwork, path: str | Path) -> None:
 def _edge_rows(net: ValidatedNetwork):
     """(tech, product, weight, p_value, tier) per edge, in id order; the tier
     is the strongest one passed in every pair, at least the network's."""
+    tech_ids, product_ids, lowest = net.tech_ids, net.product_ids, net.tier
     rows, cols, weights, p_values, tiers = net.edge_arrays()
     for i, j, weight, p_value, tier in zip(
         rows.tolist(), cols.tolist(), weights.tolist(), p_values.tolist(), tiers.tolist()
     ):
-        yield net.tech_ids[i], net.product_ids[j], weight, p_value, tier or net.tier
+        yield tech_ids[i], product_ids[j], weight, p_value, tier or lowest
 
 
 def _tech_group(tech_id: str) -> str:
@@ -169,17 +170,18 @@ def write_json(payload: dict, path: str | Path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Profiles:
-    """Exceedance fraction and highest tier (a ``TIER_ORDER`` name or None)
-    matrices over (tech, product), and the connected products as sorted
-    (product id, column) pairs."""
+    """The tech axis, the connected products in id order, and over (tech,
+    those products) the exceedance fraction and tier level matrices of
+    ``validate._standing``."""
 
     tech_ids: tuple[str, ...]
+    products: tuple[str, ...]
     fractions: np.ndarray
-    tiers: np.ndarray
-    connected: tuple[tuple[str, int], ...]
+    levels: np.ndarray
 
 
 _PROFILES_KEY = '\n  "significance_profiles": '
+# The JSON value of each tier level: null below every tier, then TIER_ORDER.
 _TIER_JSON = ("null", *(json.dumps(t) for t in TIER_ORDER))
 
 
@@ -187,16 +189,10 @@ def _profile_chunks(profiles: _Profiles):
     """The ``significance_profiles`` value as an indent=2 top-level member,
     one product per chunk. Each entry is a head encoded once per distinct
     (fraction, tier) plus a tail encoded once per technology."""
-    if not profiles.connected:
+    if not profiles.products:
         yield "{}"
         return
-    cols = [j for _, j in profiles.connected]
-    fractions = profiles.fractions[:, cols]
-    values, index = np.unique(fractions, return_inverse=True)
-    level = np.zeros(fractions.shape, dtype=np.intp)
-    tiers = profiles.tiers[:, cols]
-    for k, name in enumerate(TIER_ORDER, start=1):
-        level[tiers == name] = k
+    values, index = np.unique(profiles.fractions, return_inverse=True)
     heads = np.array(
         [
             '      {\n        "exceed_fraction": ' + json.dumps(value)
@@ -210,9 +206,9 @@ def _profile_chunks(profiles: _Profiles):
         ',\n        "tech": ' + json.dumps(tech) + "\n      }"
         for tech in profiles.tech_ids
     ]
-    cells = heads[index.reshape(fractions.shape) * len(_TIER_JSON) + level]
+    cells = heads[index.reshape(profiles.levels.shape) * len(_TIER_JSON) + profiles.levels]
     opening = "{\n"
-    for (product, _), column in zip(profiles.connected, cells.T.tolist()):
+    for product, column in zip(profiles.products, cells.T.tolist()):
         yield (
             opening + "    " + json.dumps(product) + ": [\n"
             + ",\n".join(map(operator.add, column, tails)) + "\n    ]"
@@ -222,20 +218,16 @@ def _profile_chunks(profiles: _Profiles):
 
 
 def network_report(
-    net: ValidatedNetwork,
-    report: DegreeReport,
-    profile: tuple[np.ndarray, np.ndarray],
-    tech_subclass_degrees: Mapping[str, int],
-    meta: Mapping[str, object],
+    net: ValidatedNetwork, report: DegreeReport, meta: Mapping[str, object]
 ) -> dict:
-    """The report.json payload, for ``write_json``. ``profile`` holds the
-    exceedance fraction and highest tier matrices over (tech, product), as
-    ``significance_profile`` gives them one product column at a time; only
-    connected products are reported, each as a list of {"tech",
-    "exceed_fraction", "highest_tier"} entries in tech axis order."""
-    fractions, tiers = profile
-    connected = sorted(
-        (net.product_ids[j], j) for j in np.flatnonzero(net.mask.any(axis=0)).tolist()
+    """The report.json payload, for ``write_json``. Only connected products
+    are profiled, each as a list of {"tech", "exceed_fraction",
+    "highest_tier"} entries in tech axis order, as ``significance_profile``
+    gives them."""
+    product_ids = net.product_ids
+    cols = sorted(np.flatnonzero(net.mask.any(axis=0)).tolist(), key=product_ids.__getitem__)
+    fractions, levels = _standing(
+        net.validations, (slice(None), np.array(cols, dtype=np.intp))
     )
     return {
         "meta": dict(meta),
@@ -246,9 +238,9 @@ def network_report(
         "tech_nodes": sum(1 for d in net.tech_degrees().values() if d > 0),
         "product_nodes": sum(1 for d in net.product_degrees().values() if d > 0),
         "degree_report": asdict(report),
-        "tech_subclass_degrees": dict(sorted(tech_subclass_degrees.items())),
+        "tech_subclass_degrees": dict(sorted(tech_subclass_degrees(net).items())),
         "significance_profiles": _Profiles(
-            net.tech_ids, fractions, tiers, tuple(connected)
+            net.tech_ids, tuple(product_ids[j] for j in cols), fractions, levels
         ),
     }
 

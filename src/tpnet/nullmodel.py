@@ -247,6 +247,11 @@ def sample_ensemble(
     return NullEnsemble(model=model, n=n, seed=seed, stream_key=stream_key)
 
 
+# Names the sampling scheme of ``null_exceedance_counts`` in the counts' cache
+# key: counts drawn under another scheme have other bits for the same inputs,
+# so they must not be read. Change it with any change to the draws.
+SAMPLING_SCHEME = "degree-class draws, one substream per sample"
+
 # Bytes of null weights stored between two sort-and-count passes, whatever n.
 _CHUNK_BYTES = 1 << 23
 

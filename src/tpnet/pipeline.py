@@ -43,7 +43,7 @@ from .efc import (
     rank_activities,
 )
 from .errors import ConfigError, StageError, TpnetError
-from .nullmodel import fit_bicm, null_exceedance_counts
+from .nullmodel import SAMPLING_SCHEME, fit_bicm, null_exceedance_counts
 from .panels import (
     ActivityPanel,
     aggregate_activities,
@@ -56,7 +56,6 @@ from .rca import BinaryMatrix, binarize, compute_rca
 from .validate import (
     PairValidation,
     ValidatedNetwork,
-    _standing,
     degree_report,
     intersect_pairs,
     load_hs_sections,
@@ -83,10 +82,9 @@ def _publish(path: Path, write) -> None:
 class ArtifactCache:
     """Write-once npz store keyed by a content hash of each artifact's inputs."""
 
-    def __init__(self, root: Optional[Path]):
-        self.root = Path(root) if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: Path):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def key(*parts) -> str:
@@ -102,9 +100,7 @@ class ArtifactCache:
             digest.update(b"\x1f")
         return digest.hexdigest()
 
-    def _path(self, kind: str, key: str) -> Optional[Path]:
-        if self.root is None:
-            return None
+    def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{key}.npz"
 
     def load(self, kind: str, key: str, check=lambda arrays: None) -> Optional[dict]:
@@ -113,7 +109,7 @@ class ArtifactCache:
         ``check`` finds malformed by returning a reason, is removed with a
         warning and counts as a miss, so ``store`` writes a fresh one."""
         path = self._path(kind, key)
-        if path is None or not path.exists():
+        if not path.exists():
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -131,7 +127,7 @@ class ArtifactCache:
 
     def store(self, kind: str, key: str, **arrays: np.ndarray) -> None:
         path = self._path(kind, key)
-        if path is None or path.exists():
+        if path.exists():
             return
         _publish(path, lambda tmp: np.savez(tmp, **arrays))
 
@@ -139,8 +135,11 @@ class ArtifactCache:
 @dataclass(frozen=True)
 class LagResult:
     spec: LagSpec
-    validations: tuple[PairValidation, ...]
     network: ValidatedNetwork
+
+    @property
+    def validations(self) -> tuple[PairValidation, ...]:
+        return self.network.validations
 
 
 @dataclass(frozen=True)
@@ -299,10 +298,8 @@ def validate_pair(
     tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, pair)
     tech_model = fit_bicm(tech_bin)
     prod_model = fit_bicm(prod_bin)
-    # The literal names the sampling scheme: counts drawn under another
-    # scheme have other bits for the same inputs, so they must not be read.
     counts_key = cache.key(
-        "counts", "degree-class draws, one substream per sample", empirical.values,
+        "counts", SAMPLING_SCHEME, empirical.values,
         tech_model.link_probabilities, prod_model.link_probabilities,
         cfg.samples, cfg.seed, *stream_key,
     )
@@ -355,7 +352,7 @@ def run_lag(
         "lag %d: %d edges at tier %s across %d pairs",
         spec.delta_t, network.edge_count, cfg.tier, len(spec.pairs),
     )
-    return LagResult(spec=spec, validations=validations, network=network)
+    return LagResult(spec=spec, network=network)
 
 
 def compute_rankings(
@@ -400,13 +397,7 @@ def _write_lag_outputs(
             "digits": cfg.digits,
         }
         report_path = lag_dir / "report.json"
-        exports.write_json(
-            exports.network_report(
-                net, report, _standing(result.validations),
-                exports.tech_subclass_degrees(net), meta,
-            ),
-            report_path,
-        )
+        exports.write_json(exports.network_report(net, report, meta), report_path)
         written.append(report_path)
     for path in written:
         manifest.add_output(path, out_dir)

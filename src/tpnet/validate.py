@@ -39,33 +39,6 @@ def tier_threshold(tier: str, n_samples: int) -> int:
 
 
 @dataclass(frozen=True)
-class LinkValidation:
-    """Validation record for a single technology-product link in one pair."""
-
-    tech_id: str
-    product_id: str
-    empirical_weight: float
-    exceed_count: int
-    n_samples: int
-
-    @property
-    def exceed_fraction(self) -> float:
-        return self.exceed_count / self.n_samples
-
-    @property
-    def p_value(self) -> float:
-        """Fraction of draws the empirical weight failed to strictly exceed."""
-        return (self.n_samples - self.exceed_count) / self.n_samples
-
-    def passes(self, tier: str) -> bool:
-        return self.exceed_count >= tier_threshold(tier, self.n_samples)
-
-    @property
-    def tiers(self) -> dict[str, bool]:
-        return {tier: self.passes(tier) for tier in TIER_ORDER}
-
-
-@dataclass(frozen=True)
 class PairValidation:
     """Per-link exceedance counts for one (technology window, product window) pair."""
 
@@ -78,6 +51,8 @@ class PairValidation:
     t2: Optional[int] = None
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         shape = (len(self.tech_ids), len(self.product_ids))
         emp = np.asarray(self.empirical, dtype=np.float64)
         counts = np.asarray(self.exceed_counts, dtype=np.int64)
@@ -88,27 +63,8 @@ class PairValidation:
         object.__setattr__(self, "empirical", emp)
         object.__setattr__(self, "exceed_counts", counts)
 
-    @property
-    def p_values(self) -> np.ndarray:
-        return (self.n_samples - self.exceed_counts) / self.n_samples
-
     def tier_mask(self, tier: str) -> np.ndarray:
         return self.exceed_counts >= tier_threshold(tier, self.n_samples)
-
-    def link(self, tech_id: str, product_id: str) -> LinkValidation:
-        if tech_id not in self.tech_ids:
-            raise AxisMismatchError(f"unknown technology {tech_id!r}")
-        if product_id not in self.product_ids:
-            raise AxisMismatchError(f"unknown product {product_id!r}")
-        i = self.tech_ids.index(tech_id)
-        j = self.product_ids.index(product_id)
-        return LinkValidation(
-            tech_id=tech_id,
-            product_id=product_id,
-            empirical_weight=float(self.empirical[i, j]),
-            exceed_count=int(self.exceed_counts[i, j]),
-            n_samples=self.n_samples,
-        )
 
 
 def _shared_axes(validations: Sequence[PairValidation]) -> PairValidation:
@@ -122,14 +78,15 @@ def _shared_axes(validations: Sequence[PairValidation]) -> PairValidation:
     return first
 
 
+# Tier level k names TIER_ORDER[k - 1]; level 0 is below every tier.
 _TIER_NAMES = np.array([None, *TIER_ORDER], dtype=object)
 
 
 def _standing(
     validations: Sequence[PairValidation], index=...
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest exceedance fraction over the pairs, and strongest tier passed
-    in every pair (None below the weakest), for the cells ``index`` selects."""
+    """Smallest exceedance fraction over the pairs, and the level of the
+    strongest tier passed in every pair, for the cells ``index`` selects."""
     counts = [v.exceed_counts[index] for v in validations]
     fraction = np.minimum.reduce(
         [c / v.n_samples for c, v in zip(counts, validations)]
@@ -140,7 +97,7 @@ def _standing(
             [c >= tier_threshold(tier, v.n_samples) for c, v in zip(counts, validations)]
         )
         level[passed] = k
-    return fraction, _TIER_NAMES[level]
+    return fraction, level
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -153,29 +110,44 @@ def _id_ranks(ids: Sequence[str]) -> np.ndarray:
 class ValidatedNetwork:
     """Directed technology-to-product network surviving all period pairs.
 
-    The network is ``mask``, a boolean matrix over (``tech_ids``,
-    ``product_ids``) marking the links significant at ``tier`` in every pair
-    of ``validations``. Edge sets and degrees are views of the mask;
-    ``edge_arrays`` computes the per-edge values from the pairs' matrices.
+    The network is ``mask``, a boolean matrix over the pairs' (tech, product)
+    axes marking the links significant at ``tier`` in every pair of
+    ``validations``. The axes, the pairs' years and the lag are read from the
+    pairs; edge sets and degrees are views of the mask; ``edge_arrays``
+    computes the per-edge values from the pairs' matrices.
     """
 
     tier: str
-    lag: Optional[int]
-    pairs: tuple[tuple[Optional[int], Optional[int]], ...]
-    tech_ids: tuple[str, ...]
-    product_ids: tuple[str, ...]
     validations: tuple[PairValidation, ...]
     mask: np.ndarray
+
+    @property
+    def tech_ids(self) -> tuple[str, ...]:
+        return self.validations[0].tech_ids
+
+    @property
+    def product_ids(self) -> tuple[str, ...]:
+        return self.validations[0].product_ids
+
+    @property
+    def pairs(self) -> tuple[tuple[Optional[int], Optional[int]], ...]:
+        return tuple((v.t1, v.t2) for v in self.validations)
+
+    @property
+    def lag(self) -> Optional[int]:
+        """t2 - t1, when every pair has its years and all share one lag."""
+        lags = {t2 - t1 for t1, t2 in self.pairs if t1 is not None and t2 is not None}
+        return lags.pop() if len(lags) == 1 else None
 
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
     def edge_set(self) -> frozenset[tuple[str, str]]:
+        tech_ids, product_ids = self.tech_ids, self.product_ids
         rows, cols = np.nonzero(self.mask)
         return frozenset(
-            (self.tech_ids[i], self.product_ids[j])
-            for i, j in zip(rows.tolist(), cols.tolist())
+            (tech_ids[i], product_ids[j]) for i, j in zip(rows.tolist(), cols.tolist())
         )
 
     def tech_degrees(self) -> dict[str, int]:
@@ -189,7 +161,8 @@ class ValidatedNetwork:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per edge, in (tech_id, product_id) order: the tech and product axis
         positions, the empirical weight averaged over the pairs, the largest
-        p-value over the pairs, and the strongest tier passed in every pair."""
+        p-value over the pairs, and the strongest tier passed in every pair
+        (None below the weakest)."""
         rows, cols = np.nonzero(self.mask)
         order = np.lexsort(
             (_id_ranks(self.product_ids)[cols], _id_ranks(self.tech_ids)[rows])
@@ -200,8 +173,8 @@ class ValidatedNetwork:
             [(v.n_samples - v.exceed_counts[rows, cols]) / v.n_samples
              for v in self.validations]
         )
-        _, highest = _standing(self.validations, (rows, cols))
-        return rows, cols, weight, p_value, highest
+        _, level = _standing(self.validations, (rows, cols))
+        return rows, cols, weight, p_value, _TIER_NAMES[level]
 
 
 def intersect_pairs(
@@ -213,17 +186,7 @@ def intersect_pairs(
     mask = np.ones(first.empirical.shape, dtype=bool)
     for v in validations:
         mask &= v.tier_mask(tier)
-    lags = {v.t2 - v.t1 for v in validations if v.t1 is not None and v.t2 is not None}
-    lag = lags.pop() if len(lags) == 1 else None
-    return ValidatedNetwork(
-        tier=str(tier),
-        lag=lag,
-        pairs=tuple((v.t1, v.t2) for v in validations),
-        tech_ids=first.tech_ids,
-        product_ids=first.product_ids,
-        validations=tuple(validations),
-        mask=mask,
-    )
+    return ValidatedNetwork(tier=str(tier), validations=tuple(validations), mask=mask)
 
 
 UNCLASSIFIED = "Unclassified"
@@ -368,5 +331,7 @@ def significance_profile(
     if product_id not in first.product_ids:
         raise AxisMismatchError(f"unknown product {product_id!r}")
     j = first.product_ids.index(product_id)
-    fraction, highest = _standing(validations, (slice(None), j))
-    return tuple(map(ProfileEntry, first.tech_ids, fraction.tolist(), highest.tolist()))
+    fraction, level = _standing(validations, (slice(None), j))
+    return tuple(
+        map(ProfileEntry, first.tech_ids, fraction.tolist(), _TIER_NAMES[level].tolist())
+    )

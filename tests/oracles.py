@@ -276,14 +276,14 @@ def _reference_json_ready(obj):
     return obj
 
 
-def reference_report_json(net, report, profile, tech_subclass_degrees, meta):
+def reference_report_json(
+    net, report, tech_subclass_degrees, meta, tier_order, tier_threshold
+):
     """report.json text encoded the direct way: one dict per technology per
-    connected product, then the standard library's sorted indent=2 dump."""
-    fractions, tiers = profile
+    connected product, from ``reference_profile``, then the standard
+    library's sorted indent=2 dump."""
     connected = sorted(
-        (net.product_ids[j], j)
-        for j in range(len(net.product_ids))
-        if net.mask[:, j].any()
+        net.product_ids[j] for j in range(len(net.product_ids)) if net.mask[:, j].any()
     )
     payload = {
         "meta": dict(meta),
@@ -313,14 +313,12 @@ def reference_report_json(net, report, profile, tech_subclass_degrees, meta):
         "tech_subclass_degrees": dict(sorted(tech_subclass_degrees.items())),
         "significance_profiles": {
             product: [
-                {
-                    "tech": tech,
-                    "exceed_fraction": float(fractions[i, j]),
-                    "highest_tier": tiers[i, j],
-                }
-                for i, tech in enumerate(net.tech_ids)
+                {"tech": tech, "exceed_fraction": fraction, "highest_tier": highest}
+                for tech, fraction, highest in reference_profile(
+                    product, net.validations, tier_order, tier_threshold
+                )
             ]
-            for product, j in connected
+            for product in connected
         },
     }
     return json.dumps(_reference_json_ready(payload), sort_keys=True, indent=2) + "\n"

@@ -107,6 +107,12 @@ def test_duplicate_lags_rejected():
         RunConfig("t", "p", lags=(LagSpec(0), LagSpec(0)))
 
 
+def test_duplicate_pairs_rejected():
+    # one pair twice would intersect two samplings of the same windows
+    with pytest.raises(ConfigError, match=re.escape("pair (2011, 2011) repeats in lag 0")):
+        LagSpec(0, ((2011, 2011), (2011, 2011)))
+
+
 def test_default_pairs_match_reference_setup():
     years = range(2007, 2018)
     assert default_pairs(years, 5, 0) == ((2012, 2012), (2017, 2017))

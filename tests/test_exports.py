@@ -12,7 +12,6 @@ from tpnet.efc import ActivityRanking
 from tpnet.validate import (
     TIER_ORDER,
     PairValidation,
-    _standing,
     intersect_pairs,
     tier_threshold,
 )
@@ -155,13 +154,14 @@ def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path):
     pairs = _profile_pairs(rng, sample_counts, layout)
     net = intersect_pairs(pairs, "95")
     report = degree_report(net, load_hs_sections())
-    profile = _standing(pairs)
     subclass = exports.tech_subclass_degrees(net)
     meta = {"delta": 2, "samples": sample_counts[0], "seed": 7, "tier": "95",
             "label": "caf\u00e9 \"q\" \\"}
     path = tmp_path / "report.json"
-    exports.write_json(exports.network_report(net, report, profile, subclass, meta), path)
-    expected = reference_report_json(net, report, profile, subclass, meta)
+    exports.write_json(exports.network_report(net, report, meta), path)
+    expected = reference_report_json(
+        net, report, subclass, meta, TIER_ORDER, tier_threshold
+    )
     assert path.read_bytes() == expected.encode("utf-8")
 
     profiles = json.loads(path.read_text(encoding="utf-8"))["significance_profiles"]

@@ -54,9 +54,10 @@ def test_planted_link_survives_end_to_end(planted_panel_files, tmp_path):
     result = run_pipeline(cfg)
     net = result.network(0)
     assert PLANTED_LINK in net.edge_set()
+    i = net.tech_ids.index(PLANTED_LINK[0])
+    j = net.product_ids.index(PLANTED_LINK[1])
     for validation in result.lag_results[0].validations:
-        link = validation.link(*PLANTED_LINK)
-        assert link.passes("95")
+        assert validation.tier_mask("95")[i, j]
     out = tmp_path / "out"
     assert (out / "lag_0" / "edges.csv").exists()
     assert (out / "lag_0" / "network.graphml").exists()
@@ -262,6 +263,18 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
     assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
+
+    # the run stored its counts under the current scheme's key, and an entry
+    # under that key is what a rerun reads
+    key = ArtifactCache.key("counts", nullmodel.SAMPLING_SCHEME, *inputs)
+    current = tmp_path / "out" / "cache" / f"counts-{key}.npz"
+    assert current.exists()
+    current.unlink()
+    ArtifactCache(tmp_path / "out" / "cache").store(
+        "counts", key, counts=planted, n=np.array([cfg.samples])
+    )
+    counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    assert np.array_equal(counts, planted)
 
 
 def _npz(**arrays) -> bytes:

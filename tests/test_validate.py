@@ -69,17 +69,15 @@ def test_tier_thresholds_nest_for_any_sample_count(n):
 
 def test_boundary_count_passes_95_fails_99():
     v = _validation([[9500]], 10000)
-    link = v.link("t0", "10 p")
-    assert link.passes("95") and not link.passes("99")
-    assert link.p_value == 0.05
+    assert v.tier_mask("95")[0, 0] and not v.tier_mask("99")[0, 0]
+    assert (v.n_samples - v.exceed_counts[0, 0]) / v.n_samples == 0.05
 
 
-def test_link_names_an_unknown_id():
-    v = _validation([[1]], 10)
-    with pytest.raises(AxisMismatchError, match="'nope'"):
-        v.link("nope", "10 p")
-    with pytest.raises(AxisMismatchError, match="'zz'"):
-        v.link("t0", "zz")
+def test_fewer_than_one_sample_is_rejected():
+    # with N = 0 every threshold is 0, so a count of 0 would pass 99.9 with a
+    # p-value of 0/0
+    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+        _validation([[0]], 0, empirical=[[0.0]])
 
 
 def test_zero_empirical_weight_is_never_significant():
@@ -89,8 +87,7 @@ def test_zero_empirical_weight_is_never_significant():
     assert empirical.values[0, 1] == 0.0
     validation = _null_validation(empirical, tech, prod, 300, seed=4)
     assert validation.exceed_counts[0, 1] == 0
-    link = validation.link("t0", empirical.product_ids[1])
-    assert not link.passes("95")
+    assert not validation.tier_mask("95")[0, 1]
 
 
 def test_all_tied_nulls_give_zero_exceedance():
@@ -100,7 +97,8 @@ def test_all_tied_nulls_give_zero_exceedance():
     empirical = compute_assist(tech, prod)
     validation = _null_validation(empirical, tech, prod, 100, seed=1)
     assert (validation.exceed_counts == 0).all()
-    assert (validation.p_values == 1.0).all()
+    p_values = (validation.n_samples - validation.exceed_counts) / validation.n_samples
+    assert (p_values == 1.0).all()
 
 
 def test_exceedance_fractions_consistent_across_seeds():
@@ -228,8 +226,9 @@ def test_significance_profile_tier_chain():
     by_tech = {e.tech_id: e for e in profile}
     assert by_tech["t0"].highest_tier == "99.9"
     assert by_tech["t1"].highest_tier == "95"
-    link = v.link("t0", "10 p")
-    assert link.tiers == {"95": True, "99": True, "99.9": True}
+    assert {t: bool(v.tier_mask(t)[0, 0]) for t in TIER_ORDER} == {
+        "95": True, "99": True, "99.9": True
+    }
     # a bare pair, not a list, with the weakest standing below every tier
     bare = PairValidation(
         tech_ids=("t0", "t1"), product_ids=("p0",),
