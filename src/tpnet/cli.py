@@ -19,6 +19,7 @@ from .errors import TpnetError
 from .panels import aggregate_window
 from .pipeline import (
     _stage,
+    _write_tables,
     compute_rankings,
     contract_pair,
     load_inputs,
@@ -32,7 +33,8 @@ from .rca import binarize, compute_rca
 def _common_options(fn):
     """The one entry path of every command: parse the config, apply the
     overrides given, call ``fn(cfg, **command_options)``, and report a
-    library error as a one-line ``Error:`` with exit status 1."""
+    library error, or an output path that cannot be created or written, as
+    a one-line ``Error:`` with exit status 1."""
     @click.option("--config", "config_path", required=True,
                   type=click.Path(exists=True, dir_okay=False),
                   help="Path to the JSON run configuration.")
@@ -53,6 +55,9 @@ def _common_options(fn):
             fn(cfg, **command_options)
         except TpnetError as exc:
             raise click.ClickException(str(exc))
+        except OSError as exc:  # reading the inputs raises TpnetErrors, so this is a write
+            path = exc.filename or cfg.output_dir
+            raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
 
     return command
 
@@ -151,11 +156,9 @@ def efc(cfg):
     """Write complexity rankings for the most recent configured windows."""
     tech, prod, lags = load_inputs(cfg)
     tech_ranking, _, prod_ranking, _ = _stage("efc", compute_rankings, cfg, tech, prod, lags)
-    out = Path(cfg.output_dir) / "rankings"
-    out.mkdir(parents=True, exist_ok=True)
-    exports.write_ranking_csv(tech_ranking, out / "technology_ranks.csv")
-    exports.write_ranking_csv(prod_ranking, out / "product_ranks.csv")
-    click.echo(f"wrote rankings to {out}")
+    rankings = {"technology": tech_ranking, "product": prod_ranking}
+    written = _write_tables(Path(cfg.output_dir), rankings)
+    click.echo(f"wrote rankings to {written[0].parent}")
 
 
 @main.command()

@@ -34,7 +34,7 @@ import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError
 from .validate import TIER_LEVELS
@@ -124,25 +124,6 @@ class RunConfig:
 
     def replace(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **overrides)
-
-
-def default_pairs(product_years: Sequence[int], delta: int, delta_t: int) -> tuple[tuple[int, int], ...]:
-    """Two most recent non-overlapping product windows, technology lagging behind.
-
-    Product end-years are the panel's last year and the year delta before it;
-    each pairs with a technology window ending delta_t earlier.
-    """
-    if not product_years:
-        raise ConfigError("product panel has no years")
-    last = max(product_years)
-    ends = [last - delta, last]
-    return tuple((t2 - delta_t, t2) for t2 in ends)
-
-
-def resolve_lag(lag: LagSpec, product_years: Sequence[int], delta: int) -> LagSpec:
-    if lag.pairs:
-        return lag
-    return LagSpec(lag.delta_t, default_pairs(product_years, delta, lag.delta_t))
 
 
 def _parse_lags(raw, where: str) -> tuple[LagSpec, ...]:

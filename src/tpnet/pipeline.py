@@ -14,9 +14,10 @@ contractions and fits are recomputed.
 
 Every run, pipeline or robustness, starts with ``load_inputs``: the panels
 are read under the ``ingest`` tag and the lags resolved under ``configure``.
-A written pipeline run records each completed stage in ``manifest.json`` in
-the output directory, all through one recorder; the manifest is replaced
-through a temp file, so a killed run never leaves a partial one.
+A written pipeline run records each completed stage, with the files it
+wrote, in ``manifest.json`` in the output directory, all through one
+recorder; the manifest is replaced through a temp file, so a killed run never
+leaves a partial one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import exports
 from .assist import AssistMatrix, compute_assist
-from .config import LagSpec, RunConfig, config_to_dict, resolve_lag
+from .config import LagSpec, RunConfig, config_to_dict
 from .efc import (
     ActivityRanking,
     FitnessComplexity,
@@ -169,7 +170,8 @@ def _stage(stage: str, fn, *args, **kwargs):
 
 
 class Manifest:
-    """Stage-completion record kept next to the outputs.
+    """Stage-completion record kept next to the outputs: each completed stage's
+    info, and every file those stages wrote, relative to the output directory.
 
     A previous manifest for the same config is extended; one for another
     config, or one that cannot be read back as a JSON object with a
@@ -196,18 +198,11 @@ class Manifest:
         elif previous.get("config") == snapshot:
             self.data = previous
 
-    def complete(self, stage: str, **info) -> None:
+    def complete(self, stage: str, outputs: Sequence[Path] = (), **info) -> None:
+        """Record ``stage`` with ``info`` and the files it wrote, in one write."""
         self.data["stages"][stage] = dict(sorted(info.items()))
-        self._write()
-
-    def add_output(self, path: Path, out_dir: Path) -> None:
-        rel = str(path.relative_to(out_dir))
-        if rel not in self.data["outputs"]:
-            self.data["outputs"].append(rel)
-            self.data["outputs"].sort()
-        self._write()
-
-    def _write(self) -> None:
+        written = {str(path.relative_to(self.path.parent)) for path in outputs}
+        self.data["outputs"] = sorted(written.union(self.data["outputs"]))
         text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
         _publish(self.path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
@@ -224,10 +219,14 @@ def load_panels(cfg: RunConfig) -> tuple[ActivityPanel, ActivityPanel]:
 
 
 def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tuple[LagSpec, ...]:
-    """Fill in default period pairs and check every window fits the panels."""
+    """Fill in each lag's missing period pairs, then check every window fits
+    the panels. By default the product windows end at ``last - delta`` and
+    ``last``, and each technology window ends ``delta_t`` earlier."""
+    last = max(prod.years)
     resolved = []
     for lag in cfg.lags:
-        spec = resolve_lag(lag, prod.years, cfg.delta)
+        defaults = tuple((t2 - lag.delta_t, t2) for t2 in (last - cfg.delta, last))
+        spec = lag if lag.pairs else LagSpec(lag.delta_t, defaults)
         for t1, t2 in spec.pairs:
             for panel, end in ((tech, t1), (prod, t2)):
                 missing = missing_years(panel, cfg.delta, end)
@@ -372,13 +371,10 @@ def compute_rankings(
 
 
 def _write_lag_outputs(
-    out_dir: Path,
-    manifest: Manifest,
-    cfg: RunConfig,
-    result: LagResult,
-    sections: dict[str, str],
-    reports: bool,
-) -> None:
+    out_dir: Path, cfg: RunConfig, result: LagResult, sections: dict[str, str], reports: bool
+) -> list[Path]:
+    """Write one lag's network files, and its report.json with ``reports``;
+    the paths written."""
     lag_dir = out_dir / f"lag_{result.spec.delta_t}"
     lag_dir.mkdir(parents=True, exist_ok=True)
     net = result.network
@@ -399,8 +395,26 @@ def _write_lag_outputs(
         report_path = lag_dir / "report.json"
         exports.write_json(exports.network_report(net, report, meta), report_path)
         written.append(report_path)
-    for path in written:
-        manifest.add_output(path, out_dir)
+    return written
+
+
+def _write_tables(out_dir: Path, rankings: dict[str, ActivityRanking], curves=()) -> list[Path]:
+    """Write ``rankings/<side>_ranks.csv`` for each ranking and
+    ``curves/<side>_curve.csv`` for each curve; the paths written."""
+    tables = [
+        (f"rankings/{side}_ranks.csv", exports.write_ranking_csv, ranking)
+        for side, ranking in rankings.items()
+    ] + [
+        (f"curves/{curve.side}_curve.csv", exports.write_curve_csv, curve)
+        for curve in curves
+    ]
+    written = []
+    for name, writer, table in tables:
+        path = out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        writer(table, path)
+        written.append(path)
+    return written
 
 
 def run_pipeline(
@@ -456,25 +470,12 @@ def run_pipeline(
         sections = load_hs_sections()
         for result in lag_results:
             stage = f"report_lag_{result.spec.delta_t}"
-            _stage(
-                stage, _write_lag_outputs,
-                out_dir, manifest, cfg, result, sections, reports,
+            written = _stage(
+                stage, _write_lag_outputs, out_dir, cfg, result, sections, reports
             )
-            record(stage)
+            record(stage, outputs=written)
         if reports:
-            tables = [
-                (f"rankings/{side}_ranks.csv", exports.write_ranking_csv, ranking)
-                for side, ranking in rankings.items()
-            ] + [
-                (f"curves/{curve.side}_curve.csv", exports.write_curve_csv, curve)
-                for curve in curves
-            ]
-            for name, writer, table in tables:
-                path = out_dir / name
-                path.parent.mkdir(exist_ok=True)
-                writer(table, path)
-                manifest.add_output(path, out_dir)
-            record("report")
+            record("report", outputs=_write_tables(out_dir, rankings, curves))
 
     return PipelineResult(
         config=cfg,
@@ -559,10 +560,10 @@ def run_robustness(
     cfg: RunConfig,
     benchmark: Optional[ValidatedNetwork] = None,
     deltas: Sequence[int] = (3, 4, 10),
-    write: bool = True,
 ) -> RobustnessReport:
-    """Rerun the single-pair pipeline over alternative windows and report the
-    fraction of benchmark edges each configuration recovers.
+    """Rerun the single-pair pipeline over alternative windows, report the
+    fraction of benchmark edges each configuration recovers, and write that
+    report to ``robustness/report.json`` under the output directory.
 
     The panels are read once. Without a ``benchmark``, only the first lag is
     validated, with ``run_pipeline``'s stream and cache keys, so it is that
@@ -638,8 +639,7 @@ def run_robustness(
         delta_t=delta_t,
         rows=tuple(rows),
     )
-    if write:
-        rob_dir = out_dir / "robustness"
-        rob_dir.mkdir(exist_ok=True)
-        exports.write_json(report.to_dict(), rob_dir / "report.json")
+    rob_dir = out_dir / "robustness"
+    rob_dir.mkdir(exist_ok=True)
+    exports.write_json(report.to_dict(), rob_dir / "report.json")
     return report

@@ -327,7 +327,7 @@ def test_robustness_harness(planted_decade_panel_files, tmp_path):
     )
     benchmark = run_pipeline(cfg, write=False).network(0)
     assert benchmark.edge_count >= 1
-    report = run_robustness(cfg, benchmark, deltas=(3, 4, 10), write=False)
+    report = run_robustness(cfg, benchmark, deltas=(3, 4, 10))
     assert report.configurations == 16
     per_delta = {d: 0 for d in (3, 4, 10)}
     for row in report.rows:

@@ -9,7 +9,9 @@ from click.testing import CliRunner
 
 from tpnet import ConfigError, parse_config, serialize_config
 from tpnet.cli import main
-from tpnet.config import LagSpec, RunConfig, config_to_dict, default_pairs, resolve_lag
+from tpnet.config import LagSpec, RunConfig, config_to_dict
+from tpnet.panels import ActivityPanel
+from tpnet.pipeline import resolve_lags
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -113,16 +115,28 @@ def test_duplicate_pairs_rejected():
         LagSpec(0, ((2011, 2011), (2011, 2011)))
 
 
+def _resolve(*lags):
+    """``resolve_lags`` with delta 5 on a product panel of 2007-2017 and a
+    technology panel reaching back far enough for lag 10's windows."""
+    def panel(kind, years):
+        years = tuple(years)
+        return ActivityPanel(kind, ("A",), ("x",), years, {y: np.ones((1, 1)) for y in years})
+
+    cfg = RunConfig("t", "p", delta=5, lags=lags)
+    return resolve_lags(cfg, panel("technology", range(1998, 2018)),
+                        panel("product", range(2007, 2018)))
+
+
 def test_default_pairs_match_reference_setup():
-    years = range(2007, 2018)
-    assert default_pairs(years, 5, 0) == ((2012, 2012), (2017, 2017))
-    assert default_pairs(years, 5, 10) == ((2002, 2012), (2007, 2017))
+    same_year, ten_years = _resolve(LagSpec(0), LagSpec(10))
+    assert same_year.pairs == ((2012, 2012), (2017, 2017))
+    assert ten_years.pairs == ((2002, 2012), (2007, 2017))
 
 
 def test_resolve_lag_keeps_explicit_pairs():
     lag = LagSpec(0, ((2011, 2011),))
-    assert resolve_lag(lag, range(2007, 2018), 5) is lag
-    derived = resolve_lag(LagSpec(0), range(2007, 2018), 5)
+    assert _resolve(lag)[0] is lag
+    (derived,) = _resolve(LagSpec(0))
     assert derived.pairs == ((2012, 2012), (2017, 2017))
 
 

@@ -11,7 +11,10 @@ from click.testing import CliRunner
 
 from tpnet import (
     ConfigError,
+    PanelError,
     StageError,
+    TpnetError,
+    exports,
     fit_bicm,
     nullmodel,
     pipeline,
@@ -182,6 +185,30 @@ def test_manifest_records_every_stage_and_output(planted_panel_files, tmp_path):
     memory = tmp_path / "memory"
     run_pipeline(cfg.replace(output_dir=str(memory)), write=False)
     assert not (memory / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("writer, message, stage, written", [
+    ("write_graphml", r"^\[report_lag_0\] writer failed$", "report_lag_0", "lag_0/edges.csv"),
+    ("write_curve_csv", "writer failed$", "report", "rankings/technology_ranks.csv"),
+], ids=["lag_files", "tables"])
+def test_failed_stage_lists_none_of_its_files(
+    planted_panel_files, tmp_path, monkeypatch, writer, message, stage, written
+):
+    lags = (LagSpec(0, ((2011, 2011), (2013, 2013))), LagSpec(2, ((2011, 2013),)))
+    cfg = _config(planted_panel_files, tmp_path, samples=100, lags=lags)
+
+    def failing_writer(*args, **kwargs):
+        raise PanelError("writer failed")
+
+    monkeypatch.setattr(exports, writer, failing_writer)
+    with pytest.raises(TpnetError, match=message):
+        run_pipeline(cfg)
+    out = tmp_path / "out"
+    assert (out / written).exists()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert "efc" in manifest["stages"]
+    assert stage not in manifest["stages"]
+    assert written not in manifest["outputs"]
 
 
 def test_truncated_manifest_is_replaced(planted_panel_files, tmp_path, caplog):
@@ -478,10 +505,14 @@ def test_cli_stage_commands(planted_panel_files, tmp_path):
     result = runner.invoke(main, ["efc", "--config", str(config_path)])
     assert result.exit_code == 0, result.output
     assert (out / "rankings" / "product_ranks.csv").exists()
+    rank_tables = [out / "rankings" / f"{side}_ranks.csv" for side in ("technology", "product")]
+    efc_bytes = [path.read_bytes() for path in rank_tables]
 
     result = runner.invoke(main, ["report", "--config", str(config_path)])
     assert result.exit_code == 0, result.output
     assert (out / "lag_0" / "report.json").exists()
+    # tpnet efc and tpnet report write the same rank tables
+    assert [path.read_bytes() for path in rank_tables] == efc_bytes
 
     result = runner.invoke(
         main, ["robustness", "--config", str(config_path), "--deltas", "2"]
@@ -548,6 +579,20 @@ def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path, command):
     result = runner.invoke(main, [command, "--config", str(config_path)])
     assert result.exit_code != 0
     assert "[ingest]" in result.output
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "rca", "assist", "validate", "efc", "report", "robustness"]
+)
+def test_cli_unwritable_output_dir_is_one_line(planted_panel_files, tmp_path, command):
+    not_a_dir = tmp_path / "afile"
+    not_a_dir.write_text("", encoding="utf-8")
+    cfg = _config(planted_panel_files, tmp_path, samples=20, output_dir=str(not_a_dir))
+    result = CliRunner().invoke(main, [command, "--config", str(_write_config(cfg, tmp_path))])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: cannot write {not_a_dir}")
+    assert len(result.output.splitlines()) == 1
 
 
 @pytest.mark.parametrize("unreadable", ["latin1", "long_path"])
