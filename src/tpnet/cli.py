@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from pathlib import Path
 
 import click
 
@@ -18,12 +17,12 @@ from .config import parse_config
 from .errors import TpnetError
 from .panels import aggregate_window
 from .pipeline import (
+    Run,
+    _activity_counts,
     _stage,
     _write_tables,
     compute_rankings,
     contract_pair,
-    load_inputs,
-    load_panels,
     run_pipeline,
     run_robustness,
 )
@@ -76,9 +75,8 @@ def main(verbose: bool):
 @_common_options
 def ingest(cfg):
     """Load and check the two panels; write a summary."""
-    tech, prod = _stage("ingest", load_panels, cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    run = Run.ingest(cfg)
+    path = run.out_dir / "ingest.json"
     exports.write_json(
         {
             panel.layer_kind: {
@@ -86,11 +84,13 @@ def ingest(cfg):
                 "activities": len(panel.activity_ids),
                 "years": list(panel.years),
             }
-            for panel in (tech, prod)
+            for panel in (run.tech, run.prod)
         },
-        out / "ingest.json",
+        path,
     )
-    for panel in (tech, prod):
+    # the same stage, now with the summary among its files
+    run.record("ingest", outputs=[path], **run.data["stages"]["ingest"])
+    for panel in (run.tech, run.prod):
         click.echo(
             f"{panel.layer_kind} panel: {len(panel.country_ids)} countries x "
             f"{len(panel.activity_ids)} activities, years {panel.years[0]}-{panel.years[-1]}"
@@ -101,23 +101,22 @@ def ingest(cfg):
 @_common_options
 def rca(cfg):
     """Write RCA and binary specialization matrices for every configured window."""
-    tech, prod, lags = load_inputs(cfg)
-    tech_ends, prod_ends = zip(*(pair for spec in lags for pair in spec.pairs))
-    out = Path(cfg.output_dir) / "rca"
-    out.mkdir(parents=True, exist_ok=True)
-    for panel, ends in ((tech, tech_ends), (prod, prod_ends)):
+    run = Run.start(cfg)
+    tech_ends, prod_ends = zip(*(pair for spec in run.lags for pair in spec.pairs))
+    out = run.out_dir / "rca"
+    out.mkdir(exist_ok=True)
+    written = []
+    for panel, ends in ((run.tech, tech_ends), (run.prod, prod_ends)):
         for end in sorted(set(ends)):
             ratios = _stage("rca", compute_rca, aggregate_window(panel, cfg.delta, end))
             binary = binarize(ratios)
             stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
-            exports.write_matrix_csv(
-                ratios.country_ids, ratios.activity_ids, ratios.values,
-                out / f"rca_{stem}.csv",
-            )
-            exports.write_matrix_csv(
-                binary.country_ids, binary.activity_ids, binary.values,
-                out / f"m_{stem}.csv",
-            )
+            for name, matrix in ((f"rca_{stem}.csv", ratios), (f"m_{stem}.csv", binary)):
+                exports.write_matrix_csv(
+                    matrix.country_ids, matrix.activity_ids, matrix.values, out / name
+                )
+                written.append(out / name)
+    run.record("rca", outputs=written)
     click.echo(f"wrote RCA and binary matrices to {out}")
 
 
@@ -125,13 +124,16 @@ def rca(cfg):
 @_common_options
 def assist(cfg):
     """Write the contraction matrix for every configured period pair."""
-    tech, prod, lags = load_inputs(cfg)
-    out = Path(cfg.output_dir) / "assist"
-    out.mkdir(parents=True, exist_ok=True)
-    for spec in lags:
+    run = Run.start(cfg)
+    out = run.out_dir / "assist"
+    out.mkdir(exist_ok=True)
+    written = []
+    for spec in run.lags:
         for t1, t2 in spec.pairs:
-            _, _, matrix = _stage("assist", contract_pair, cfg, tech, prod, (t1, t2))
-            exports.write_assist_csv(matrix, out / f"assist_{t1}_{t2}.csv")
+            _, _, matrix = _stage("assist", contract_pair, cfg, run.tech, run.prod, (t1, t2))
+            written.append(out / f"assist_{t1}_{t2}.csv")
+            exports.write_assist_csv(matrix, written[-1])
+    run.record("assist", outputs=written)
     click.echo(f"wrote assist matrices to {out}")
 
 
@@ -154,10 +156,10 @@ def validate(cfg):
 @_common_options
 def efc(cfg):
     """Write complexity rankings for the most recent configured windows."""
-    tech, prod, lags = load_inputs(cfg)
-    tech_ranking, _, prod_ranking, _ = _stage("efc", compute_rankings, cfg, tech, prod, lags)
-    rankings = {"technology": tech_ranking, "product": prod_ranking}
-    written = _write_tables(Path(cfg.output_dir), rankings)
+    run = Run.start(cfg)
+    rankings = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
+    written = _stage("efc", _write_tables, run.out_dir, rankings)
+    run.record("efc", outputs=written, **_activity_counts(rankings))
     click.echo(f"wrote rankings to {written[0].parent}")
 
 

@@ -173,7 +173,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     data = dataclasses.asdict(cfg)
-    # lists, not tuples: Manifest compares this with a snapshot read back from JSON
+    # lists, not tuples: a Run compares this with a snapshot read back from JSON
     data["lags"] = [
         {"delta_t": lag.delta_t, "pairs": [list(p) for p in lag.pairs]}
         for lag in cfg.lags

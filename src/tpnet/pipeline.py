@@ -12,12 +12,13 @@ intermediate, are cached on disk, keyed by a content hash of their inputs, so
 a rerun from the cache reproduces identical downstream results; windows, RCA,
 contractions and fits are recomputed.
 
-Every run, pipeline or robustness, starts with ``load_inputs``: the panels
-are read under the ``ingest`` tag and the lags resolved under ``configure``.
-A written pipeline run records each completed stage, with the files it
-wrote, in ``manifest.json`` in the output directory, all through one
-recorder; the manifest is replaced through a temp file, so a killed run never
-leaves a partial one.
+Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
+``Run``: it opens the output directory, the counts cache and
+``manifest.json`` once, reads the panels under the ``ingest`` tag and, for
+every command but ``tpnet ingest``, resolves the lags under ``configure``.
+Each completed stage is recorded through the run's ``record``, with the files
+it wrote; the manifest is replaced through a temp file, so a killed run never
+leaves a partial one. Only ``run_pipeline(write=False)`` records nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .assist import AssistMatrix, compute_assist
 from .config import LagSpec, RunConfig, config_to_dict
 from .efc import (
     ActivityRanking,
-    FitnessComplexity,
     LinkDifferenceCurve,
     cumulative_link_difference,
     rank_activities,
@@ -149,8 +149,6 @@ class PipelineResult:
     lag_results: tuple[LagResult, ...]
     tech_ranking: Optional[ActivityRanking] = None
     product_ranking: Optional[ActivityRanking] = None
-    tech_fit: Optional[FitnessComplexity] = None
-    product_fit: Optional[FitnessComplexity] = None
     curves: tuple[LinkDifferenceCurve, ...] = ()
 
     def network(self, delta_t: int) -> ValidatedNetwork:
@@ -167,44 +165,6 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise
     except TpnetError as exc:
         raise StageError(stage, str(exc)) from exc
-
-
-class Manifest:
-    """Stage-completion record kept next to the outputs: each completed stage's
-    info, and every file those stages wrote, relative to the output directory.
-
-    A previous manifest for the same config is extended; one for another
-    config, or one that cannot be read back as a JSON object with a
-    ``stages`` object and an ``outputs`` list of paths, is replaced.
-    """
-
-    def __init__(self, out_dir: Path, cfg: RunConfig):
-        self.path = out_dir / "manifest.json"
-        snapshot = config_to_dict(cfg)
-        snapshot.pop("output_dir", None)
-        self.data = {"config": snapshot, "stages": {}, "outputs": []}
-        try:
-            previous = json.loads(self.path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            logger.warning("%s is unreadable (%s); starting a new one", self.path, exc)
-            return
-        outputs = previous.get("outputs") if isinstance(previous, dict) else None
-        if not (isinstance(outputs, list) and all(isinstance(rel, str) for rel in outputs)
-                and isinstance(previous.get("stages"), dict)):
-            logger.warning("%s is not a JSON object with a stages object and an "
-                           "outputs list; starting a new one", self.path)
-        elif previous.get("config") == snapshot:
-            self.data = previous
-
-    def complete(self, stage: str, outputs: Sequence[Path] = (), **info) -> None:
-        """Record ``stage`` with ``info`` and the files it wrote, in one write."""
-        self.data["stages"][stage] = dict(sorted(info.items()))
-        written = {str(path.relative_to(self.path.parent)) for path in outputs}
-        self.data["outputs"] = sorted(written.union(self.data["outputs"]))
-        text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
-        _publish(self.path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def load_panels(cfg: RunConfig) -> tuple[ActivityPanel, ActivityPanel]:
@@ -239,11 +199,90 @@ def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tu
     return tuple(resolved)
 
 
-def load_inputs(cfg: RunConfig) -> tuple[ActivityPanel, ActivityPanel, tuple[LagSpec, ...]]:
-    """The staged prelude of every command: read both panels under the
-    ``ingest`` tag, then resolve the lags under ``configure``."""
-    tech, prod = _stage("ingest", load_panels, cfg)
-    return tech, prod, _stage("configure", resolve_lags, cfg, tech, prod)
+class Run:
+    """One command over its output directory, opening the directory, its
+    counts cache and its ``manifest.json`` once. ``Run.ingest`` reads the
+    panels under the ``ingest`` tag; ``Run.start`` then resolves the lags
+    under ``configure``. Both record their stage; every later stage goes
+    through ``record`` with the files it wrote. A previous manifest for the
+    same config is extended; one for another config, or one that cannot be
+    read back as a JSON object with a ``stages`` object and an ``outputs``
+    list of paths, is replaced. With ``recorded=False`` the manifest is
+    neither read nor written.
+    """
+
+    def __init__(self, cfg: RunConfig, recorded: bool = True):
+        self.cfg = cfg
+        self.out_dir = Path(cfg.output_dir)
+        self.cache = ArtifactCache(self.out_dir / "cache")
+        self.manifest = self.out_dir / "manifest.json" if recorded else None
+        snapshot = config_to_dict(cfg)
+        snapshot.pop("output_dir", None)
+        self.data = {"config": snapshot, "stages": {}, "outputs": []}
+        if self.manifest is None:
+            return
+        try:
+            previous = json.loads(self.manifest.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            logger.warning("%s is unreadable (%s); starting a new one", self.manifest, exc)
+            return
+        outputs = previous.get("outputs") if isinstance(previous, dict) else None
+        if not (isinstance(outputs, list) and all(isinstance(rel, str) for rel in outputs)
+                and isinstance(previous.get("stages"), dict)):
+            logger.warning("%s is not a JSON object with a stages object and an "
+                           "outputs list; starting a new one", self.manifest)
+        elif previous.get("config") == snapshot:
+            self.data = previous
+
+    @classmethod
+    def ingest(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
+        """Open the run and read both panels under the ``ingest`` tag."""
+        run = cls(cfg, recorded)
+        run.tech, run.prod = _stage("ingest", load_panels, cfg)
+        run.record("ingest", technology_shape=list(run.tech.shape),
+                   product_shape=list(run.prod.shape))
+        return run
+
+    @classmethod
+    def start(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
+        """``Run.ingest``, then resolve the lags under the ``configure`` tag."""
+        run = cls.ingest(cfg, recorded)
+        run.lags = _stage("configure", resolve_lags, cfg, run.tech, run.prod)
+        run.record("configure", lags=[
+            {"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
+            for spec in run.lags
+        ])
+        return run
+
+    def record(self, stage: str, outputs: Sequence[Path] = (), **info) -> None:
+        """Record ``stage`` with ``info`` and the files it wrote, in one write."""
+        if self.manifest is None:
+            return
+        self.data["stages"][stage] = dict(sorted(info.items()))
+        written = {str(path.relative_to(self.out_dir)) for path in outputs}
+        self.data["outputs"] = sorted(written.union(self.data["outputs"]))
+        text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+        _publish(self.manifest, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+    def validate_lag(self, lag_index: int) -> LagResult:
+        """Validate every pair of one configured lag and intersect them at the
+        configured tier, under the ``validate_lag_<dt>`` tag; record the lag."""
+        spec = self.lags[lag_index]
+        stage = f"validate_lag_{spec.delta_t}"
+        validations = tuple(
+            _stage(stage, validate_pair, self.cfg, self.tech, self.prod, pair,
+                   (0, lag_index, pair_index), self.cache)
+            for pair_index, pair in enumerate(spec.pairs)
+        )
+        network = _stage(stage, intersect_pairs, validations, self.cfg.tier)
+        logger.info(
+            "lag %d: %d edges at tier %s across %d pairs",
+            spec.delta_t, network.edge_count, self.cfg.tier, len(spec.pairs),
+        )
+        self.record(stage, pairs=[list(p) for p in spec.pairs], edges=network.edge_count)
+        return LagResult(spec=spec, network=network)
 
 
 def _binary_for_window(
@@ -332,42 +371,25 @@ def validate_pair(
     )
 
 
-def run_lag(
-    cfg: RunConfig,
-    tech_panel: ActivityPanel,
-    prod_panel: ActivityPanel,
-    spec: LagSpec,
-    lag_index: int,
-    cache: ArtifactCache,
-) -> LagResult:
-    validations = tuple(
-        validate_pair(
-            cfg, tech_panel, prod_panel, pair, (0, lag_index, pair_index), cache
-        )
-        for pair_index, pair in enumerate(spec.pairs)
-    )
-    network = intersect_pairs(validations, cfg.tier)
-    logger.info(
-        "lag %d: %d edges at tier %s across %d pairs",
-        spec.delta_t, network.edge_count, cfg.tier, len(spec.pairs),
-    )
-    return LagResult(spec=spec, network=network)
-
-
 def compute_rankings(
     cfg: RunConfig,
     tech_panel: ActivityPanel,
     prod_panel: ActivityPanel,
     lags: Sequence[LagSpec],
-) -> tuple[ActivityRanking, FitnessComplexity, ActivityRanking, FitnessComplexity]:
-    """Complexity rankings on the most recent configured window of each layer."""
-    tech_end = max(t1 for spec in lags for t1, _ in spec.pairs)
-    prod_end = max(t2 for spec in lags for _, t2 in spec.pairs)
-    tech_bin = _binary_for_window(tech_panel, cfg.delta, tech_end)
-    prod_bin = _binary_for_window(prod_panel, cfg.delta, prod_end)
-    tech_ranking, tech_fit = rank_activities(tech_bin)
-    prod_ranking, prod_fit = rank_activities(prod_bin)
-    return tech_ranking, tech_fit, prod_ranking, prod_fit
+) -> dict[str, ActivityRanking]:
+    """Complexity rankings on the most recent configured window of each
+    layer, keyed ``technology`` then ``product``."""
+    ends = (max(t1 for spec in lags for t1, _ in spec.pairs),
+            max(t2 for spec in lags for _, t2 in spec.pairs))
+    return {
+        panel.layer_kind: rank_activities(_binary_for_window(panel, cfg.delta, end))[0]
+        for panel, end in zip((tech_panel, prod_panel), ends)
+    }
+
+
+def _activity_counts(rankings: dict[str, ActivityRanking]) -> dict[str, int]:
+    """What the ``efc`` stage records: each layer's number of ranked activities."""
+    return {f"{side}_activities": len(ranking) for side, ranking in rankings.items()}
 
 
 def _write_lag_outputs(
@@ -427,36 +449,11 @@ def run_pipeline(
     ``reports=False`` only the per-lag network files are written, not the
     JSON reports, rankings, or curves.
     """
-    out_dir = Path(cfg.output_dir)
-    cache = ArtifactCache(out_dir / "cache")
-    manifest = Manifest(out_dir, cfg) if write else None
-    record = manifest.complete if manifest else lambda stage, **info: None
+    run = Run.start(cfg, recorded=write)
+    lag_results = [run.validate_lag(lag_index) for lag_index in range(len(run.lags))]
+    rankings = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
+    run.record("efc", **_activity_counts(rankings))
 
-    tech_panel, prod_panel, lags = load_inputs(cfg)
-    record("ingest", technology_shape=list(tech_panel.shape),
-           product_shape=list(prod_panel.shape))
-    record("configure", lags=[
-        {"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
-        for spec in lags
-    ])
-
-    lag_results = []
-    for lag_index, spec in enumerate(lags):
-        stage = f"validate_lag_{spec.delta_t}"
-        result = _stage(
-            stage, run_lag, cfg, tech_panel, prod_panel, spec, lag_index, cache
-        )
-        lag_results.append(result)
-        record(stage, pairs=[list(p) for p in spec.pairs],
-               edges=result.network.edge_count)
-
-    tech_ranking, tech_fit, prod_ranking, prod_fit = _stage(
-        "efc", compute_rankings, cfg, tech_panel, prod_panel, lags
-    )
-    record("efc", technology_activities=len(tech_ranking),
-           product_activities=len(prod_ranking))
-
-    rankings = {"technology": tech_ranking, "product": prod_ranking}
     curves: list[LinkDifferenceCurve] = []
     if len(lag_results) >= 2:
         ordered = sorted(lag_results, key=lambda r: r.spec.delta_t)
@@ -471,19 +468,18 @@ def run_pipeline(
         for result in lag_results:
             stage = f"report_lag_{result.spec.delta_t}"
             written = _stage(
-                stage, _write_lag_outputs, out_dir, cfg, result, sections, reports
+                stage, _write_lag_outputs, run.out_dir, cfg, result, sections, reports
             )
-            record(stage, outputs=written)
+            run.record(stage, outputs=written)
         if reports:
-            record("report", outputs=_write_tables(out_dir, rankings, curves))
+            written = _stage("report", _write_tables, run.out_dir, rankings, curves)
+            run.record("report", outputs=written)
 
     return PipelineResult(
         config=cfg,
         lag_results=tuple(lag_results),
-        tech_ranking=tech_ranking,
-        product_ranking=prod_ranking,
-        tech_fit=tech_fit,
-        product_fit=prod_fit,
+        tech_ranking=rankings["technology"],
+        product_ranking=rankings["product"],
         curves=tuple(curves),
     )
 
@@ -567,7 +563,9 @@ def run_robustness(
 
     The panels are read once. Without a ``benchmark``, only the first lag is
     validated, with ``run_pipeline``'s stream and cache keys, so it is that
-    run's first network. Every window length in ``deltas`` (at least one,
+    run's first network. Each window is recorded in the manifest as
+    ``robustness_d<delta>_<end>`` with its edge counts at both tiers, and the
+    report as ``robustness``. Every window length in ``deltas`` (at least one,
     each >= 1, none repeated; checked before any work) is tried at every
     end-year it fits, at the benchmark's tier and at the laxer 90% tier.
     Windows reaching outside the span of the benchmark's own product windows
@@ -580,22 +578,17 @@ def run_robustness(
         raise ConfigError(f"window lengths must be >= 1, got {min(deltas)}")
     if len(set(deltas)) < len(deltas):
         raise ConfigError(f"window lengths must not repeat, got {list(deltas)}")
-    out_dir = Path(cfg.output_dir)
-    cache = ArtifactCache(out_dir / "cache")
-    tech_panel, prod_panel, lags = load_inputs(cfg)
+    run = Run.start(cfg)
     if benchmark is None:
-        benchmark = _stage(
-            f"validate_lag_{lags[0].delta_t}",
-            run_lag, cfg, tech_panel, prod_panel, lags[0], 0, cache,
-        ).network
+        benchmark = run.validate_lag(0).network
     if benchmark.edge_count == 0:
         raise ConfigError("benchmark network has no edges to recover")
     if (
-        benchmark.tech_ids != tech_panel.activity_ids
-        or benchmark.product_ids != prod_panel.activity_ids
+        benchmark.tech_ids != run.tech.activity_ids
+        or benchmark.product_ids != run.prod.activity_ids
     ):
         raise ConfigError("benchmark axes do not match the configured panels")
-    delta_t = benchmark.lag if benchmark.lag is not None else lags[0].delta_t
+    delta_t = benchmark.lag if benchmark.lag is not None else run.lags[0].delta_t
     bench_t2 = [t2 for _, t2 in benchmark.pairs if t2 is not None]
     span = (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None
     benchmark_edges = benchmark.edge_count
@@ -603,10 +596,11 @@ def run_robustness(
 
     rows = []
     for delta in deltas:
-        for t1, t2 in enumerate_windows(tech_panel, prod_panel, delta, delta_t):
+        for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t):
+            stage = f"robustness_d{delta}_{t2}"
             validation = _stage(
-                f"robustness_d{delta}_{t2}", validate_pair, cfg.replace(delta=delta),
-                tech_panel, prod_panel, (t1, t2), (1, delta, t2), cache,
+                stage, validate_pair, cfg.replace(delta=delta),
+                run.tech, run.prod, (t1, t2), (1, delta, t2), run.cache,
             )
             at_tier = validation.tier_mask(tier)
             at_lax = validation.tier_mask(LAX_TIER)
@@ -632,6 +626,8 @@ def run_robustness(
                 "robustness delta=%d end=%d: overlap %.3f at %s",
                 delta, t2, rows[-1].overlap_at_tier, tier,
             )
+            run.record(stage, edges_at_tier=rows[-1].edges_at_tier,
+                       edges_at_lax=rows[-1].edges_at_lax)
     report = RobustnessReport(
         benchmark_tier=tier,
         lax_tier=LAX_TIER,
@@ -639,7 +635,8 @@ def run_robustness(
         delta_t=delta_t,
         rows=tuple(rows),
     )
-    rob_dir = out_dir / "robustness"
-    rob_dir.mkdir(exist_ok=True)
-    exports.write_json(report.to_dict(), rob_dir / "report.json")
+    path = run.out_dir / "robustness" / "report.json"
+    path.parent.mkdir(exist_ok=True)
+    exports.write_json(report.to_dict(), path)
+    run.record("robustness", outputs=[path])
     return report

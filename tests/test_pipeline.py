@@ -189,7 +189,7 @@ def test_manifest_records_every_stage_and_output(planted_panel_files, tmp_path):
 
 @pytest.mark.parametrize("writer, message, stage, written", [
     ("write_graphml", r"^\[report_lag_0\] writer failed$", "report_lag_0", "lag_0/edges.csv"),
-    ("write_curve_csv", "writer failed$", "report", "rankings/technology_ranks.csv"),
+    ("write_curve_csv", r"^\[report\] writer failed$", "report", "rankings/technology_ranks.csv"),
 ], ids=["lag_files", "tables"])
 def test_failed_stage_lists_none_of_its_files(
     planted_panel_files, tmp_path, monkeypatch, writer, message, stage, written
@@ -424,6 +424,25 @@ def test_robustness_overlap_on_matching_configuration(planted_panel_files, tmp_p
     assert (tmp_path / "out" / "robustness" / "report.json").exists()
 
 
+def test_robustness_records_each_window_with_its_edge_counts(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=100)
+    report = run_robustness(cfg, deltas=(1, 2))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    windows = {
+        stage: info for stage, info in manifest["stages"].items()
+        if stage.startswith("robustness_d")
+    }
+    assert len(windows) == report.configurations > 0
+    assert windows == {
+        f"robustness_d{row.delta}_{row.end_year}": {
+            "edges_at_lax": row.edges_at_lax, "edges_at_tier": row.edges_at_tier
+        }
+        for row in report.rows
+    }
+    assert {"ingest", "configure", "validate_lag_0", "robustness"} <= set(manifest["stages"])
+    assert manifest["outputs"] == ["robustness/report.json"]
+
+
 def test_robustness_rejects_empty_benchmark(planted_panel_files, tmp_path):
     cfg = _config(planted_panel_files, tmp_path, tier="99.9", samples=50)
     from tpnet.validate import PairValidation, intersect_pairs
@@ -519,6 +538,19 @@ def test_cli_stage_commands(planted_panel_files, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "configurations" in result.output
+
+    # every command recorded its stages, and the manifest lists exactly the
+    # files on disk other than the cache and itself
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    on_disk = {
+        str(path.relative_to(out)) for path in out.rglob("*")
+        if path.is_file() and path.relative_to(out).parts[0] != "cache"
+    }
+    assert set(manifest["outputs"]) == on_disk - {"manifest.json"}
+    assert "ingest.json" in manifest["outputs"]
+    windows = {f"robustness_d2_{t2}" for _, t2 in enumerate_windows(*load_panels(cfg), 2, 0)}
+    assert windows
+    assert {"rca", "assist", "efc", "robustness", *windows} <= set(manifest["stages"])
 
 
 def test_cli_overrides_and_failures(planted_panel_files, tmp_path):
