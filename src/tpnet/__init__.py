@@ -28,12 +28,7 @@ from .errors import (
     TpnetError,
     WindowError,
 )
-from .nullmodel import (
-    BiCMModel,
-    NullEnsemble,
-    fit_bicm,
-    sample_ensemble,
-)
+from .nullmodel import BiCMModel, fit_bicm
 from .panels import (
     ActivityPanel,
     WindowedMatrix,
@@ -75,7 +70,6 @@ __all__ = [
     "FitnessComplexity",
     "LagSpec",
     "LinkDifferenceCurve",
-    "NullEnsemble",
     "PairValidation",
     "PanelError",
     "PipelineResult",
@@ -105,7 +99,6 @@ __all__ = [
     "run_efc",
     "run_pipeline",
     "run_robustness",
-    "sample_ensemble",
     "serialize_config",
     "significance_profile",
     "tier_threshold",

@@ -54,12 +54,6 @@ class AssistMatrix:
             return None
         return self.t2 - self.t1
 
-    def active_row_sums(self) -> np.ndarray:
-        """Row sums of technologies held by at least one country."""
-        inactive = set(self.inactive_tech_ids)
-        mask = np.array([t not in inactive for t in self.tech_ids])
-        return self.values[mask].sum(axis=1)
-
 
 _OPENBLAS_THREAD_FUNCTIONS = tuple(
     (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")

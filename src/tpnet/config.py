@@ -114,6 +114,11 @@ class RunConfig:
         object.__setattr__(self, "tier", str(self.tier))
         if self.digits is not None and self.digits < 1:
             raise ConfigError(f"digits must be >= 1, got {self.digits}")
+        if not isinstance(self.lags, (list, tuple)) or not all(
+            isinstance(lag, LagSpec) for lag in self.lags
+        ):
+            raise ConfigError(f"lags must be a list or tuple of LagSpec, got {self.lags!r}")
+        object.__setattr__(self, "lags", tuple(self.lags))
         if not self.lags:
             raise ConfigError("at least one lag must be configured")
         seen = set()

@@ -8,22 +8,19 @@ probability 1 (stripping repeats until no degenerate nodes remain), and
 remaining nodes are grouped by degree value so equal degrees share one
 multiplier.
 
-Each sample index derives its own random substream from (seed, stream_key,
-index), so ensembles are reproducible bit-for-bit.
-``sample_ensemble`` streams single-layer Bernoulli draws for inspecting the
-model; ``null_exceedance_counts`` is the only code that samples null
-contractions. Activities of one degree share one probability column, so
-every cell of a (technology class, product class) pair has the same null
-law: each draw contracts one representative column per class with the
-empirical path's kernel, and each cell counts, by binary search in its class
-pair's sorted null weights, the draws its empirical weight beats.
+``null_exceedance_counts`` is the only sampler. Each sample index derives
+its own random substream from (seed, stream_key, index), so counts are
+reproducible bit-for-bit. Activities of one degree share one probability
+column, so every cell of a (technology class, product class) pair has the
+same null law: each draw contracts one representative column per class with
+the empirical path's kernel, and each cell counts, by binary search in its
+class pair's sorted null weights, the draws its empirical weight beats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -58,10 +55,6 @@ class BiCMModel:
     @property
     def shape(self) -> tuple[int, int]:
         return self.link_probabilities.shape
-
-    def expected_degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.link_probabilities
-        return p.sum(axis=1), p.sum(axis=0)
 
 
 def _solve_reduced(
@@ -197,54 +190,11 @@ def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _draw(
-    probabilities: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """One Bernoulli layer as float64 0/1, written into ``out`` when given:
-    entry (c, a) is 1 with probability ``probabilities[c, a]``."""
-    if out is None:
-        out = np.empty(probabilities.shape)
+def _draw(probabilities: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """One Bernoulli layer as float64 0/1, written into ``out``: entry (c, a)
+    is 1 with probability ``probabilities[c, a]``."""
     rng.random(out=out)
     return np.less(out, probabilities, out=out)
-
-
-@dataclass(frozen=True)
-class NullEnsemble:
-    """Replayable stream of Bernoulli samples from one fitted model.
-
-    Iterating yields int8 matrices; iterating again replays the identical
-    sequence, because sample i depends only on (seed, stream_key, i).
-    """
-
-    model: BiCMModel
-    n: int
-    seed: int
-    stream_key: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        p = self.model.link_probabilities
-        for i in range(self.n):
-            yield _draw(p, _rng(self.seed, (*self.stream_key, i))).astype(np.int8)
-
-    def sample_mean(self) -> np.ndarray:
-        total = np.zeros(self.model.shape)
-        for sample in self:
-            total += sample
-        return total / self.n
-
-
-def sample_ensemble(
-    model: BiCMModel, n: int, seed: int, stream_key: tuple[int, ...] = ()
-) -> NullEnsemble:
-    """Stream of n independent entrywise-Bernoulli draws from the model."""
-    return NullEnsemble(model=model, n=n, seed=seed, stream_key=stream_key)
 
 
 # Names the sampling scheme of ``null_exceedance_counts`` in the counts' cache

@@ -552,6 +552,13 @@ def enumerate_windows(
     ]
 
 
+def _check_benchmark(benchmark: ValidatedNetwork, tech: ActivityPanel, prod: ActivityPanel) -> None:
+    if benchmark.edge_count == 0:
+        raise ConfigError("benchmark network has no edges to recover")
+    if benchmark.tech_ids != tech.activity_ids or benchmark.product_ids != prod.activity_ids:
+        raise ConfigError("benchmark axes do not match the configured panels")
+
+
 def run_robustness(
     cfg: RunConfig,
     benchmark: Optional[ValidatedNetwork] = None,
@@ -581,13 +588,7 @@ def run_robustness(
     run = Run.start(cfg)
     if benchmark is None:
         benchmark = run.validate_lag(0).network
-    if benchmark.edge_count == 0:
-        raise ConfigError("benchmark network has no edges to recover")
-    if (
-        benchmark.tech_ids != run.tech.activity_ids
-        or benchmark.product_ids != run.prod.activity_ids
-    ):
-        raise ConfigError("benchmark axes do not match the configured panels")
+    _stage("robustness", _check_benchmark, benchmark, run.tech, run.prod)
     delta_t = benchmark.lag if benchmark.lag is not None else run.lags[0].delta_t
     bench_t2 = [t2 for _, t2 in benchmark.pairs if t2 is not None]
     span = (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None

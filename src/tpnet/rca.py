@@ -1,9 +1,9 @@
 """Revealed comparative advantage and binary specialization matrices.
 
 RCA compares an entity's share of an activity with the world share of that
-activity; values at or above the threshold (default 1) mark competitive
-specialization. Cells with zero weight get RCA 0: absence of activity cannot
-reveal comparative advantage, so 0/0 is defined as non-specialization.
+activity; values of at least 1 mark competitive specialization. Cells with
+zero weight get RCA 0: absence of activity cannot reveal comparative
+advantage, so 0/0 is defined as non-specialization.
 """
 
 from __future__ import annotations
@@ -111,15 +111,14 @@ def compute_rca(window: WindowedMatrix) -> RcaMatrix:
     )
 
 
-def binarize(rca: RcaMatrix, threshold: float = 1.0) -> BinaryMatrix:
-    """Threshold RCA into a 0/1 matrix; the threshold is inclusive."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+def binarize(rca: RcaMatrix) -> BinaryMatrix:
+    """Specialization as a 0/1 matrix by the one fixed rule: a cell is 1
+    where its RCA is at least 1 (inclusive), else 0."""
     return BinaryMatrix(
         layer_kind=rca.layer_kind,
         country_ids=rca.country_ids,
         activity_ids=rca.activity_ids,
-        values=(rca.values >= threshold).astype(np.int8),
+        values=(rca.values >= 1.0).astype(np.int8),
         delta=rca.delta,
         end_year=rca.end_year,
     )

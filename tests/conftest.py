@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 from tpnet.assist import _openblas_thread_controls
+from tpnet.nullmodel import BiCMModel, _draw, _rng
 from tpnet.rca import BinaryMatrix
 
 PLANTED_COUNTRIES = tuple(f"C{i}" for i in range(6))
@@ -110,6 +112,17 @@ def random_binary_no_empty(rng: np.random.Generator, shape, density=0.5) -> np.n
         if m[:, j].sum() == 0:
             m[rng.integers(shape[0]), j] = 1
     return m
+
+
+def null_draws(
+    model: BiCMModel, n: int, seed: int, stream_key: tuple[int, ...] = ()
+) -> Iterator[np.ndarray]:
+    """The model's n Bernoulli layers as the null loop draws them: draw i
+    comes from ``_draw`` on substream (seed, *stream_key, i), each into a new
+    float64 0/1 array."""
+    p = model.link_probabilities
+    for i in range(n):
+        yield _draw(p, _rng(seed, (*stream_key, i)), out=np.empty(p.shape))
 
 
 def blas_threads() -> list[int]:

@@ -109,6 +109,15 @@ def test_duplicate_lags_rejected():
         RunConfig("t", "p", lags=(LagSpec(0), LagSpec(0)))
 
 
+@pytest.mark.parametrize(
+    "lags", [({"delta_t": 0},), "ab", 5, [LagSpec(0), (0, ())]],
+    ids=["dicts", "string", "integer", "mixed"],
+)
+def test_lags_must_be_lag_specs(lags):
+    with pytest.raises(ConfigError, match="lags must be a list or tuple of LagSpec"):
+        RunConfig("t.csv", "p.csv", lags=lags)
+
+
 def test_duplicate_pairs_rejected():
     # one pair twice would intersect two samplings of the same windows
     with pytest.raises(ConfigError, match=re.escape("pair (2011, 2011) repeats in lag 0")):
@@ -195,6 +204,7 @@ def test_lenient_values_keep_their_meaning(tmp_path):
     numpy_cfg = RunConfig("t", "p", seed=np.int64(3), lags=(numpy_lag,))
     assert type(numpy_cfg.seed) is int and numpy_cfg.seed == 3
     assert numpy_cfg.lags == (LagSpec(2, ((2009, 2011),)),)
+    assert RunConfig("t", "p", lags=[LagSpec(0)]).lags == (LagSpec(0),)
     assert all(type(t) is int for t in numpy_cfg.lags[0].pairs[0])
     assert config_to_dict(numpy_cfg) == json.loads(json.dumps(config_to_dict(numpy_cfg)))
 

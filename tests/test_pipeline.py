@@ -32,6 +32,7 @@ from tpnet.pipeline import (
     load_panels,
 )
 from tpnet.rca import BinaryMatrix
+from tpnet.validate import PairValidation, intersect_pairs
 
 from .conftest import PLANTED_LINK, write_constant_panel_csv
 
@@ -443,20 +444,56 @@ def test_robustness_records_each_window_with_its_edge_counts(planted_panel_files
     assert manifest["outputs"] == ["robustness/report.json"]
 
 
-def test_robustness_rejects_empty_benchmark(planted_panel_files, tmp_path):
-    cfg = _config(planted_panel_files, tmp_path, tier="99.9", samples=50)
-    from tpnet.validate import PairValidation, intersect_pairs
-
-    empty = intersect_pairs(
+def _one_link_benchmark(tech_id, product_id, exceed_counts):
+    return intersect_pairs(
         [PairValidation(
-            tech_ids=("T0",), product_ids=("10 P0",), empirical=np.zeros((1, 1)),
-            exceed_counts=np.zeros((1, 1), dtype=int), n_samples=10000,
+            tech_ids=(tech_id,), product_ids=(product_id,), empirical=np.zeros((1, 1)),
+            exceed_counts=np.full((1, 1), exceed_counts), n_samples=10000,
             t1=2013, t2=2013,
         )],
         "95",
     )
-    with pytest.raises(ConfigError, match="no edges"):
+
+
+def test_robustness_rejects_empty_benchmark(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, tier="99.9", samples=50)
+    empty = _one_link_benchmark("T0", "10 P0", 0)
+    with pytest.raises(StageError, match=r"^\[robustness\] benchmark network has no edges to recover$"):
         run_robustness(cfg, empty)
+
+
+def test_robustness_rejects_benchmark_on_other_axes(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=50)
+    other = _one_link_benchmark("X0", "99 X0", 10000)
+    assert other.edge_count == 1
+    with pytest.raises(
+        StageError, match=r"^\[robustness\] benchmark axes do not match the configured panels$"
+    ) as err:
+        run_robustness(cfg, other, deltas=(2,))
+    assert isinstance(err.value.__cause__, ConfigError)
+    assert not (tmp_path / "out" / "robustness").exists()
+
+
+def test_cli_robustness_without_benchmark_edges_is_tagged(tmp_path, monkeypatch):
+    # two one-year windows over three countries: lag 0 has no significant link
+    (tmp_path / "tiny_tech.csv").write_text(
+        "country,activity,year,value\nA,T1,2010,5\nA,T2,2010,1\nB,T1,2010,1\nB,T2,2010,4\n"
+        "C,T1,2010,2\nA,T1,2011,5\nB,T2,2011,4\nC,T1,2011,3\nC,T2,2011,3\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tiny_prod.csv").write_text(
+        "country,activity,year,value\nA,0101,2010,3\nB,8471,2010,2\nC,0101,2010,1\n"
+        "C,8471,2010,1\nA,0101,2011,3\nB,8471,2011,2\nC,0101,2011,2\nA,8471,2011,1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tiny.json").write_text(json.dumps({
+        "technology_panel": "tiny_tech.csv", "product_panel": "tiny_prod.csv",
+        "delta": 1, "samples": 50,
+    }), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["robustness", "--config", "tiny.json", "--deltas", "1"])
+    assert result.exit_code == 1
+    assert result.output == "Error: [robustness] benchmark network has no edges to recover\n"
 
 
 def test_robustness_given_benchmark_resolves_lags(planted_panel_files, tmp_path):

@@ -104,12 +104,6 @@ def test_zero_row_stays_unspecialized():
     assert m.diversification[1] == 0
 
 
-def test_binarize_rejects_nonpositive_threshold():
-    rca = compute_rca(_window(np.ones((2, 2))))
-    with pytest.raises(ValueError):
-        binarize(rca, threshold=0.0)
-
-
 def test_restrict_countries_recomputes_degrees():
     m = binarize(compute_rca(_window([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])))
     sub = m.restrict_countries(("c0", "c2"))
