@@ -35,7 +35,6 @@ from .panels import (
     aggregate_activities,
     aggregate_window,
     align_countries,
-    load_panel,
     read_panel_csv,
 )
 from .pipeline import (
@@ -92,7 +91,6 @@ __all__ = [
     "fit_bicm",
     "intersect_pairs",
     "load_hs_sections",
-    "load_panel",
     "parse_config",
     "rank_activities",
     "read_panel_csv",

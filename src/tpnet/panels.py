@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,68 +111,20 @@ def _country_indices(country_ids: Sequence[str], keep: Sequence[str]) -> list[in
     return [pos[c] for c in keep]
 
 
-def _ingest(records: Iterable, layer_kind: str, no_data: str, bad) -> ActivityPanel:
-    """Parse, check and accumulate (country, activity, year, value) records in one pass.
-
-    ``bad(what, raw, record)`` builds the error for a record that fails a check.
-    ``bincount`` adds in input order, so duplicate keys sum as a running sum.
-    """
-    _check_layer_kind(layer_kind)
-    axes = y_pos, c_pos, a_pos = {}, {}, {}  # label -> first-seen index
-    seen = y_idx, c_idx, a_idx = array("q"), array("q"), array("q")
-    weights = array("d")
-    for record in records:
-        try:
-            country, activity, year_raw, value_raw = record
-        except (TypeError, ValueError):
-            raise PanelError(f"record is not a (country, activity, year, value) tuple: {record!r}")
-        try:
-            year = int(str(year_raw))
-        except ValueError:
-            raise bad("unparseable year", year_raw, record)
-        try:
-            value = float(value_raw)
-        except (TypeError, ValueError):
-            raise bad("non-numeric value", value_raw, record)
-        if not math.isfinite(value):
-            raise bad("non-finite value", value_raw, record)
-        if value < 0:
-            raise bad("negative value", value_raw, record)
-        y_idx.append(y_pos.setdefault(year, len(y_pos)))
-        c_idx.append(c_pos.setdefault(str(country), len(c_pos)))
-        a_idx.append(a_pos.setdefault(str(activity), len(a_pos)))
-        weights.append(value)
-    if not weights:
-        raise PanelError(no_data)
-    years, countries, activities = labels = [tuple(sorted(pos)) for pos in axes]
-    # first-seen index -> sorted index: argsort inverts "sorted index -> first-seen index"
-    ranks = [np.argsort([pos[x] for x in order]) for pos, order in zip(axes, labels)]
-    shape = tuple(map(len, labels))
-    flat = np.ravel_multi_index([r[np.frombuffer(i, np.int64)] for r, i in zip(ranks, seen)], shape)
-    block = np.bincount(flat, weights=np.frombuffer(weights), minlength=math.prod(shape))
-    values = dict(zip(years, block.reshape(shape)))
-    return ActivityPanel(layer_kind, countries, activities, years, values)
-
-
-def load_panel(
-    records: Iterable[tuple[str, str, object, object]], layer_kind: str
-) -> ActivityPanel:
-    """Build a dense panel from long-format (country, activity, year, value) records.
-
-    Duplicate (country, activity, year) keys are summed. Axes come out sorted
-    lexicographically, years ascending, and unrecorded cells are 0.
-    """
-    return _ingest(records, layer_kind, "no records to load",
-                   lambda what, raw, record: PanelError(f"{what} in record {record!r}"))
-
-
 def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
     """Read a UTF-8 CSV with header ``country,activity,year,value`` into a panel.
 
     A leading byte-order mark is ignored, blank lines are skipped, and
-    whitespace around the fields is ignored.
+    whitespace around the fields is ignored. Each row is parsed, checked and
+    appended in one pass, so the first bad row fails first; ``bincount`` then
+    adds in file order, so duplicate keys sum as a running sum. Axes come out
+    sorted lexicographically, years ascending, and unrecorded cells are 0.
     """
+    _check_layer_kind(layer_kind)
     path = Path(path)
+    axes = y_pos, c_pos, a_pos = {}, {}, {}  # label -> first-seen index
+    seen = y_idx, c_idx, a_idx = array("q"), array("q"), array("q")
+    weights = array("d")
     try:
         if not path.is_file():
             raise PanelError(f"{path}: no such file")
@@ -187,24 +139,55 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
                     f"{path}: expected header {','.join(PANEL_CSV_HEADER)!r}, got {','.join(header)!r}"
                 )
 
-            def rows():
-                # int() and float() skip whitespace themselves: only the labels
-                # are stripped, and only a row without 4 fields or a year can be blank.
-                for row in reader:
-                    if len(row) != 4 or not row[2].strip():
-                        if not "".join(row).strip():
-                            continue
-                        if len(row) != 4:
-                            raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
-                    country, activity, year, value = row
-                    yield country.strip(), activity.strip(), year, value
+            def bad(what: str, raw: str) -> PanelError:
+                return PanelError(f"{path}:{reader.line_num}: {what} {raw.strip()!r}")
 
-            return _ingest(rows(), layer_kind, f"{path}: no data rows",
-                           lambda what, raw, _: PanelError(f"{path}:{reader.line_num}: {what} {raw.strip()!r}"))
+            # int() and float() skip whitespace themselves: only the labels
+            # are stripped, and only a row without 4 fields or a year can be blank.
+            for row in reader:
+                if len(row) != 4 or not row[2].strip():
+                    if not "".join(row).strip():
+                        continue
+                    if len(row) != 4:
+                        raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+                country, activity, year_raw, value_raw = row
+                try:
+                    year = int(year_raw)
+                except ValueError:
+                    raise bad("unparseable year", year_raw)
+                try:
+                    value = float(value_raw)
+                except ValueError:
+                    raise bad("non-numeric value", value_raw)
+                if not math.isfinite(value):
+                    raise bad("non-finite value", value_raw)
+                if value < 0:
+                    raise bad("negative value", value_raw)
+                y_idx.append(y_pos.setdefault(year, len(y_pos)))
+                c_idx.append(c_pos.setdefault(country.strip(), len(c_pos)))
+                a_idx.append(a_pos.setdefault(activity.strip(), len(a_pos)))
+                weights.append(value)
+    except csv.Error as exc:
+        raise PanelError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise PanelError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise PanelError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    if not weights:
+        raise PanelError(f"{path}: no data rows")
+    years, countries, activities = labels = [tuple(sorted(pos)) for pos in axes]
+    # first-seen index -> sorted index: argsort inverts "sorted index -> first-seen index"
+    ranks = [np.argsort([pos[x] for x in order]) for pos, order in zip(axes, labels)]
+    shape = tuple(map(len, labels))
+    flat = np.ravel_multi_index([r[np.frombuffer(i, np.int64)] for r, i in zip(ranks, seen)], shape)
+    block = np.bincount(flat, weights=np.frombuffer(weights), minlength=math.prod(shape))
+    first_max = np.argmax(block)  # values are >= 0: a sum past the float range is inf, the max
+    if np.isinf(block[first_max]):
+        y, c, a = np.unravel_index(first_max, shape)
+        raise PanelError(f"{path}: country {countries[c]!r}, activity {activities[a]!r}, "
+                         f"year {years[y]}: values sum past the float range")
+    values = dict(zip(years, block.reshape(shape)))
+    return ActivityPanel(layer_kind, countries, activities, years, values)
 
 
 def missing_years(panel: ActivityPanel, delta: int, end_year: int) -> list[int]:

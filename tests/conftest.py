@@ -11,6 +11,7 @@ import pytest
 
 from tpnet.assist import _openblas_thread_controls
 from tpnet.nullmodel import BiCMModel, _draw, _rng
+from tpnet.panels import ActivityPanel, read_panel_csv
 from tpnet.rca import BinaryMatrix
 
 PLANTED_COUNTRIES = tuple(f"C{i}" for i in range(6))
@@ -66,6 +67,15 @@ def write_constant_panel_csv(
                     if matrix[i, j]:
                         writer.writerow([country, activity, year, float(matrix[i, j])])
     return path
+
+
+def read_records(path: Path, records, layer_kind: str) -> ActivityPanel:
+    """Write (country, activity, year, value) records to ``path`` as a panel
+    CSV, each value as its ``repr`` so floats round-trip exactly, and read it
+    back with ``read_panel_csv``."""
+    lines = [f"{c},{a},{y},{v!r}\n" for c, a, y, v in records]
+    path.write_text("country,activity,year,value\n" + "".join(lines), encoding="utf-8")
+    return read_panel_csv(path, layer_kind)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Panel loading, window aggregation, and country alignment."""
 
+import csv
 import re
 
 import numpy as np
@@ -14,31 +15,32 @@ from tpnet import (
     aggregate_activities,
     aggregate_window,
     align_countries,
-    load_panel,
     read_panel_csv,
 )
 from tpnet.panels import ActivityPanel, WindowedMatrix
 
+from .conftest import read_records
 from .oracles import reference_panel
 
 
-def test_single_record_identity():
-    panel = load_panel([("FRA", "Y02A 10", 2012, 1.5)], "technology")
+def test_single_record_identity(tmp_path):
+    panel = read_records(tmp_path / "panel.csv", [("FRA", "Y02A 10", 2012, 1.5)], "technology")
     assert panel.country_ids == ("FRA",)
     assert panel.activity_ids == ("Y02A 10",)
     assert panel.years == (2012,)
     assert panel.values[2012][0, 0] == 1.5
 
 
-def test_duplicate_keys_are_summed():
-    panel = load_panel(
+def test_duplicate_keys_are_summed(tmp_path):
+    panel = read_records(
+        tmp_path / "panel.csv",
         [("FRA", "Y02A 10", 2012, 1.0), ("FRA", "Y02A 10", 2012, 0.5)],
         "technology",
     )
     assert panel.values[2012][0, 0] == 1.5
 
 
-def test_full_scale_export_panel_shape():
+def test_full_scale_export_panel_shape(tmp_path):
     # 169 countries over 2007-2017 loads with eleven yearly matrices
     countries = [f"C{i:03d}" for i in range(169)]
     records = [
@@ -47,15 +49,15 @@ def test_full_scale_export_panel_shape():
         for code in ("01", "02")
         for year in range(2007, 2018)
     ]
-    panel = load_panel(records, "product")
+    panel = read_records(tmp_path / "panel.csv", records, "product")
     assert len(panel.country_ids) == 169
     assert len(panel.years) == 11
     assert panel.years == tuple(range(2007, 2018))
 
 
-def test_axes_are_sorted_and_missing_cells_zero():
-    panel = load_panel(
-        [("B", "y", 2000, 1.0), ("A", "x", 2001, 2.0)], "product"
+def test_axes_are_sorted_and_missing_cells_zero(tmp_path):
+    panel = read_records(
+        tmp_path / "panel.csv", [("B", "y", 2000, 1.0), ("A", "x", 2001, 2.0)], "product"
     )
     assert panel.country_ids == ("A", "B")
     assert panel.activity_ids == ("x", "y")
@@ -73,14 +75,9 @@ def test_axes_are_sorted_and_missing_cells_zero():
         ("FRA", "x", 2000, float("nan")),
     ],
 )
-def test_bad_records_rejected(record):
+def test_bad_records_rejected(tmp_path, record):
     with pytest.raises(PanelError):
-        load_panel([record], "product")
-
-
-def test_empty_input_rejected():
-    with pytest.raises(PanelError):
-        load_panel([], "product")
+        read_records(tmp_path / "panel.csv", [record], "product")
 
 
 def test_read_panel_csv_roundtrip(tmp_path):
@@ -113,6 +110,7 @@ def test_read_panel_csv_accepts_byte_order_mark(tmp_path):
     "row, message",
     [
         ("FRA,x,20o1,1", "unparseable year '20o1'"),
+        ("FRA,x,20o1,abc", "unparseable year '20o1'"),
         ("FRA,x,2001,abc", "non-numeric value 'abc'"),
         ("FRA,x,2001,nan", "non-finite value 'nan'"),
         ("FRA,x,2001,inf", "non-finite value 'inf'"),
@@ -125,7 +123,7 @@ def test_read_panel_csv_accepts_byte_order_mark(tmp_path):
         ("FRA, x ,2001 , -3 ", "negative value '-3'"),
         (" FRA , x , 2001 ", "expected 4 fields, got 3"),
     ],
-    ids=["year", "value", "nan", "inf", "negative", "fields", "padded-year",
+    ids=["year", "year-before-value", "value", "nan", "inf", "negative", "fields", "padded-year",
          "blank-year", "padded-value", "padded-nan", "padded-negative", "padded-fields"],
 )
 def test_read_panel_csv_names_offending_line(tmp_path, row, message):
@@ -171,6 +169,34 @@ def test_read_panel_csv_names_file_it_cannot_read(tmp_path):
         read_panel_csv(too_long, "product")
 
 
+def test_read_panel_csv_names_line_of_overlong_field(tmp_path):
+    # csv.reader refuses a field over its size limit; the error names file and line
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "country,activity,year,value\nFRA,x" + "x" * csv.field_size_limit() + ",2000,1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(PanelError) as excinfo:
+        read_panel_csv(path, "product")
+    assert str(excinfo.value) == (
+        f"{path}:2: field larger than field limit ({csv.field_size_limit()})"
+    )
+
+
+def test_read_panel_csv_names_cell_whose_sum_overflows(tmp_path):
+    # every value is finite, but one cell's duplicates sum past the float range
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "country,activity,year,value\nA,w,2000,1\nA,x,2000,1e308\nB,y,2001,1\nA,x,2000,1e308\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(PanelError) as excinfo:
+        read_panel_csv(path, "product")
+    assert str(excinfo.value) == (
+        f"{path}: country 'A', activity 'x', year 2000: values sum past the float range"
+    )
+
+
 _IDS = st.text(alphabet="AZaz019", min_size=1, max_size=6)
 _VALUES = st.one_of(
     st.sampled_from([0.0, 0.1, 0.2, 0.3]),
@@ -197,15 +223,12 @@ def _panel_records(draw):
 @given(_panel_records())
 def test_ingest_matches_reference_panel(tmp_path_factory, records):
     countries, activities, years, values = reference_panel(records)
-    path = tmp_path_factory.mktemp("ingest") / "panel.csv"
-    lines = [f"{c},{a},{y},{v!r}\n" for c, a, y, v in records]
-    path.write_text("country,activity,year,value\n" + "".join(lines), encoding="utf-8")
-    for panel in (load_panel(records, "product"), read_panel_csv(path, "product")):
-        assert panel.country_ids == countries
-        assert panel.activity_ids == activities
-        assert panel.years == years
-        for year in years:
-            assert panel.values[year].tobytes() == values[year].tobytes()
+    panel = read_records(tmp_path_factory.mktemp("ingest") / "panel.csv", records, "product")
+    assert panel.country_ids == countries
+    assert panel.activity_ids == activities
+    assert panel.years == years
+    for year in years:
+        assert panel.values[year].tobytes() == values[year].tobytes()
 
 
 def _two_year_panel():
@@ -309,8 +332,9 @@ def test_align_countries_empty_intersection_rejected():
         align_countries(tech, prod)
 
 
-def test_aggregate_activities_prefix_sums():
-    panel = load_panel(
+def test_aggregate_activities_prefix_sums(tmp_path):
+    panel = read_records(
+        tmp_path / "panel.csv",
         [
             ("A", "810520", 2000, 1.0),
             ("A", "810530", 2000, 2.0),
@@ -323,6 +347,6 @@ def test_aggregate_activities_prefix_sums():
     assert coarse.values[2000][0].tolist() == [4.0, 3.0]
 
 
-def test_aggregate_activities_noop_when_codes_short():
-    panel = load_panel([("A", "81", 2000, 1.0)], "product")
+def test_aggregate_activities_noop_when_codes_short(tmp_path):
+    panel = read_records(tmp_path / "panel.csv", [("A", "81", 2000, 1.0)], "product")
     assert aggregate_activities(panel, 6) is panel
