@@ -8,6 +8,7 @@ timestamps or environment details.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import operator
 from dataclasses import asdict, dataclass
@@ -48,12 +49,21 @@ def write_assist_csv(assist: AssistMatrix, path: str | Path) -> None:
             writer.writerow([assist.tech_ids[i], assist.product_ids[j], _fmt(v)])
 
 
+class _CsvFields(dict):  # each text as csv.writer writes it inside a row, quoted once
+    def __missing__(self, text: str) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow([text, ""])  # its own line end: it quotes "\r" and "\n"
+        self[text] = field = buffer.getvalue()[:-3]  # drop ",\r\n"
+        return field
+
+
 def write_edge_csv(net: ValidatedNetwork, path: str | Path) -> None:
+    quoted = _CsvFields()  # one f-string per edge, in the bytes csv.writer writes
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tech", "product", "weight", "p_value", "tier"])
+        fh.write("tech,product,weight,p_value,tier\r\n")
         for tech, product, weight, p_value, tier in _edge_rows(net):
-            writer.writerow([tech, product, _fmt(weight), _fmt(p_value), tier])
+            fh.write(f"{quoted[tech]},{quoted[product]},{_fmt(weight)},{_fmt(p_value)},"
+                     f"{quoted[tier]}\r\n")
 
 
 def _edge_rows(net: ValidatedNetwork):

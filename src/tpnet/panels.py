@@ -26,6 +26,8 @@ LAYER_KINDS = ("technology", "product")
 
 PANEL_CSV_HEADER = ("country", "activity", "year", "value")
 
+PANEL_FORMAT = "one pass, plain ASCII decimals"  # keys cached panels: bump it with read_panel_csv's rules
+
 
 def _frozen(values: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(values, dtype=np.float64)
@@ -115,10 +117,11 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
     """Read a UTF-8 CSV with header ``country,activity,year,value`` into a panel.
 
     A leading byte-order mark is ignored, blank lines are skipped, and
-    whitespace around the fields is ignored. Each row is parsed, checked and
-    appended in one pass, so the first bad row fails first; ``bincount`` then
-    adds in file order, so duplicate keys sum as a running sum. Axes come out
-    sorted lexicographically, years ascending, and unrecorded cells are 0.
+    whitespace around the fields is ignored. Years and values are plain ASCII
+    decimals. Each row is parsed, checked and appended in one pass, so the
+    first bad row fails first; ``bincount`` then adds in file order, so
+    duplicate keys sum as a running sum. Axes come out sorted
+    lexicographically, years ascending, and unrecorded cells are 0.
     """
     _check_layer_kind(layer_kind)
     path = Path(path)
@@ -140,10 +143,12 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
                 )
 
             def bad(what: str, raw: str) -> PanelError:
-                return PanelError(f"{path}:{reader.line_num}: {what} {raw.strip()!r}")
+                shown = raw.strip(" \t\r\n\f\v")  # the padding int() and float() take
+                return PanelError(f"{path}:{reader.line_num}: {what} {shown!r}")
 
-            # int() and float() skip whitespace themselves: only the labels
-            # are stripped, and only a row without 4 fields or a year can be blank.
+            # int() and float() skip padding but also take "_" and non-ASCII digits,
+            # refused here. Labels are stripped; only a row without 4 fields or a year can be blank.
+            year_index = {}  # raw year field -> index in y_pos, each parsed once
             for row in reader:
                 if len(row) != 4 or not row[2].strip():
                     if not "".join(row).strip():
@@ -151,11 +156,18 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
                     if len(row) != 4:
                         raise PanelError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
                 country, activity, year_raw, value_raw = row
+                y = year_index.get(year_raw)
+                if y is None:
+                    try:
+                        if not year_raw.isascii() or "_" in year_raw:
+                            raise ValueError
+                        year = int(year_raw)
+                    except ValueError:
+                        raise bad("unparseable year", year_raw)
+                    y = year_index[year_raw] = y_pos.setdefault(year, len(y_pos))
                 try:
-                    year = int(year_raw)
-                except ValueError:
-                    raise bad("unparseable year", year_raw)
-                try:
+                    if not value_raw.isascii() or "_" in value_raw:
+                        raise ValueError
                     value = float(value_raw)
                 except ValueError:
                     raise bad("non-numeric value", value_raw)
@@ -163,7 +175,7 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
                     raise bad("non-finite value", value_raw)
                 if value < 0:
                     raise bad("negative value", value_raw)
-                y_idx.append(y_pos.setdefault(year, len(y_pos)))
+                y_idx.append(y)
                 c_idx.append(c_pos.setdefault(country.strip(), len(c_pos)))
                 a_idx.append(a_pos.setdefault(activity.strip(), len(a_pos)))
                 weights.append(value)

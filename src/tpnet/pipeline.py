@@ -7,15 +7,15 @@ index), and all writers are deterministic. Each period pair's null sampling
 is one pass of ``nullmodel.null_exceedance_counts``, the package's only null
 loop: it draws both layers, contracts them with the kernel of the empirical
 matrix and yields the exceedance counts and each layer's worst sampled-degree
-z-score, the sampling-bias audit. Only the exceedance counts, the one costly
-intermediate, are cached on disk, keyed by a content hash of their inputs, so
-a rerun from the cache reproduces identical downstream results; windows, RCA,
-contractions and fits are recomputed.
+z-score, the sampling-bias audit. Two costly results are cached on disk: the
+exceedance counts, keyed by a content hash of their inputs, and each parsed
+panel, keyed by its file's bytes, layer kind and ``PANEL_FORMAT``; windows,
+RCA, contractions and fits are recomputed, so a rerun gives identical results.
 
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
-``Run``: it opens the output directory, the counts cache and
-``manifest.json`` once, reads the panels under the ``ingest`` tag and, for
-every command but ``tpnet ingest``, resolves the lags under ``configure``.
+``Run``: it opens the output directory, the cache and ``manifest.json`` once,
+reads the panels under the ``ingest`` tag and, for every command but ``tpnet
+ingest``, resolves the lags under ``configure``.
 Each completed stage is recorded through the run's ``record``, with the files
 it wrote; the manifest is replaced through a temp file, so a killed run never
 leaves a partial one. Only ``run_pipeline(write=False)`` records nothing.
@@ -46,6 +46,7 @@ from .efc import (
 from .errors import ConfigError, StageError, TpnetError
 from .nullmodel import SAMPLING_SCHEME, fit_bicm, null_exceedance_counts
 from .panels import (
+    PANEL_FORMAT,
     ActivityPanel,
     aggregate_activities,
     aggregate_window,
@@ -104,11 +105,11 @@ class ArtifactCache:
     def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{key}.npz"
 
-    def load(self, kind: str, key: str, check=lambda arrays: None) -> Optional[dict]:
-        """The entry's arrays, or None when there is none. An entry that
-        cannot be read (empty, truncated, not an npz), or whose arrays
-        ``check`` finds malformed by returning a reason, is removed with a
-        warning and counts as a miss, so ``store`` writes a fresh one."""
+    def load(self, kind: str, key: str, read=lambda arrays: arrays):
+        """``read`` of the entry's arrays, or None when there is no entry. An
+        entry that cannot be read (empty, truncated, not an npz), or that
+        ``read`` finds malformed (KeyError, TypeError or ValueError), is removed
+        with a warning and counts as a miss, so ``store`` writes a fresh one."""
         path = self._path(kind, key)
         if not path.exists():
             return None
@@ -118,10 +119,10 @@ class ArtifactCache:
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             problem = f"unreadable ({exc})"
         else:
-            reason = check(arrays)
-            if reason is None:
-                return arrays
-            problem = f"malformed ({reason})"
+            try:
+                return read(arrays)
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"malformed ({exc})"
         logger.warning("%s is %s; removing it", path, problem)
         path.unlink(missing_ok=True)
         return None
@@ -167,9 +168,40 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise StageError(stage, str(exc)) from exc
 
 
-def load_panels(cfg: RunConfig) -> tuple[ActivityPanel, ActivityPanel]:
-    tech = read_panel_csv(cfg.technology_panel, "technology")
-    prod = read_panel_csv(cfg.product_panel, "product")
+def _cached_panel(entry: dict, layer_kind: str) -> ActivityPanel:
+    """A ``panel`` entry's labels (one UTF-8 JSON blob), years and values (one stack)."""
+    countries, activities = json.loads(entry["labels"].tobytes())
+    years = entry["years"].tolist()
+    return ActivityPanel(layer_kind, tuple(countries), tuple(activities), tuple(years),
+                         dict(zip(years, entry["values"])))
+
+
+def _read_panel(path: str | Path, layer_kind: str, cache: ArtifactCache) -> ActivityPanel:
+    """``read_panel_csv`` through ``cache``, keyed on the file's bytes and ``PANEL_FORMAT``."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
+        return read_panel_csv(path, layer_kind)  # for its error message
+    key = cache.key("panel", PANEL_FORMAT, layer_kind, digest.hexdigest())
+    panel = cache.load("panel", key, read=lambda entry: _cached_panel(entry, layer_kind))
+    if panel is not None:
+        logger.info("read the %s panel %s from the cache", layer_kind, path)
+        return panel
+    panel = read_panel_csv(path, layer_kind)  # a failed parse stores nothing
+    labels = json.dumps([panel.country_ids, panel.activity_ids]).encode("utf-8")
+    cache.store("panel", key, labels=np.frombuffer(labels, np.uint8),
+                years=np.array(panel.years, np.int64),
+                values=np.stack([panel.values[year] for year in panel.years]))
+    return panel
+
+
+def load_panels(cfg: RunConfig, cache: Optional[ArtifactCache] = None) -> tuple[ActivityPanel, ActivityPanel]:
+    read = read_panel_csv if cache is None else lambda path, kind: _read_panel(path, kind, cache)
+    tech = read(cfg.technology_panel, "technology")
+    prod = read(cfg.product_panel, "product")
     if cfg.digits is not None:
         prod = aggregate_activities(prod, cfg.digits)
     logger.info(
@@ -201,12 +233,12 @@ def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tu
 
 class Run:
     """One command over its output directory, opening the directory, its
-    counts cache and its ``manifest.json`` once. ``Run.ingest`` reads the
-    panels under the ``ingest`` tag; ``Run.start`` then resolves the lags
-    under ``configure``. Both record their stage; every later stage goes
-    through ``record`` with the files it wrote. A previous manifest for the
-    same config is extended; one for another config, or one that cannot be
-    read back as a JSON object with a ``stages`` object and an ``outputs``
+    cache and its ``manifest.json`` once. ``Run.ingest`` reads the panels
+    through that cache under the ``ingest`` tag; ``Run.start`` then resolves
+    the lags under ``configure``. Both record their stage; every later stage
+    goes through ``record`` with the files it wrote. A previous manifest for
+    the same config is extended; one for another config, or one that cannot
+    be read back as a JSON object with a ``stages`` object and an ``outputs``
     list of paths, is replaced. With ``recorded=False`` the manifest is
     neither read nor written.
     """
@@ -240,7 +272,7 @@ class Run:
     def ingest(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
         """Open the run and read both panels under the ``ingest`` tag."""
         run = cls(cfg, recorded)
-        run.tech, run.prod = _stage("ingest", load_panels, cfg)
+        run.tech, run.prod = _stage("ingest", load_panels, cfg, run.cache)
         run.record("ingest", technology_shape=list(run.tech.shape),
                    product_shape=list(run.prod.shape))
         return run
@@ -306,15 +338,15 @@ def contract_pair(
     return tech_bin, prod_bin, compute_assist(tech_bin, prod_bin)
 
 
-def _counts_problem(entry: dict, shape: tuple[int, ...], n: int) -> Optional[str]:
-    """Why a cache entry cannot hold the counts of n draws over a matrix of
-    ``shape``, or None when it can."""
+def _cached_counts(entry: dict, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """The counts of a ``counts`` entry; ValueError unless they are the counts
+    of n draws over a matrix of ``shape``."""
     counts = entry.get("counts")
     if counts is None or counts.dtype.kind not in "iu" or counts.shape != shape:
-        return f"no integer counts of shape {shape}"
+        raise ValueError(f"no integer counts of shape {shape}")
     if ((counts < 0) | (counts > n)).any() or not np.array_equal(entry.get("n"), [n]):
-        return f"counts outside [0, {n}] or n other than {n}"
-    return None
+        raise ValueError(f"counts outside [0, {n}] or n other than {n}")
+    return counts
 
 
 def validate_pair(
@@ -342,13 +374,9 @@ def validate_pair(
         cfg.samples, cfg.seed, *stream_key,
     )
     n = cfg.samples
-    cached = cache.load(
-        "counts", counts_key,
-        check=lambda entry: _counts_problem(entry, empirical.values.shape, n),
-    )
-    if cached is not None:
-        counts = cached["counts"]
-    else:
+    counts = cache.load("counts", counts_key,
+                        read=lambda entry: _cached_counts(entry, empirical.values.shape, n))
+    if counts is None:
         counts, drift = null_exceedance_counts(
             tech_model, prod_model, empirical.values, n, cfg.seed, stream_key
         )

@@ -41,6 +41,32 @@ def test_edge_csv_format(tmp_path):
     assert rows[1]["tier"] == "95"
 
 
+def test_edge_csv_matches_csv_writer_on_ids_that_need_quoting(tmp_path):
+    tech_ids = ('Y02A, "10"', "Y02E\n60", "Y02W 30", "")
+    product_ids = ('81,05"20', "28 \u00e9t\u00e9", "'01'", " 72 ")
+    rng = np.random.default_rng(5)
+    exceed_counts = rng.choice([0, 960, 995, 1000], size=(4, 4))
+    exceed_counts[[0, 1, 3], [0, 1, 3]] = 1000
+    validation = PairValidation(
+        tech_ids=tech_ids, product_ids=product_ids, empirical=rng.random((4, 4)),
+        exceed_counts=exceed_counts, n_samples=1000, t1=2012, t2=2012,
+    )
+    net = intersect_pairs([validation], "95")
+    assert net.edge_count > 4
+    path = tmp_path / "edges.csv"
+    exports.write_edge_csv(net, path)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tech", "product", "weight", "p_value", "tier"])
+        for tech, product, weight, p_value, tier in exports._edge_rows(net):
+            writer.writerow([tech, product, repr(weight), repr(p_value), tier])
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    written = path.read_bytes()
+    assert b'\r\n"Y02A, ""10""","81,05""20",' in written
+    assert '\r\n"Y02E\n60",28 \u00e9t\u00e9,'.encode() in written
+    assert b"\r\n, 72 ," in written
+
+
 def test_graphml_is_readable_by_networkx(tmp_path):
     networkx = pytest.importorskip("networkx")
     path = tmp_path / "net.graphml"

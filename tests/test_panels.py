@@ -122,9 +122,17 @@ def test_read_panel_csv_accepts_byte_order_mark(tmp_path):
         (" FRA ,x,2001, nan", "non-finite value 'nan'"),
         ("FRA, x ,2001 , -3 ", "negative value '-3'"),
         (" FRA , x , 2001 ", "expected 4 fields, got 3"),
+        # int() and float() take these; a plain decimal does not
+        ("FRA,x,20_01,1", "unparseable year '20_01'"),
+        ("FRA,x,2001,1_0", "non-numeric value '1_0'"),
+        ("FRA,x,\u0662\u0660\u0660\u0661,1", "unparseable year '\u0662\u0660\u0660\u0661'"),
+        ("FRA,x,2001,\u0661", "non-numeric value '\u0661'"),
+        ("FRA,x,2000\u00a0,1", "unparseable year '2000\\xa0'"),
     ],
     ids=["year", "year-before-value", "value", "nan", "inf", "negative", "fields", "padded-year",
-         "blank-year", "padded-value", "padded-nan", "padded-negative", "padded-fields"],
+         "blank-year", "padded-value", "padded-nan", "padded-negative", "padded-fields",
+         "underscore-year", "underscore-value", "arabic-indic-year", "arabic-indic-value",
+         "no-break-space-year"],
 )
 def test_read_panel_csv_names_offending_line(tmp_path, row, message):
     # the blank line 3 is skipped but still counted

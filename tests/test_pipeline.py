@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, caching, robustness harness, and the CLI."""
 
+import hashlib
 import io
 import json
 from collections import Counter
@@ -290,7 +291,7 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
         )
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert len(list((tmp_path / "out" / "cache").iterdir())) == 3
+    assert len(list((tmp_path / "out" / "cache").glob("counts-*.npz"))) == 3
 
     # the run stored its counts under the current scheme's key, and an entry
     # under that key is what a rerun reads
@@ -353,7 +354,7 @@ def test_unreadable_cache_entry_is_a_miss(
         planted_panel_files, tmp_path, samples=50, lags=(LagSpec(0, ((2013, 2013),)),)
     )
     cold = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
-    [entry] = (tmp_path / "out" / "cache").iterdir()
+    [entry] = (tmp_path / "out" / "cache").glob("counts-*.npz")
     entry.write_bytes(damage(entry.read_bytes()))
     config_path = _write_config(cfg, tmp_path)
     with caplog.at_level("WARNING", logger="tpnet"):
@@ -702,5 +703,187 @@ def test_cli_robustness_matches_library_two_step(planted_panel_files, tmp_path, 
     robustness_json = Path("robustness") / "report.json"
     assert (out / robustness_json).read_bytes() == (library / robustness_json).read_bytes()
     # lag 0's two pairs plus one entry per window; nothing for lag 2
-    assert len(list((out / "cache").iterdir())) == 2 + report.configurations
-    assert len(list((library / "cache").iterdir())) == 3 + report.configurations
+    assert len(list((out / "cache").glob("counts-*.npz"))) == 2 + report.configurations
+    assert len(list((library / "cache").glob("counts-*.npz"))) == 3 + report.configurations
+    # and one entry per panel file
+    assert len(list((out / "cache").glob("panel-*.npz"))) == 2
+
+
+def _count_reads(monkeypatch) -> list:
+    """Patch ``pipeline.read_panel_csv`` to record each call's arguments."""
+    reads = []
+    read_panel_csv = pipeline.read_panel_csv
+
+    def counting_read(*args, **kwargs):
+        reads.append(args)
+        return read_panel_csv(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_panel_csv", counting_read)
+    return reads
+
+
+def _assert_same_panel(a, b):
+    assert (a.layer_kind, a.country_ids, a.activity_ids, a.years) == (
+        b.layer_kind, b.country_ids, b.activity_ids, b.years
+    )
+    assert all(a.values[year].tobytes() == b.values[year].tobytes() for year in a.years)
+
+
+@pytest.fixture
+def non_ascii_panel_files(tmp_path):
+    """Panels whose labels need JSON escapes and CSV quoting, and whose values
+    take every digit of a float64."""
+    tech_csv, prod_csv = tmp_path / "tech.csv", tmp_path / "prod.csv"
+    tech_csv.write_text(
+        "country,activity,year,value\n"
+        "C\u00f4te d'Ivoire,Y02E \u00e9t\u00e9,2011,0.1\n"
+        "\u4e2d\u56fd,\"Y02W \"\"30\"\", x\",2011,1e-300\n"
+        "C\u00f4te d'Ivoire,Y02E \u00e9t\u00e9,2012,1.7976931348623157e308\n"
+        "\u4e2d\u56fd,Y02E \u00e9t\u00e9,2013,3.141592653589793\n",
+        encoding="utf-8",
+    )
+    prod_csv.write_text(
+        "country,activity,year,value\n"
+        "C\u00f4te d'Ivoire,10 \U0001f600,2011,2\n"
+        "\u4e2d\u56fd,11 \\u00e9,2012,0.30000000000000004\n"
+        "\u4e2d\u56fd,10 \U0001f600,2013,5e-324\n",
+        encoding="utf-8",
+    )
+    return tech_csv, prod_csv
+
+
+def test_cached_panel_equals_the_cold_parse(non_ascii_panel_files, tmp_path, monkeypatch):
+    cfg = _config(non_ascii_panel_files, tmp_path)
+    cache = ArtifactCache(tmp_path / "cache")
+    cold = load_panels(cfg)
+    first = load_panels(cfg, cache)
+    assert len(list((tmp_path / "cache").glob("panel-*.npz"))) == 2
+    reads = _count_reads(monkeypatch)
+    warm = load_panels(cfg, cache)
+    assert reads == []
+    for a, b, c in zip(cold, first, warm):
+        _assert_same_panel(a, b)
+        _assert_same_panel(a, c)
+    assert "\u4e2d\u56fd" in warm[0].country_ids and "11 \\u00e9" in warm[1].activity_ids
+
+
+def test_cached_panel_is_keyed_on_file_bytes(planted_panel_files, tmp_path, monkeypatch):
+    _, prod_csv = planted_panel_files
+    cfg = _config(planted_panel_files, tmp_path)
+    cache = ArtifactCache(tmp_path / "cache")
+    cold = load_panels(cfg, cache)
+    reads = _count_reads(monkeypatch)
+
+    # the same bytes under another path are a hit
+    copy = tmp_path / "copy" / "prod.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(prod_csv.read_bytes())
+    moved = load_panels(cfg.replace(product_panel=str(copy)), cache)
+    assert reads == []
+    _assert_same_panel(moved[1], cold[1])
+
+    # edited bytes are a miss, parsed and stored as a new entry
+    prod_csv.write_bytes(prod_csv.read_bytes().replace(b"2013,1.0", b"2013,2.0"))
+    edited = load_panels(cfg, cache)[1]
+    assert [args[0] for args in reads] == [cfg.product_panel]
+    assert edited.values[2013].max() == 2.0
+    assert len(list((tmp_path / "cache").glob("panel-*.npz"))) == 3
+
+
+def _damaged_panel(entry: bytes, **edits) -> bytes:
+    """The panel entry ``entry`` with each named array passed through its edit."""
+    with np.load(io.BytesIO(entry), allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    for name, edit in edits.items():
+        arrays[name] = edit(arrays[name])
+    return _npz(**arrays)
+
+
+def _negative_first(values):
+    values = values.copy()
+    values.flat[0] = -1.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        pytest.param(lambda entry: entry[: len(entry) // 2], "unreadable", id="truncated"),
+        pytest.param(lambda entry: _damaged_panel(entry, values=lambda v: v[:, :, :-1]),
+                     "malformed", id="wrong-shape"),
+        pytest.param(lambda entry: _damaged_panel(entry, values=_negative_first),
+                     "malformed", id="negative"),
+        pytest.param(lambda entry: _damaged_panel(
+            entry, labels=lambda labels: np.frombuffer(b'["\xff"]', np.uint8)),
+            "malformed", id="undecodable-labels"),
+    ],
+)
+def test_damaged_panel_entry_is_a_miss(
+    planted_panel_files, tmp_path, caplog, monkeypatch, damage, problem
+):
+    cfg = _config(planted_panel_files, tmp_path)
+    cache = ArtifactCache(tmp_path / "cache")
+    cold = load_panels(cfg, cache)
+    key = ArtifactCache.key(
+        "panel", pipeline.PANEL_FORMAT, "product",
+        hashlib.sha256(Path(cfg.product_panel).read_bytes()).hexdigest(),
+    )
+    entry = tmp_path / "cache" / f"panel-{key}.npz"
+    stored = entry.read_bytes()
+    entry.write_bytes(damage(stored))
+    reads = _count_reads(monkeypatch)
+    with caplog.at_level("WARNING", logger="tpnet"):
+        warm = load_panels(cfg, cache)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith(f"{entry} is {problem}")
+    assert [args[0] for args in reads] == [cfg.product_panel]
+    _assert_same_panel(warm[1], cold[1])
+    assert entry.read_bytes() == stored
+
+
+def test_failed_parse_is_not_cached(planted_panel_files, tmp_path):
+    bad = tmp_path / "bad_prod.csv"
+    bad.write_text("country,activity,year,value\nC0,10 P0,2010,3\nC1,10 P0,2010,-3\n",
+                   encoding="utf-8")
+    cfg = _config(planted_panel_files, tmp_path, product_panel=str(bad))
+    config_path = _write_config(cfg, tmp_path)
+    outputs = [CliRunner().invoke(main, ["ingest", "--config", str(config_path)]).output
+               for _ in range(2)]
+    assert outputs[0] == outputs[1] == f"Error: [ingest] {bad}:3: negative value '-3'\n"
+    # only the technology panel, which parsed, has an entry
+    assert len(list((tmp_path / "out" / "cache").glob("panel-*.npz"))) == 1
+
+
+def test_cached_panel_serves_every_digits(planted_panel_files, tmp_path, monkeypatch):
+    cfg = _config(planted_panel_files, tmp_path)
+    cache = ArtifactCache(tmp_path / "cache")
+    load_panels(cfg, cache)
+    reads = _count_reads(monkeypatch)
+    warm = load_panels(cfg.replace(digits=2), cache)
+    assert reads == []
+    cold = load_panels(cfg.replace(digits=2))
+    assert warm[1].activity_ids == ("10", "11", "12", "13", "14")
+    for a, b in zip(warm, cold):
+        _assert_same_panel(a, b)
+
+
+def test_cli_robustness_after_report_parses_no_panel(planted_panel_files, tmp_path, monkeypatch):
+    cfg = _config(planted_panel_files, tmp_path, samples=100)
+    config_path = str(_write_config(cfg, tmp_path))
+    assert CliRunner().invoke(main, ["report", "--config", config_path]).exit_code == 0
+    reads = _count_reads(monkeypatch)
+    result = CliRunner().invoke(main, ["robustness", "--config", config_path, "--deltas", "1"])
+    assert result.exit_code == 0, result.output
+    assert reads == []
+
+
+def test_warm_manifest_equals_cold(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=100)
+    config_path = str(_write_config(cfg, tmp_path))
+    manifest = tmp_path / "out" / "manifest.json"
+    assert CliRunner().invoke(main, ["report", "--config", config_path]).exit_code == 0
+    cold = manifest.read_bytes()
+    manifest.unlink()
+    # panels and counts now come from the cache
+    assert CliRunner().invoke(main, ["report", "--config", config_path]).exit_code == 0
+    assert manifest.read_bytes() == cold
