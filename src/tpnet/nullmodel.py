@@ -8,19 +8,22 @@ probability 1 (stripping repeats until no degenerate nodes remain), and
 remaining nodes are grouped by degree value so equal degrees share one
 multiplier.
 
-``null_exceedance_counts`` is the only sampler. Each sample index derives
-its own random substream from (seed, stream_key, index), so counts are
-reproducible bit-for-bit. Activities of one degree share one probability
-column, so every cell of a (technology class, product class) pair has the
-same null law: each draw contracts one representative column per class with
-the empirical path's kernel, and each cell counts, by binary search in its
-class pair's sorted null weights, the draws its empirical weight beats.
+``null_exceedance_counts`` is the only sampler. Each pair has one random
+stream and sample i starts a fixed jump along it, so counts are reproducible
+bit-for-bit. Activities of one degree share one probability column, so every
+cell of a (technology class, product class) pair has the same null law: each
+draw contracts one representative column per class with the empirical path's
+kernel, and each cell counts, by binary search in its class pair's sorted
+null weights, the draws its empirical weight beats. The other members of the
+product classes enter a draw only through each country's diversification,
+drawn at once from a table of its law built once per pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -186,8 +189,24 @@ def fit_bicm(
     )
 
 
-def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+# The jump of ``PCG64.jumped``, about 2**128 over the golden ratio. Jumps of
+# ``i << 64`` would leave every sample's state with the same low 64 bits, and
+# such samples come out correlated.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def _substreams(seed: int, stream_key: tuple[int, ...]) -> Callable[[int], np.random.Generator]:
+    """Sample i's generator: the PCG64 of (seed, stream_key) advanced by
+    i jumps. One generator serves every sample, repositioned on each call."""
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
+    start, rng = bits.state, np.random.Generator(bits)
+
+    def sample(i: int) -> np.random.Generator:
+        bits.state = start
+        bits.advance(i * _JUMP % (1 << 128))
+        return rng
+
+    return sample
 
 
 def _draw(probabilities: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -200,21 +219,70 @@ def _draw(probabilities: np.ndarray, rng: np.random.Generator, out: np.ndarray) 
 # Names the sampling scheme of ``null_exceedance_counts`` in the counts' cache
 # key: counts drawn under another scheme have other bits for the same inputs,
 # so they must not be read. Change it with any change to the draws.
-SAMPLING_SCHEME = "degree-class draws, one substream per sample"
+SAMPLING_SCHEME = "degree-class draws, diversification table, jumped PCG64 per sample"
 
 # Bytes of null weights stored between two sort-and-count passes, whatever n.
 _CHUNK_BYTES = 1 << 23
+
+# Bernstein's inequality puts less than 2**-64 of a sum of independent
+# Bernoulli links outside mean +- t once t**2 / (2 * (var + t / 3)) >= _TAIL.
+_TAIL = 65 * math.log(2.0)
+
+# Diversification tables hold cumulative probabilities in units of 2**-48, a
+# uniform's top 48 bits: row c is offset by c units of 1.0 in one int64 array,
+# which holds 2**15 countries.
+_UNIT_BITS = 48
 
 
 def _classes(model: BiCMModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Activities grouped by identical probability column: each class's first
     member, which represents it, the activities in class order and each
-    class's size."""
-    _, first, inverse, size = np.unique(
-        model.link_probabilities.T, axis=0,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
-    return first, np.argsort(inverse.reshape(-1), kind="stable"), size
+    class's size. Classes are in lexicographic order of their columns."""
+    p = model.link_probabilities
+    order = np.lexsort(p[::-1])
+    ordered = p[:, order]
+    starts = np.flatnonzero(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)])
+    # lexsort is stable, so each class's first member leads its run
+    return order[starts], order, np.diff(np.r_[starts, p.shape[1]])
+
+
+def _diversification_table(q: np.ndarray, extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each country's law of S_c = sum_k Binomial(extra[k], q[c, k]) as an
+    inverse-CDF table: (first, thresholds), with S_c = first[c] plus the
+    number of thresholds[c] at or below a uniform's top ``_UNIT_BITS`` bits.
+
+    Links pinned to 0 or 1 add a constant. The rest sum to a law whose
+    characteristic function is evaluated, per country, on the window mean +-
+    t that Bernstein's bound (``_TAIL``) leaves less than 2**-64 outside, and
+    inverted with one ``irfft``; rounding noise below the transform's
+    resolution is cut, so a country with no free link draws its constant.
+    """
+    q, extra = q[:, extra > 0], extra[extra > 0]
+    free = (q > 0) & (q < 1)
+    links = np.where(free, extra, 0).astype(np.float64)
+    spread = q * (1.0 - q)
+    mean, var, top = (links * q).sum(axis=1), (links * spread).sum(axis=1), links.sum(axis=1)
+    t = _TAIL / 3 + np.sqrt(_TAIL**2 / 9 + 2 * _TAIL * var)
+    low = np.clip(np.floor(mean - t), 0, top).astype(np.int64)
+    width = int((np.clip(np.ceil(mean + t), 0, top) - low).max(initial=0)) + 1
+    # E[z**S] on z = exp(-i theta) (irfft's sign) times z**-low, so that the
+    # inverse transform puts P(S = low + r) at r. |.| and arg come from real
+    # logs and angles, one class at a time (countries x frequencies arrays
+    # only), and the shift's angle from exact integer residues.
+    freq = np.arange(width // 2 + 1)
+    theta = 2 * np.pi / width * freq
+    half, sin, cos = np.sin(theta / 2) ** 2, np.sin(theta), np.cos(theta)
+    angle = -2 * np.pi / width * (low[:, None] * freq % width)
+    log_abs = np.zeros(angle.shape)
+    with np.errstate(divide="ignore"):
+        for p, s, w in zip(q.T[:, :, None], spread.T[:, :, None], links.T[:, :, None]):
+            log_abs += w / 2 * np.log1p(-4 * s * half)
+            angle += w * np.arctan2(p * sin, 1 - p + p * cos)
+    pmf = np.fft.irfft(np.exp(log_abs - 1j * angle), n=width, axis=1)
+    pmf[pmf < width * np.finfo(np.float64).eps] = 0.0
+    cdf = np.cumsum(pmf, axis=1)
+    thresholds = np.rint(np.ldexp(cdf / cdf[:, -1:], _UNIT_BITS)).astype(np.int64)
+    return np.where(q == 1, extra, 0).sum(axis=1) + low, thresholds
 
 
 def _worst_z(sums: np.ndarray, mean: np.ndarray, var: np.ndarray, n: int) -> float:
@@ -235,14 +303,14 @@ def null_exceedance_counts(
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Exceedance counts over n null contractions per degree class pair.
 
-    Draw i takes, from its one substream (seed, *stream_key, i) and in this
-    order, the columns of the technology and of the product class
-    representatives, with ``_draw``, then each country's link count over the
-    other members of each product class, Binomial(size - 1, p). The product
-    representatives' row sums plus those counts are the countries' product
-    degrees d. The empirical matrix's kernel, ``assist._assist_values``,
-    contracts the representatives with that d into one null weight per class
-    pair, with the law of its cells.
+    Draw i takes, from the generator ``_substreams(seed, stream_key)(i)``
+    and in this order, the columns of the technology and of the product class
+    representatives, with ``_draw``, then one uniform per country, which picks
+    its link count S over the other members of each product class from the
+    pair's ``_diversification_table``. The product representatives' row sums
+    plus S are the countries' product degrees d. The empirical matrix's
+    kernel, ``assist._assist_values``, contracts the representatives with
+    that d into one null weight per class pair, with the law of its cells.
 
     Each chunk of draws, at most ``_CHUNK_BYTES`` of null weights, is sorted
     per class pair; one ``searchsorted`` per class pair counts, for each cell
@@ -280,16 +348,25 @@ def null_exceedance_counts(
         for size in (tech_size, prod_size)
     )
     null = np.empty((k_t, k_p, min(n, max(1, _CHUNK_BYTES // (8 * k_t * k_p)))))
-    tech, prod = np.empty(tech_p.shape), np.empty(prod_p.shape)
+    # Country c's table row, offset by c units, in one sorted array: a search
+    # for c's uniform plus c units lands at c * width + its row's index.
+    first, table = _diversification_table(prod_p, prod_size - 1)
+    countries = np.arange(len(first))
+    offsets, base = countries << _UNIT_BITS, first - countries * table.shape[1]
+    table = (table + offsets[:, None]).ravel()
+    tech, prod, uniform = np.empty(tech_p.shape), np.empty(prod_p.shape), np.empty(len(first))
     tech_cols, prod_rows, prod_cols = np.zeros(k_t), np.zeros(tech_p.shape[0]), np.zeros(k_p)
+    sample = _substreams(seed, stream_key)
     with _one_blas_thread():
         for start in range(0, n, null.shape[2]):
             chunk = null[:, :, :min(null.shape[2], n - start)]
             for j in range(chunk.shape[2]):
-                rng = _rng(seed, (*stream_key, start + j))
+                rng = sample(start + j)
                 _draw(tech_p, rng, out=tech)
                 _draw(prod_p, rng, out=prod)
-                d = prod.sum(axis=1) + rng.binomial(prod_size - 1, prod_p).sum(axis=1)
+                rng.random(out=uniform)
+                bits = np.ldexp(uniform, _UNIT_BITS).astype(np.int64) + offsets
+                d = prod.sum(axis=1) + (np.searchsorted(table, bits, side="right") + base)
                 values, u = _assist_values(tech, prod, d)
                 chunk[:, :, j] = values
                 tech_cols += u

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tpnet.assist import _openblas_thread_controls
-from tpnet.nullmodel import BiCMModel, _draw, _rng
+from tpnet.nullmodel import BiCMModel, _draw, _substreams
 from tpnet.panels import ActivityPanel, read_panel_csv
 from tpnet.rca import BinaryMatrix
 
@@ -128,11 +128,11 @@ def null_draws(
     model: BiCMModel, n: int, seed: int, stream_key: tuple[int, ...] = ()
 ) -> Iterator[np.ndarray]:
     """The model's n Bernoulli layers as the null loop draws them: draw i
-    comes from ``_draw`` on substream (seed, *stream_key, i), each into a new
-    float64 0/1 array."""
-    p = model.link_probabilities
+    comes from ``_draw`` on sample i's generator of the pair's stream
+    ``_substreams(seed, stream_key)``, each into a new float64 0/1 array."""
+    p, sample = model.link_probabilities, _substreams(seed, stream_key)
     for i in range(n):
-        yield _draw(p, _rng(seed, (*stream_key, i)), out=np.empty(p.shape))
+        yield _draw(p, sample(i), out=np.empty(p.shape))
 
 
 def blas_threads() -> list[int]:

@@ -9,10 +9,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
+from tpnet.nullmodel import _UNIT_BITS, _diversification_table
 from tpnet.validate import product_chapter
 
 
@@ -108,14 +110,17 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
     by draw and cell by cell.
 
     Activities are grouped by their probability column as a tuple of floats,
-    classes in sorted order. Draw i takes from its one substream (seed,
-    *stream_key, i), in this order: the class columns of the technology and
-    of the product layer with ``rng.random(shape) < p``, then each country's
-    count over the other members of each product class with
-    ``rng.binomial(size - 1, p)``. The class columns are contracted with the
-    float expression of the library's kernel on the same operand layout, with
-    d the class columns' row sums plus those counts, and each cell is
-    compared strictly with its class pair's null weight.
+    classes in sorted order. Draw i takes from its own generator, the PCG64
+    of (seed, stream_key) built afresh and moved on with ``jumped(i)``, in
+    this order: the class columns of the technology and of the product layer
+    with ``rng.random(shape) < p``, then one uniform per country. That
+    uniform's top bits pick the country's count over the other members of
+    its product classes from the library's diversification table (which
+    ``test_diversification_table_is_the_exact_law`` checks against exact
+    convolutions), one threshold at a time. The class columns are contracted
+    with the float expression of the library's kernel on the same operand
+    layout, with d the class columns' row sums plus those counts, and each
+    cell is compared strictly with its class pair's null weight.
 
     Returns (counts, drift): drift per layer (technology, product) is the
     largest |z| over every drawn degree, each activity carrying its class
@@ -135,13 +140,19 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
     counts = np.zeros(empirical.shape, dtype=np.int64)
     tech_cols, prod_cols = np.zeros(tech_p.shape[1]), np.zeros(prod_p.shape[1])
     prod_rows = np.zeros(prod_p.shape[0])
+    first, table = _diversification_table(prod_p, prod_size - 1)
     for i in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, i))
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key)).jumped(i)
         )
         tech = rng.random(tech_p.shape) < tech_p
         prod = rng.random(prod_p.shape) < prod_p
-        d = prod.sum(axis=1, dtype=np.int64) + rng.binomial(prod_size - 1, prod_p).sum(axis=1)
+        bits = [int(u * 2**_UNIT_BITS) for u in rng.random(prod_p.shape[0])]
+        diversification = [
+            start + sum(1 for threshold in row if threshold <= b)
+            for start, row, b in zip(first.tolist(), table.tolist(), bits)
+        ]
+        d = prod.sum(axis=1, dtype=np.int64) + np.array(diversification)
         u = tech.sum(axis=0, dtype=np.int64)
         tech_cols += u
         prod_cols += prod.sum(axis=0)
@@ -169,6 +180,24 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
         max(worst(prod_rows, prod_all), worst([prod_cols[b] for b in prod_class], prod_all.T)),
     )
     return counts, drift
+
+
+def exact_diversification_law(q, extra):
+    """{value: probability} of sum_k Binomial(extra[k], q[k]) as exact
+    fractions. Each float q is a / b with b a power of two, so each
+    binomial's PMF is integers over b**trials; the convolution runs on those
+    integer numerators, term by term, over one growing denominator."""
+    law, denominator = {0: 1}, 1
+    for p, trials in zip(q, extra):
+        a, b = float(p).as_integer_ratio()
+        term = [math.comb(trials, r) * a**r * (b - a) ** (trials - r) for r in range(trials + 1)]
+        convolved = {}
+        for value, weight in law.items():
+            for r, w in enumerate(term):
+                if w:
+                    convolved[value + r] = convolved.get(value + r, 0) + weight * w
+        law, denominator = convolved, denominator * b**trials
+    return {value: Fraction(weight, denominator) for value, weight in law.items()}
 
 
 def _all_configs(prob: np.ndarray):

@@ -1,7 +1,11 @@
 """Null-model fitting, ensemble sampling, and the pair-validation loop."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tpnet import (
     AxisMismatchError,
@@ -11,12 +15,20 @@ from tpnet import (
     nullmodel,
 )
 from tpnet.assist import _assist_values, _openblas_thread_controls
-from tpnet.nullmodel import _draw, _rng, null_exceedance_counts
+from tpnet.nullmodel import (
+    _UNIT_BITS,
+    BiCMModel,
+    _diversification_table,
+    _draw,
+    _substreams,
+    null_exceedance_counts,
+)
 from tpnet.rca import BinaryMatrix
 
 from .conftest import blas_threads, null_draws, random_binary
 from .oracles import (
     enumerate_exceedance,
+    exact_diversification_law,
     reference_assist,
     reference_class_counts,
     reference_exceedance_counts,
@@ -107,9 +119,9 @@ def test_draw_into_buffer_matches_ensemble_and_fresh_draw():
     model = fit_bicm(_binary(random_binary(np.random.default_rng(5), (4, 6), 0.5)))
     buf = np.full(model.shape, 7.0)
     for i, sample in enumerate(null_draws(model, 20, seed=3)):
-        drawn = _draw(model.link_probabilities, _rng(3, (i,)), out=buf)
-        fresh = np.random.default_rng(
-            np.random.SeedSequence(entropy=3, spawn_key=(i,))
+        drawn = _draw(model.link_probabilities, _substreams(3, ())(i), out=buf)
+        fresh = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(3)).jumped(i)
         ).random(model.shape) < model.link_probabilities
         assert drawn is buf and sample is not buf
         assert np.array_equal(drawn, fresh) and np.array_equal(sample, fresh)
@@ -135,6 +147,154 @@ def test_sample_mean_tracks_probabilities():
     model = fit_bicm(_binary(np.eye(2)), tolerance=1e-12)
     mean = sum(null_draws(model, 4000, seed=123)) / 4000
     assert np.abs(mean - 0.5).max() < 0.03  # ~4 sigma at n=4000
+
+
+def _model(p, layer="product"):
+    p = np.asarray(p, dtype=np.float64)
+    return BiCMModel(
+        layer,
+        tuple(f"c{i}" for i in range(p.shape[0])),
+        tuple(f"a{j}" for j in range(p.shape[1])),
+        np.zeros(p.shape[0]),
+        np.zeros(p.shape[1]),
+        p,
+        0.0,
+    )
+
+
+_PROBABILITIES = st.sampled_from([0.0, 1.0, 0.125, 0.5, 0.75, 5e-324, float(np.nextafter(1.0, 0.0))])
+
+
+@st.composite
+def _probability_columns(draw):
+    """Columns picked, with repeats, from a pool holding the all-0 and the
+    all-1 column and up to four drawn ones."""
+    countries = draw(st.integers(1, 5))
+    column = st.lists(_PROBABILITIES, min_size=countries, max_size=countries)
+    pool = [[0.0] * countries, [1.0] * countries] + draw(st.lists(column, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return np.array([pool[k] for k in picks]).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probability_columns())
+@example(np.array([[0.5], [0.25]]))
+@example(np.array([[1.0, 0.0, 1.0, 0.0]]))
+def test_classes_are_unique_columns(p):
+    first, order, size = nullmodel._classes(_model(p))
+    _, want_first, inverse, want_size = np.unique(
+        p.T, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(order, np.argsort(inverse.reshape(-1), kind="stable"))
+    assert np.array_equal(size, want_size)
+
+
+def _table_law(first, thresholds):
+    """Each country's {value: probability} read off its table row."""
+    steps = np.diff(thresholds, prepend=0, axis=1) / 2.0**_UNIT_BITS
+    return [
+        {start + r: w for r, w in enumerate(row) if w}
+        for start, row in zip(first.tolist(), steps.tolist())
+    ]
+
+
+@pytest.mark.parametrize("fixture_seed", range(12))
+def test_diversification_table_is_the_exact_law(fixture_seed):
+    # rows of free, pinned-to-0 and pinned-to-1 links, then a country with
+    # every link pinned and classes of every size, one member included
+    rng = np.random.default_rng(fixture_seed)
+    q = rng.random((4, 5)) ** 2
+    q[0, 1], q[1, 2] = 0.0, 1.0
+    q[3] = rng.choice([0.0, 1.0], 5)
+    extra = rng.integers(0, 6, 5)
+    first, thresholds = _diversification_table(q, extra)
+    assert (thresholds[:, -1] == 2**_UNIT_BITS).all()
+    for c, law in enumerate(_table_law(first, thresholds)):
+        exact = exact_diversification_law(q[c], extra.tolist())
+        for value in set(law) | set(exact):
+            assert abs(law.get(value, 0.0) - float(exact.get(value, 0))) <= 1e-12
+    pinned = int(extra[q[3] == 1].sum())
+    assert first[3] == pinned and (thresholds[3] == 2**_UNIT_BITS).all()
+
+
+def test_diversification_window_leaves_under_2_to_the_minus_64_outside():
+    # 500 links at 1/64 and 1/32: Bernstein's window is far narrower than
+    # the support
+    q, extra = np.array([[1 / 64, 1 / 32]]), np.array([300, 200])
+    first, thresholds = _diversification_table(q, extra)
+    window = range(int(first[0]), int(first[0]) + thresholds.shape[1])
+    assert 0 < len(window) < 100
+    exact = exact_diversification_law(q[0], extra.tolist())
+    outside = sum(w for value, w in exact.items() if value not in window)
+    assert 0 < outside < Fraction(1, 2**64)
+    law = _table_law(first, thresholds)[0]
+    assert max(abs(law.get(v, 0.0) - float(exact[v])) for v in window) <= 1e-12
+
+
+def _recorded_degrees(monkeypatch):
+    """Each kernel call's product draw and d, as the loop passes them."""
+    calls, real = [], nullmodel._assist_values
+
+    def recording(tech, prod, d):
+        calls.append((prod.copy(), np.array(d)))
+        return real(tech, prod, d)
+
+    monkeypatch.setattr(nullmodel, "_assist_values", recording)
+    return calls
+
+
+def test_pinned_countries_draw_their_exact_diversification(monkeypatch):
+    # product classes of 3, 2 and 1 members; countries 0-2 hold only
+    # probabilities 0 and 1, so every draw gives them d = 6, 0 and 4
+    classes = np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1], [0.3, 0.6, 0.9]])
+    prod = _model(classes[:, [0, 0, 0, 1, 1, 2]])
+    tech = _model(np.full((4, 2), 0.5), layer="technology")
+    calls = _recorded_degrees(monkeypatch)
+    null_exceedance_counts(tech, prod, np.zeros((2, 6)), 300, seed=4)
+    assert len(calls) == 300
+    assert all(np.array_equal(d[:3], [6, 0, 4]) for _, d in calls)
+    assert len({d[3] for _, d in calls}) > 1
+
+
+def test_layers_of_single_member_classes_draw_no_diversification(monkeypatch):
+    # every product column differs, so S = 0 and d is the drawn row sums
+    prod = _model(np.random.default_rng(2).random((5, 4)))
+    tech = _model(np.full((5, 3), 0.5), layer="technology")
+    calls = _recorded_degrees(monkeypatch)
+    null_exceedance_counts(tech, prod, np.zeros((3, 4)), 300, seed=4)
+    assert len(calls) == 300
+    assert all(np.array_equal(d, drawn.sum(axis=1)) for drawn, d in calls)
+
+
+def _shifted_substreams(seed, stream_key):
+    # the jump this loop must not use: i << 64 keeps the low 64 state bits
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
+    start, rng = bits.state, np.random.Generator(bits)
+
+    def sample(i):
+        bits.state = start
+        bits.advance(i << 64)
+        return rng
+
+    return sample
+
+
+def _worst_uniform_z(sample, n=4000, width=128):
+    """Largest |z| over the first ``width`` uniforms of samples 0..n-1: of
+    each position's mean across samples and of its lag-1 correlation."""
+    centred = np.array([sample(i).random(width) for i in range(n)]) - 0.5
+    mean_z = centred.mean(axis=0) * np.sqrt(12 * n)
+    lag_z = (centred[1:] * centred[:-1]).mean(axis=0) * 12 * np.sqrt(n - 1)
+    return max(np.abs(mean_z).max(), np.abs(lag_z).max())
+
+
+@pytest.mark.parametrize("seed, stream_key", [(1, (0, 0, 0)), (7, (0, 0, 1))])
+def test_jumped_substreams_are_uncorrelated(seed, stream_key):
+    # 2 x 128 z-scores per stream, each beyond 4.5 with chance 7e-6; the
+    # i << 64 jumps fail the same test
+    assert _worst_uniform_z(_substreams(seed, stream_key)) < 4.5
+    assert _worst_uniform_z(_shifted_substreams(seed, stream_key)) > 4.5
 
 
 def test_paired_stream_zscores_cover_both_layers():
@@ -277,21 +437,25 @@ def test_class_counts_follow_the_full_layer_law():
 def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample):
     # one draw per chunk: sample 0 fails first, sample 4 after four
     # sort-and-count passes
-    real_rng, real_draw = nullmodel._rng, nullmodel._draw
-    sample_of = {}
+    real_substreams, real_draw = nullmodel._substreams, nullmodel._draw
+    current = []
 
-    def keyed_rng(seed, key):
-        rng = real_rng(seed, key)
-        sample_of[id(rng)] = key[-1]
-        return rng
+    def keyed_substreams(seed, stream_key):
+        sample = real_substreams(seed, stream_key)
+
+        def keyed(i):
+            current.append(i)
+            return sample(i)
+
+        return keyed
 
     def failing_draw(probabilities, rng, out):
-        if sample_of[id(rng)] == failing_sample:
+        if current[-1] == failing_sample:
             raise RuntimeError(f"draw {failing_sample} failed")
         return real_draw(probabilities, rng, out=out)
 
     monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(nullmodel, "_rng", keyed_rng)
+    monkeypatch.setattr(nullmodel, "_substreams", keyed_substreams)
     monkeypatch.setattr(nullmodel, "_draw", failing_draw)
     before = blas_threads()
     tech, prod, empirical = _exceedance_fixture(5)
@@ -333,8 +497,9 @@ def test_null_stream_matches_reference_contraction():
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
     tech_buf, prod_buf = np.empty((4, 3)), np.empty((4, 4))
     # the loop's draws, buffers and kernel call, one sample at a time
+    sample = _substreams(21, ())
     for i in range(5):
-        rng = _rng(21, (i,))
+        rng = sample(i)
         tech_draw = _draw(tech.link_probabilities, rng, out=tech_buf)
         prod_draw = _draw(prod.link_probabilities, rng, out=prod_buf)
         expected = reference_assist(tech_draw, prod_draw)

@@ -272,8 +272,9 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
 
 def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp_path):
     # entries under the keys of earlier schemes, as the full-layer loop (no
-    # tag) and the three-substream class loop stored their counts: every cell
-    # at n, so reading either would keep every link
+    # tag), the three-substream class loop and the binomial-block class loop
+    # stored their counts: every cell at n, so reading any would keep every
+    # link
     cfg = _config(
         planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
     )
@@ -284,14 +285,15 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
         fit_bicm(prod_bin).link_probabilities, cfg.samples, cfg.seed, 0, 0, 0,
     )
     planted = np.full(empirical.values.shape, cfg.samples)
-    for tag in ((), ("degree-class draws",)):
+    earlier = ((), ("degree-class draws",), ("degree-class draws, one substream per sample",))
+    for tag in earlier:
         ArtifactCache(tmp_path / "out" / "cache").store(
             "counts", ArtifactCache.key("counts", *tag, *inputs),
             counts=planted, n=np.array([cfg.samples]),
         )
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert len(list((tmp_path / "out" / "cache").glob("counts-*.npz"))) == 3
+    assert len(list((tmp_path / "out" / "cache").glob("counts-*.npz"))) == 4
 
     # the run stored its counts under the current scheme's key, and an entry
     # under that key is what a rerun reads
@@ -372,13 +374,18 @@ def test_each_pair_draws_each_layer_once_per_sample(
     planted_panel_files, tmp_path, monkeypatch
 ):
     draws = Counter()
-    real_rng = nullmodel._rng
+    real_substreams = nullmodel._substreams
 
-    def counting_rng(seed, key):
-        draws[key] += 1
-        return real_rng(seed, key)
+    def counting_substreams(seed, stream_key):
+        sample = real_substreams(seed, stream_key)
 
-    monkeypatch.setattr(nullmodel, "_rng", counting_rng)
+        def counted(i):
+            draws[(*stream_key, i)] += 1
+            return sample(i)
+
+        return counted
+
+    monkeypatch.setattr(nullmodel, "_substreams", counting_substreams)
     cfg = _config(planted_panel_files, tmp_path, samples=30)
     run_pipeline(cfg, write=False)
     pairs = [(0, 0, 0), (0, 0, 1)]
