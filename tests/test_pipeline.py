@@ -293,7 +293,7 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
         )
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert len(list((tmp_path / "out" / "cache").glob("counts-*.npz"))) == 4
+    assert len(list((tmp_path / "out" / "cache").glob("counts-*.npz"))) == len(earlier) + 1
 
     # the run stored its counts under the current scheme's key, and an entry
     # under that key is what a rerun reads
