@@ -116,14 +116,15 @@ def _assist_values(tech: np.ndarray, prod: np.ndarray, d: Optional[np.ndarray] =
     where the diversification ``d`` is ``prod``'s row sums unless given (the
     null loop draws only some of the product columns). Returns (values,
     ubiquity). Zero-diversification countries contribute nothing;
-    zero-ubiquity technology rows stay zero.
+    zero-ubiquity technology rows stay zero. Stacks of layers (the null
+    loop's blocks) contract slice by slice, each as a single layer would.
     """
     if d is None:
-        d = prod.sum(axis=1)
-    u = tech.sum(axis=0)
-    weighted = prod * np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[:, None]
-    values = tech.T @ weighted
-    values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[:, None]
+        d = prod.sum(axis=-1)
+    u = tech.sum(axis=-2)
+    weighted = prod * np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)[..., None]
+    values = np.swapaxes(tech, -1, -2) @ weighted
+    values *= np.divide(1.0, u, out=np.zeros(u.shape), where=u > 0)[..., None]
     return values, u
 
 

@@ -18,7 +18,6 @@ from .errors import TpnetError
 from .panels import aggregate_window
 from .pipeline import (
     Run,
-    _activity_counts,
     _stage,
     _write_tables,
     compute_rankings,
@@ -157,9 +156,9 @@ def validate(cfg):
 def efc(cfg):
     """Write complexity rankings for the most recent configured windows."""
     run = Run.start(cfg)
-    rankings = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
+    rankings, info = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
     written = _stage("efc", _write_tables, run.out_dir, rankings)
-    run.record("efc", outputs=written, **_activity_counts(rankings))
+    run.record("efc", outputs=written, **info)
     click.echo(f"wrote rankings to {written[0].parent}")
 
 

@@ -9,7 +9,7 @@ remaining nodes are grouped by degree value so equal degrees share one
 multiplier.
 
 ``null_exceedance_counts`` is the only sampler. Each pair has one random
-stream and sample i starts a fixed jump along it, so counts are reproducible
+stream and sample i reads a fixed stretch of it, so counts are reproducible
 bit-for-bit. Activities of one degree share one probability column, so every
 cell of a (technology class, product class) pair has the same null law: each
 draw contracts one representative column per class with the empirical path's
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -189,40 +188,19 @@ def fit_bicm(
     )
 
 
-# The jump of ``PCG64.jumped``, about 2**128 over the golden ratio. Jumps of
-# ``i << 64`` would leave every sample's state with the same low 64 bits, and
-# such samples come out correlated.
-_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-
-
-def _substreams(seed: int, stream_key: tuple[int, ...]) -> Callable[[int], np.random.Generator]:
-    """Sample i's generator: the PCG64 of (seed, stream_key) advanced by
-    i jumps. One generator serves every sample, repositioned on each call."""
-    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
-    start, rng = bits.state, np.random.Generator(bits)
-
-    def sample(i: int) -> np.random.Generator:
-        bits.state = start
-        bits.advance(i * _JUMP % (1 << 128))
-        return rng
-
-    return sample
-
-
-def _draw(probabilities: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """One Bernoulli layer as float64 0/1, written into ``out``: entry (c, a)
-    is 1 with probability ``probabilities[c, a]``."""
-    rng.random(out=out)
-    return np.less(out, probabilities, out=out)
+def _stream(seed: int, stream_key: tuple[int, ...]) -> np.random.Generator:
+    """The pair's one stream: sample i reads its M uniforms from i * M on."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key)))
 
 
 # Names the sampling scheme of ``null_exceedance_counts`` in the counts' cache
 # key: counts drawn under another scheme have other bits for the same inputs,
 # so they must not be read. Change it with any change to the draws.
-SAMPLING_SCHEME = "degree-class draws, diversification table, jumped PCG64 per sample"
+SAMPLING_SCHEME = "degree-class draws, diversification table, one PCG64 stream per pair"
 
-# Bytes of null weights stored between two sort-and-count passes, whatever n.
-_CHUNK_BYTES = 1 << 23
+# Bytes of null weights stored between two sort-and-count passes, and of
+# uniforms drawn, compared and contracted at once, whatever n.
+_CHUNK_BYTES, _BLOCK_BYTES = 1 << 23, 1 << 18
 
 # Bernstein's inequality puts less than 2**-64 of a sum of independent
 # Bernoulli links outside mean +- t once t**2 / (2 * (var + t / 3)) >= _TAIL.
@@ -303,14 +281,17 @@ def null_exceedance_counts(
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Exceedance counts over n null contractions per degree class pair.
 
-    Draw i takes, from the generator ``_substreams(seed, stream_key)(i)``
-    and in this order, the columns of the technology and of the product class
-    representatives, with ``_draw``, then one uniform per country, which picks
-    its link count S over the other members of each product class from the
-    pair's ``_diversification_table``. The product representatives' row sums
-    plus S are the countries' product degrees d. The empirical matrix's
-    kernel, ``assist._assist_values``, contracts the representatives with
-    that d into one null weight per class pair, with the law of its cells.
+    Draw i reads, from position i * M of the pair's stream
+    ``_stream(seed, stream_key)``, M uniforms: in this order, one per link of
+    the technology and of the product class representatives, compared with
+    their probabilities, then one per country, which picks its link count S
+    over the other members of each product class from the pair's
+    ``_diversification_table``. The product representatives' row sums plus S
+    are the countries' product degrees d. The empirical matrix's kernel,
+    ``assist._assist_values``, contracts the representatives with that d into
+    one null weight per class pair, with the law of its cells. Draws are
+    made in blocks of at most ``_BLOCK_BYTES`` of uniforms, so a block is a
+    few numpy calls; the block size never changes a draw.
 
     Each chunk of draws, at most ``_CHUNK_BYTES`` of null weights, is sorted
     per class pair; one ``searchsorted`` per class pair counts, for each cell
@@ -354,24 +335,26 @@ def null_exceedance_counts(
     countries = np.arange(len(first))
     offsets, base = countries << _UNIT_BITS, first - countries * table.shape[1]
     table = (table + offsets[:, None]).ravel()
-    tech, prod, uniform = np.empty(tech_p.shape), np.empty(prod_p.shape), np.empty(len(first))
+    t_end, p_end = tech_p.size, tech_p.size + prod_p.size
+    block = max(1, _BLOCK_BYTES // (8 * (p_end + len(first))))
     tech_cols, prod_rows, prod_cols = np.zeros(k_t), np.zeros(tech_p.shape[0]), np.zeros(k_p)
-    sample = _substreams(seed, stream_key)
+    rng = _stream(seed, stream_key)
     with _one_blas_thread():
         for start in range(0, n, null.shape[2]):
             chunk = null[:, :, :min(null.shape[2], n - start)]
-            for j in range(chunk.shape[2]):
-                rng = sample(start + j)
-                _draw(tech_p, rng, out=tech)
-                _draw(prod_p, rng, out=prod)
-                rng.random(out=uniform)
-                bits = np.ldexp(uniform, _UNIT_BITS).astype(np.int64) + offsets
-                d = prod.sum(axis=1) + (np.searchsorted(table, bits, side="right") + base)
+            for j in range(0, chunk.shape[2], block):
+                uniforms = rng.random((min(block, chunk.shape[2] - j), p_end + len(first)))
+                tech = uniforms[:, :t_end].reshape(-1, *tech_p.shape)
+                prod = uniforms[:, t_end:p_end].reshape(-1, *prod_p.shape)
+                np.less(tech, tech_p, out=tech)
+                np.less(prod, prod_p, out=prod)
+                bits = np.ldexp(uniforms[:, p_end:], _UNIT_BITS).astype(np.int64) + offsets
+                d = prod.sum(axis=-1) + (np.searchsorted(table, bits, side="right") + base)
                 values, u = _assist_values(tech, prod, d)
-                chunk[:, :, j] = values
-                tech_cols += u
-                prod_rows += d
-                prod_cols += prod.sum(axis=0)
+                chunk[:, :, j:j + len(values)] = np.moveaxis(values, 0, -1)
+                tech_cols += u.sum(axis=0)
+                prod_rows += d.sum(axis=0)
+                prod_cols += prod.sum(axis=(0, 1))
             chunk.sort(axis=2)
             for a, rows in enumerate(tech_spans):
                 for b, cols in enumerate(prod_spans):

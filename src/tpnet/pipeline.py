@@ -1,21 +1,23 @@
 """End-to-end orchestration: ingest, windows, RCA, contraction, null-model
 validation, ranking, reports, and the window-robustness harness.
 
-Runs are deterministic given (config, seed): every random substream is derived
-from the master seed plus a structural key (lag index, pair index, sample
-index), and all writers are deterministic. Each period pair's null sampling
+Runs are deterministic given (config, seed): each pair's random stream is
+derived from the master seed plus a structural key (lag index, pair index),
+and all writers are deterministic. Each period pair's null sampling
 is one pass of ``nullmodel.null_exceedance_counts``, the package's only null
 loop: it draws both layers, contracts them with the kernel of the empirical
 matrix and yields the exceedance counts and each layer's worst sampled-degree
 z-score, the sampling-bias audit. Two costly results are cached on disk: the
 exceedance counts, keyed by a content hash of their inputs, and each parsed
-panel, keyed by its file's bytes, layer kind and ``PANEL_FORMAT``; windows,
+panel, keyed by its file's bytes, layer kind and ``PANEL_FORMAT``; a store
+removes entries of another ``SAMPLING_SCHEME`` or ``PANEL_FORMAT``. Windows,
 RCA, contractions and fits are recomputed, so a rerun gives identical results.
 
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
 ``Run``: it opens the output directory, the cache and ``manifest.json`` once,
-reads the panels under the ``ingest`` tag and, for every command but ``tpnet
-ingest``, resolves the lags under ``configure``.
+each created by its first write (a failed ingest writes nothing), reads the
+panels under the ``ingest`` tag and, for every command but ``tpnet ingest``,
+resolves the lags under ``configure``.
 Each completed stage is recorded through the run's ``record``, with the files
 it wrote; the manifest is replaced through a temp file, so a killed run never
 leaves a partial one. Only ``run_pipeline(write=False)`` records nothing.
@@ -27,6 +29,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -72,7 +75,8 @@ def _publish(path: Path, write) -> None:
     """Write ``path`` through ``write(tmp)`` on a per-process temp name, then
     move it into place: runs sharing an output directory never write the
     same file, a run killed mid-write never leaves a partial ``path``, and
-    the temp file is gone either way."""
+    the temp file is gone either way. Creates ``path``'s directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp{path.suffix}")
     try:
         write(tmp)
@@ -81,12 +85,17 @@ def _publish(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# Each kind of cache entry names a short hash of the format its bits follow.
+_TAGS = {kind: hashlib.sha256(fmt.encode()).hexdigest()[:8]
+         for kind, fmt in (("counts", SAMPLING_SCHEME), ("panel", PANEL_FORMAT))}
+
+
 class ArtifactCache:
-    """Write-once npz store keyed by a content hash of each artifact's inputs."""
+    """Write-once npz store keyed by a content hash of each artifact's
+    inputs; its directory is created by the first store."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def key(*parts) -> str:
@@ -103,7 +112,7 @@ class ArtifactCache:
         return digest.hexdigest()
 
     def _path(self, kind: str, key: str) -> Path:
-        return self.root / f"{kind}-{key}.npz"
+        return self.root / f"{kind}-{_TAGS[kind]}-{key}.npz"
 
     def load(self, kind: str, key: str, read=lambda arrays: arrays):
         """``read`` of the entry's arrays, or None when there is no entry. An
@@ -128,10 +137,15 @@ class ArtifactCache:
         return None
 
     def store(self, kind: str, key: str, **arrays: np.ndarray) -> None:
+        """Write the entry unless it exists; remove its kind's entries of another or no tag."""
         path = self._path(kind, key)
         if path.exists():
             return
         _publish(path, lambda tmp: np.savez(tmp, **arrays))
+        stale = re.compile(rf"{kind}-(?!{_TAGS[kind]}-)([0-9a-f]{{8}}-)?[0-9a-f]{{64}}\.npz")
+        for entry in self.root.glob(f"{kind}-*.npz"):
+            if stale.fullmatch(entry.name):
+                entry.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -404,20 +418,21 @@ def compute_rankings(
     tech_panel: ActivityPanel,
     prod_panel: ActivityPanel,
     lags: Sequence[LagSpec],
-) -> dict[str, ActivityRanking]:
+) -> tuple[dict[str, ActivityRanking], dict]:
     """Complexity rankings on the most recent configured window of each
-    layer, keyed ``technology`` then ``product``."""
+    layer, keyed ``technology`` then ``product``, and what the ``efc`` stage
+    records of each layer's fit: its ranked activities, the iterations run
+    and whether the ranks settled."""
     ends = (max(t1 for spec in lags for t1, _ in spec.pairs),
             max(t2 for spec in lags for _, t2 in spec.pairs))
-    return {
-        panel.layer_kind: rank_activities(_binary_for_window(panel, cfg.delta, end))[0]
-        for panel, end in zip((tech_panel, prod_panel), ends)
-    }
-
-
-def _activity_counts(rankings: dict[str, ActivityRanking]) -> dict[str, int]:
-    """What the ``efc`` stage records: each layer's number of ranked activities."""
-    return {f"{side}_activities": len(ranking) for side, ranking in rankings.items()}
+    rankings, info = {}, {}
+    for panel, end in zip((tech_panel, prod_panel), ends):
+        side = panel.layer_kind
+        rankings[side], fit = rank_activities(_binary_for_window(panel, cfg.delta, end))
+        info.update({f"{side}_activities": len(rankings[side]),
+                     f"{side}_efc_iterations": fit.iterations_run,
+                     f"{side}_rank_stable": fit.rank_stable})
+    return rankings, info
 
 
 def _write_lag_outputs(
@@ -479,8 +494,8 @@ def run_pipeline(
     """
     run = Run.start(cfg, recorded=write)
     lag_results = [run.validate_lag(lag_index) for lag_index in range(len(run.lags))]
-    rankings = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
-    run.record("efc", **_activity_counts(rankings))
+    rankings, efc_info = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
+    run.record("efc", **efc_info)
 
     curves: list[LinkDifferenceCurve] = []
     if len(lag_results) >= 2:

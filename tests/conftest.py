@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
 import pytest
 
+from tpnet import nullmodel
 from tpnet.assist import _openblas_thread_controls
-from tpnet.nullmodel import BiCMModel, _draw, _substreams
+from tpnet.nullmodel import BiCMModel
 from tpnet.panels import ActivityPanel, read_panel_csv
 from tpnet.rca import BinaryMatrix
 
@@ -127,12 +129,34 @@ def random_binary_no_empty(rng: np.random.Generator, shape, density=0.5) -> np.n
 def null_draws(
     model: BiCMModel, n: int, seed: int, stream_key: tuple[int, ...] = ()
 ) -> Iterator[np.ndarray]:
-    """The model's n Bernoulli layers as the null loop draws them: draw i
-    comes from ``_draw`` on sample i's generator of the pair's stream
-    ``_substreams(seed, stream_key)``, each into a new float64 0/1 array."""
-    p, sample = model.link_probabilities, _substreams(seed, stream_key)
+    """The model's n Bernoulli layers as the null loop draws a layer: draw i
+    compares, link by link, the uniforms of stretch i of the stream of
+    (seed, stream_key), one uniform per link, replayed with ``advance``, each
+    into a new float64 0/1 array."""
+    p = model.link_probabilities
     for i in range(n):
-        yield _draw(p, sample(i), out=np.empty(p.shape))
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
+        bits.advance(i * p.size)
+        yield (np.random.Generator(bits).random(p.shape) < p).astype(np.float64)
+
+
+def watch_blocks(monkeypatch, watch) -> None:
+    """Patch the null loop's stream so that each block of draws first calls
+    ``watch(stream_key, first, count)``: the block's first sample index and
+    its number of samples."""
+    real = nullmodel._stream
+
+    def stream(seed, stream_key):
+        rng, drawn = real(seed, stream_key), [0]
+
+        def random(shape):
+            watch(stream_key, drawn[0], shape[0])
+            drawn[0] += shape[0]
+            return rng.random(shape)
+
+        return SimpleNamespace(random=random)
+
+    monkeypatch.setattr(nullmodel, "_stream", stream)
 
 
 def blas_threads() -> list[int]:

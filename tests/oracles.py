@@ -110,12 +110,13 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
     by draw and cell by cell.
 
     Activities are grouped by their probability column as a tuple of floats,
-    classes in sorted order. Draw i takes from its own generator, the PCG64
-    of (seed, stream_key) built afresh and moved on with ``jumped(i)``, in
-    this order: the class columns of the technology and of the product layer
-    with ``rng.random(shape) < p``, then one uniform per country. That
-    uniform's top bits pick the country's count over the other members of
-    its product classes from the library's diversification table (which
+    classes in sorted order. Draw i takes M uniforms (one per class-column
+    link of both layers and one per country) from its own generator, the
+    PCG64 of (seed, stream_key) built afresh and moved on with
+    ``advance(i * M)``, in this order: the class columns of the technology
+    and of the product layer with ``rng.random(shape) < p``, then one uniform
+    per country. That uniform's top bits pick the country's count over the
+    other members of its product classes from the library's diversification table (which
     ``test_diversification_table_is_the_exact_law`` checks against exact
     convolutions), one threshold at a time. The class columns are contracted
     with the float expression of the library's kernel on the same operand
@@ -141,10 +142,11 @@ def reference_class_counts(tech_model, prod_model, empirical, n, seed, stream_ke
     tech_cols, prod_cols = np.zeros(tech_p.shape[1]), np.zeros(prod_p.shape[1])
     prod_rows = np.zeros(prod_p.shape[0])
     first, table = _diversification_table(prod_p, prod_size - 1)
+    m = tech_p.size + prod_p.size + prod_p.shape[0]
     for i in range(n):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key)).jumped(i)
-        )
+        pcg = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
+        pcg.advance(i * m)
+        rng = np.random.Generator(pcg)
         tech = rng.random(tech_p.shape) < tech_p
         prod = rng.random(prod_p.shape) < prod_p
         bits = [int(u * 2**_UNIT_BITS) for u in rng.random(prod_p.shape[0])]

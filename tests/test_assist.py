@@ -88,6 +88,35 @@ def test_kernel_leaves_its_inputs_unchanged(given_d):
         assert int8_values.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("countries, techs, products, blocks", [
+    (6, 4, 5, 7), (120, 26, 26, 5), (3, 1, 1, 4), (40, 3, 90, 3),
+])
+def test_stacked_kernel_equals_each_slice_bit_for_bit(countries, techs, products, blocks):
+    # stacks cut from one block of uniforms, as the null loop lays them out,
+    # with a zero-diversification country and a zero-ubiquity technology in
+    # every slice, contracted with and without a given d
+    rng = np.random.default_rng(countries)
+    cut = countries * techs
+    uniforms = rng.random((blocks, cut + countries * products))
+    tech = uniforms[:, :cut].reshape(blocks, countries, techs)
+    prod = uniforms[:, cut:].reshape(blocks, countries, products)
+    np.less(tech, 0.5, out=tech)
+    np.less(prod, 0.4, out=prod)
+    tech[:, :, 0] = 0.0
+    prod[:, 0] = 0.0
+    d = prod.sum(axis=-1) + rng.integers(0, 3, (blocks, countries))
+    d[:, 0] = 0.0
+    with _one_blas_thread():
+        for given in (d, None):
+            values, u = _assist_values(tech, prod, given)
+            for k in range(blocks):
+                one = None if given is None else given[k]
+                want, want_u = _assist_values(tech[k].copy(), prod[k].copy(), one)
+                assert values[k].tobytes() == want.tobytes()
+                assert u[k].tobytes() == want_u.tobytes()
+            assert (values[:, 0] == 0).all()
+
+
 def test_matches_reference_on_random_layers():
     rng = np.random.default_rng(7)
     for _ in range(50):

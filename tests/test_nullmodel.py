@@ -19,13 +19,12 @@ from tpnet.nullmodel import (
     _UNIT_BITS,
     BiCMModel,
     _diversification_table,
-    _draw,
-    _substreams,
+    _stream,
     null_exceedance_counts,
 )
 from tpnet.rca import BinaryMatrix
 
-from .conftest import blas_threads, null_draws, random_binary
+from .conftest import blas_threads, null_draws, random_binary, watch_blocks
 from .oracles import (
     enumerate_exceedance,
     exact_diversification_law,
@@ -116,15 +115,17 @@ def test_sampling_degenerate_probabilities():
 
 
 def test_draw_into_buffer_matches_ensemble_and_fresh_draw():
+    # the stream read as the loop reads it, in one block, against the replay
+    # of each stretch and a generator advanced by hand
     model = fit_bicm(_binary(random_binary(np.random.default_rng(5), (4, 6), 0.5)))
-    buf = np.full(model.shape, 7.0)
+    p = model.link_probabilities
+    block = _stream(3, ()).random((20, *p.shape)) < p
     for i, sample in enumerate(null_draws(model, 20, seed=3)):
-        drawn = _draw(model.link_probabilities, _substreams(3, ())(i), out=buf)
-        fresh = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(3)).jumped(i)
-        ).random(model.shape) < model.link_probabilities
-        assert drawn is buf and sample is not buf
-        assert np.array_equal(drawn, fresh) and np.array_equal(sample, fresh)
+        bits = np.random.PCG64(np.random.SeedSequence(3))
+        bits.advance(i * p.size)
+        fresh = np.random.Generator(bits).random(p.shape) < p
+        assert sample.dtype == np.float64
+        assert np.array_equal(block[i], fresh) and np.array_equal(sample, fresh)
 
 
 def test_replay_is_bitwise_identical():
@@ -233,11 +234,12 @@ def test_diversification_window_leaves_under_2_to_the_minus_64_outside():
 
 
 def _recorded_degrees(monkeypatch):
-    """Each kernel call's product draw and d, as the loop passes them."""
+    """Each draw's product layer and d, as the loop passes its blocks to the
+    kernel."""
     calls, real = [], nullmodel._assist_values
 
     def recording(tech, prod, d):
-        calls.append((prod.copy(), np.array(d)))
+        calls.extend(zip(prod.copy(), np.array(d)))
         return real(tech, prod, d)
 
     monkeypatch.setattr(nullmodel, "_assist_values", recording)
@@ -267,23 +269,11 @@ def test_layers_of_single_member_classes_draw_no_diversification(monkeypatch):
     assert all(np.array_equal(d, drawn.sum(axis=1)) for drawn, d in calls)
 
 
-def _shifted_substreams(seed, stream_key):
-    # the jump this loop must not use: i << 64 keeps the low 64 state bits
-    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
-    start, rng = bits.state, np.random.Generator(bits)
-
-    def sample(i):
-        bits.state = start
-        bits.advance(i << 64)
-        return rng
-
-    return sample
-
-
-def _worst_uniform_z(sample, n=4000, width=128):
-    """Largest |z| over the first ``width`` uniforms of samples 0..n-1: of
-    each position's mean across samples and of its lag-1 correlation."""
-    centred = np.array([sample(i).random(width) for i in range(n)]) - 0.5
+def _worst_uniform_z(uniforms):
+    """Largest |z| over the columns of ``uniforms``, one row per sample: of
+    each column's mean across samples and of its lag-1 correlation."""
+    n = len(uniforms)
+    centred = uniforms - 0.5
     mean_z = centred.mean(axis=0) * np.sqrt(12 * n)
     lag_z = (centred[1:] * centred[:-1]).mean(axis=0) * 12 * np.sqrt(n - 1)
     return max(np.abs(mean_z).max(), np.abs(lag_z).max())
@@ -291,10 +281,19 @@ def _worst_uniform_z(sample, n=4000, width=128):
 
 @pytest.mark.parametrize("seed, stream_key", [(1, (0, 0, 0)), (7, (0, 0, 1))])
 def test_jumped_substreams_are_uncorrelated(seed, stream_key):
-    # 2 x 128 z-scores per stream, each beyond 4.5 with chance 7e-6; the
-    # i << 64 jumps fail the same test
-    assert _worst_uniform_z(_substreams(seed, stream_key)) < 4.5
-    assert _worst_uniform_z(_shifted_substreams(seed, stream_key)) > 4.5
+    # the first 128 uniforms of 4,000 samples of M = 6,360 (HS4 width), read
+    # in blocks as the loop reads them: 2 x 128 z-scores per stream, each
+    # beyond 4.5 with chance 7e-6. Samples started i << 64 apart share their
+    # low 64 state bits and fail the same test.
+    rng = _stream(seed, stream_key)
+    stretches = np.concatenate([rng.random((100, 6360))[:, :128] for _ in range(40)])
+    assert _worst_uniform_z(stretches) < 4.5
+    shifted = []
+    for i in range(4000):
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream_key))
+        bits.advance(i << 64)
+        shifted.append(np.random.Generator(bits).random(128))
+    assert _worst_uniform_z(np.array(shifted)) > 4.5
 
 
 def test_paired_stream_zscores_cover_both_layers():
@@ -371,6 +370,32 @@ def _chunk_bytes(tech, prod, draws):
     return draws * 8 * k_t * k_p
 
 
+def _block_bytes(tech, prod, draws):
+    """``_BLOCK_BYTES`` that draws ``draws`` samples of these models per block:
+    each takes a uniform per link of both layers' class columns and one per
+    country."""
+    k_t, k_p = (len(nullmodel._classes(model)[0]) for model in (tech, prod))
+    return draws * 8 * tech.shape[0] * (k_t + k_p + 1)
+
+
+def test_counts_do_not_depend_on_block_size(monkeypatch):
+    # blocks of 1, 4 and 150 draws, inside chunks of 7 that cut the larger
+    # blocks short; each run against the oracle that replays one draw at a time
+    tech, prod, empirical = _exceedance_fixture(150)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", _chunk_bytes(tech, prod, 7))
+    reference, reference_drift = reference_class_counts(tech, prod, empirical, 150, 3, (0, 1))
+    runs, sizes = [], []
+    watch_blocks(monkeypatch, lambda key, first, count: sizes.append(count))
+    for draws in (1, 4, 150):
+        monkeypatch.setattr(nullmodel, "_BLOCK_BYTES", _block_bytes(tech, prod, draws))
+        runs.append(null_exceedance_counts(tech, prod, empirical, 150, 3, (0, 1)))
+    assert max(sizes) == 7 and 1 in sizes and 4 in sizes
+    for counts, drift in runs:
+        assert np.array_equal(counts, runs[0][0]) and drift == runs[0][1]
+        assert np.array_equal(counts, reference)
+        _assert_same_drift(drift, reference_drift)
+
+
 @pytest.mark.parametrize("draws", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 7, 150, 600])
 def test_counts_do_not_depend_on_chunk_size(monkeypatch, draws, n):
@@ -435,28 +460,15 @@ def test_class_counts_follow_the_full_layer_law():
 
 @pytest.mark.parametrize("failing_sample", [0, 4])
 def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample):
-    # one draw per chunk: sample 0 fails first, sample 4 after four
-    # sort-and-count passes
-    real_substreams, real_draw = nullmodel._substreams, nullmodel._draw
-    current = []
-
-    def keyed_substreams(seed, stream_key):
-        sample = real_substreams(seed, stream_key)
-
-        def keyed(i):
-            current.append(i)
-            return sample(i)
-
-        return keyed
-
-    def failing_draw(probabilities, rng, out):
-        if current[-1] == failing_sample:
+    # one draw per block and per chunk: sample 0 fails first, sample 4 after
+    # four sort-and-count passes
+    def failing(stream_key, first, count):
+        if first <= failing_sample < first + count:
             raise RuntimeError(f"draw {failing_sample} failed")
-        return real_draw(probabilities, rng, out=out)
 
     monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(nullmodel, "_substreams", keyed_substreams)
-    monkeypatch.setattr(nullmodel, "_draw", failing_draw)
+    monkeypatch.setattr(nullmodel, "_BLOCK_BYTES", 1)
+    watch_blocks(monkeypatch, failing)
     before = blas_threads()
     tech, prod, empirical = _exceedance_fixture(5)
     with pytest.raises(RuntimeError, match=f"draw {failing_sample} failed"):
@@ -495,16 +507,13 @@ def test_null_stream_matches_reference_contraction():
     tech_m = _binary(random_binary(rng, (4, 3), 0.5), layer="technology")
     prod_m = _binary(random_binary(rng, (4, 4), 0.5))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
-    tech_buf, prod_buf = np.empty((4, 3)), np.empty((4, 4))
-    # the loop's draws, buffers and kernel call, one sample at a time
-    sample = _substreams(21, ())
-    for i in range(5):
-        rng = sample(i)
-        tech_draw = _draw(tech.link_probabilities, rng, out=tech_buf)
-        prod_draw = _draw(prod.link_probabilities, rng, out=prod_buf)
-        expected = reference_assist(tech_draw, prod_draw)
-        values, _ = _assist_values(tech_draw, prod_draw)
-        assert np.allclose(values, expected)
+    # five draws of each layer, contracted in one stacked call as the loop
+    # contracts a block
+    tech_draws = np.array(list(null_draws(tech, 5, seed=21)))
+    prod_draws = np.array(list(null_draws(prod, 5, seed=22)))
+    values, _ = _assist_values(tech_draws, prod_draws)
+    for k in range(5):
+        assert np.allclose(values[k], reference_assist(tech_draws[k], prod_draws[k]))
 
 
 def test_null_distribution_matches_exhaustive_enumeration():

@@ -19,6 +19,7 @@ from tpnet import (
     fit_bicm,
     nullmodel,
     pipeline,
+    rank_activities,
     run_pipeline,
     run_robustness,
     serialize_config,
@@ -26,16 +27,17 @@ from tpnet import (
 )
 from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig, config_to_dict
+from tpnet.panels import aggregate_window
 from tpnet.pipeline import (
     ArtifactCache,
     contract_pair,
     enumerate_windows,
     load_panels,
 )
-from tpnet.rca import BinaryMatrix
+from tpnet.rca import BinaryMatrix, binarize, compute_rca
 from tpnet.validate import PairValidation, intersect_pairs
 
-from .conftest import PLANTED_LINK, write_constant_panel_csv
+from .conftest import PLANTED_LINK, PLANTED_TECHS, watch_blocks, write_constant_panel_csv
 
 
 def _config(panel_files, tmp_path, **overrides):
@@ -165,7 +167,9 @@ def test_manifest_records_every_stage_and_output(planted_panel_files, tmp_path):
             ]},
             "validate_lag_0": {"edges": 1, "pairs": [[2011, 2011], [2013, 2013]]},
             "validate_lag_2": {"edges": 1, "pairs": [[2011, 2013]]},
-            "efc": {"product_activities": 5, "technology_activities": 4},
+            "efc": {"product_activities": 5, "product_efc_iterations": 54,
+                    "product_rank_stable": True, "technology_activities": 4,
+                    "technology_efc_iterations": 54, "technology_rank_stable": True},
             "report_lag_0": {},
             "report_lag_2": {},
             "report": {},
@@ -187,6 +191,25 @@ def test_manifest_records_every_stage_and_output(planted_panel_files, tmp_path):
     memory = tmp_path / "memory"
     run_pipeline(cfg.replace(output_dir=str(memory)), write=False)
     assert not (memory / "manifest.json").exists()
+
+
+def test_efc_stage_records_each_layers_fit(planted_panel_files, tmp_path):
+    # both lag-0 pairs end in 2013, so each layer is ranked on its 2012-2013 window
+    cfg = _config(planted_panel_files, tmp_path, samples=50)
+    want = {}
+    for panel in load_panels(cfg):
+        ranking, fit = rank_activities(binarize(compute_rca(aggregate_window(panel, 2, 2013))))
+        side = panel.layer_kind
+        want.update({f"{side}_activities": len(ranking),
+                     f"{side}_efc_iterations": fit.iterations_run,
+                     f"{side}_rank_stable": fit.rank_stable})
+    manifest = tmp_path / "out" / "manifest.json"
+    run_pipeline(cfg)
+    assert json.loads(manifest.read_text(encoding="utf-8"))["stages"]["efc"] == want
+    manifest.unlink()
+    result = CliRunner().invoke(main, ["efc", "--config", str(_write_config(cfg, tmp_path))])
+    assert result.exit_code == 0, result.output
+    assert json.loads(manifest.read_text(encoding="utf-8"))["stages"]["efc"] == want
 
 
 @pytest.mark.parametrize("writer, message, stage, written", [
@@ -258,23 +281,43 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
     assert np.array_equal(loaded["counts"], counts)
     assert loaded["counts"].dtype == counts.dtype
     assert loaded["n"].tolist() == [400]
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"counts-{key}.npz"]
+    tag = pipeline._TAGS["counts"]
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"counts-{tag}-{key}.npz"]
     assert not list((tmp_path / "cache").glob("*.tmp.npz"))
 
     # another run writing the same entry keeps its own temp file
     other = ArtifactCache.key("counts", 8)
-    foreign = tmp_path / "cache" / f"counts-{other}.tmp.npz"
+    foreign = tmp_path / "cache" / f"counts-{tag}-{other}.999.tmp.npz"
     foreign.write_bytes(b"partial")
     cache.store("counts", other, counts=counts, n=np.array([400]))
     assert foreign.read_bytes() == b"partial"
     assert np.array_equal(cache.load("counts", other)["counts"], counts)
 
 
+def test_store_removes_its_kinds_entries_under_another_tag(tmp_path):
+    # untagged names are those of entries stored before tags; temp files,
+    # other kinds and other names stay
+    cache, tags = ArtifactCache(tmp_path / "cache"), pipeline._TAGS
+    old, key = ArtifactCache.key(1), ArtifactCache.key(2)
+    cache.store("counts", old, counts=np.zeros(2))
+    stale = [f"panel-{old}.npz", f"panel-0123abcd-{old}.npz"]
+    kept = [f"counts-{tags['counts']}-{old}.npz", f"counts-{old}.npz",
+            f"panel-{tags['panel']}-{old}.npz", f"panel-0123abcd-{old}.999.tmp.npz",
+            "panel-notes.npz"]
+    for name in stale + kept[1:]:
+        (tmp_path / "cache" / name).write_bytes(b"planted")
+    cache.store("panel", key, values=np.zeros(2))
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+        kept + [f"panel-{tags['panel']}-{key}.npz"]
+    )
+
+
 def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp_path):
-    # entries under the keys of earlier schemes, as the full-layer loop (no
-    # tag), the three-substream class loop and the binomial-block class loop
-    # stored their counts: every cell at n, so reading any would keep every
-    # link
+    # entries under the keys and file names of earlier schemes, as the
+    # full-layer loop (no tag), the three-substream class loop, the
+    # binomial-block class loop and the jumped-substream loop stored their
+    # counts, and one under another name tag: every cell at n, so reading
+    # any would keep every link. Storing the run's counts removes them all.
     cfg = _config(
         planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
     )
@@ -285,20 +328,24 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
         fit_bicm(prod_bin).link_probabilities, cfg.samples, cfg.seed, 0, 0, 0,
     )
     planted = np.full(empirical.values.shape, cfg.samples)
-    earlier = ((), ("degree-class draws",), ("degree-class draws, one substream per sample",))
-    for tag in earlier:
-        ArtifactCache(tmp_path / "out" / "cache").store(
-            "counts", ArtifactCache.key("counts", *tag, *inputs),
-            counts=planted, n=np.array([cfg.samples]),
-        )
+    earlier = (
+        (), ("degree-class draws",), ("degree-class draws, one substream per sample",),
+        ("degree-class draws, diversification table, jumped PCG64 per sample",),
+    )
+    cache_dir = tmp_path / "out" / "cache"
+    cache_dir.mkdir(parents=True)
+    names = [f"counts-{ArtifactCache.key('counts', *tag, *inputs)}.npz" for tag in earlier]
+    names.append(f"counts-0123abcd-{ArtifactCache.key('counts', *inputs)}.npz")
+    for name in names:
+        np.savez(cache_dir / name, counts=planted, n=np.array([cfg.samples]))
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert len(list((tmp_path / "out" / "cache").glob("counts-*.npz"))) == len(earlier) + 1
+    assert len(list(cache_dir.glob("counts-*.npz"))) == 1
 
     # the run stored its counts under the current scheme's key, and an entry
     # under that key is what a rerun reads
     key = ArtifactCache.key("counts", nullmodel.SAMPLING_SCHEME, *inputs)
-    current = tmp_path / "out" / "cache" / f"counts-{key}.npz"
+    current = cache_dir / f"counts-{pipeline._TAGS['counts']}-{key}.npz"
     assert current.exists()
     current.unlink()
     ArtifactCache(tmp_path / "out" / "cache").store(
@@ -374,23 +421,12 @@ def test_each_pair_draws_each_layer_once_per_sample(
     planted_panel_files, tmp_path, monkeypatch
 ):
     draws = Counter()
-    real_substreams = nullmodel._substreams
-
-    def counting_substreams(seed, stream_key):
-        sample = real_substreams(seed, stream_key)
-
-        def counted(i):
-            draws[(*stream_key, i)] += 1
-            return sample(i)
-
-        return counted
-
-    monkeypatch.setattr(nullmodel, "_substreams", counting_substreams)
+    watch_blocks(monkeypatch, lambda stream_key, first, count: draws.update(
+        (*stream_key, i) for i in range(first, first + count)))
     cfg = _config(planted_panel_files, tmp_path, samples=30)
     run_pipeline(cfg, write=False)
     pairs = [(0, 0, 0), (0, 0, 1)]
-    assert set(draws) == {
-(*pair, i) for pair in pairs for i in range(30)}
+    assert set(draws) == {(*pair, i) for pair in pairs for i in range(30)}
     assert set(draws.values()) == {1}
 
 
@@ -835,7 +871,7 @@ def test_damaged_panel_entry_is_a_miss(
         "panel", pipeline.PANEL_FORMAT, "product",
         hashlib.sha256(Path(cfg.product_panel).read_bytes()).hexdigest(),
     )
-    entry = tmp_path / "cache" / f"panel-{key}.npz"
+    entry = tmp_path / "cache" / f"panel-{pipeline._TAGS['panel']}-{key}.npz"
     stored = entry.read_bytes()
     entry.write_bytes(damage(stored))
     reads = _count_reads(monkeypatch)
@@ -846,6 +882,27 @@ def test_damaged_panel_entry_is_a_miss(
     assert [args[0] for args in reads] == [cfg.product_panel]
     _assert_same_panel(warm[1], cold[1])
     assert entry.read_bytes() == stored
+
+
+def test_failed_ingest_leaves_no_output_directory(planted_panel_files, tmp_path):
+    tech_csv, _ = planted_panel_files
+    bad = tmp_path / "bad_prod.csv"
+    bad.write_text("country,activity,year,value\nC0,10 P0,2010,3\nC1,10 P0,2010,-3\n",
+                   encoding="utf-8")
+    missing = tmp_path / "missing.csv"
+    for name, tech, prod in (("missing", missing, bad), ("bad", tech_csv, bad)):
+        cfg = _config((tech, prod), tmp_path, output_dir=str(tmp_path / name))
+        config_path = _write_config(cfg, tmp_path)
+        result = CliRunner().invoke(main, ["ingest", "--config", str(config_path)])
+        assert result.exit_code == 1 and result.output.startswith("Error: [ingest] ")
+    # a missing technology panel fails before anything is written; a bad
+    # product panel after the technology panel's entry
+    assert not (tmp_path / "missing").exists()
+    assert [p.name for p in (tmp_path / "bad").iterdir()] == ["cache"]
+    [entry] = (tmp_path / "bad" / "cache").iterdir()
+    assert entry.name.startswith(f"panel-{pipeline._TAGS['panel']}-")
+    with np.load(entry) as data:
+        assert json.loads(data["labels"].tobytes())[1] == list(PLANTED_TECHS)
 
 
 def test_failed_parse_is_not_cached(planted_panel_files, tmp_path):
