@@ -19,8 +19,9 @@ from .errors import AllZeroError, AxisMismatchError
 from .rca import BinaryMatrix
 from .validate import ValidatedNetwork, _id_ranks
 
-DEFAULT_MAX_ITERATIONS = 5000
-DEFAULT_RANK_STABILITY_WINDOW = 50
+# The iteration's fixed budget: at most _MAX_ITERATIONS, ending once both
+# rankings have held for _RANK_STABILITY_WINDOW consecutive iterations.
+_MAX_ITERATIONS, _RANK_STABILITY_WINDOW = 5000, 50
 
 SIDES = ("technology", "product")
 
@@ -33,7 +34,8 @@ def _ranking_order(id_ranks: np.ndarray, scores: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FitnessComplexity:
-    """Converged (rank-stable) fitness and complexity values with rankings."""
+    """Converged (rank-stable) fitness and complexity values with rankings;
+    ``mean_history`` holds each iteration's (fitness, complexity) means."""
 
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
@@ -41,7 +43,7 @@ class FitnessComplexity:
     complexity: np.ndarray
     iterations_run: int
     rank_stable: bool
-    mean_history: tuple[tuple[float, float], ...] = ()
+    mean_history: tuple[tuple[float, float], ...]
 
     @property
     def activity_rank(self) -> dict[str, int]:
@@ -56,17 +58,13 @@ class FitnessComplexity:
         return {self.country_ids[idx]: pos + 1 for pos, idx in enumerate(order)}
 
 
-def run_efc(
-    m: BinaryMatrix,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    rank_stability_window: int = DEFAULT_RANK_STABILITY_WINDOW,
-    track_means: bool = False,
-) -> FitnessComplexity:
-    """Iterate fitness/complexity from flat starts until ranks are stable.
+def run_efc(m: BinaryMatrix) -> FitnessComplexity:
+    """Iterate fitness/complexity from flat starts until both rankings are
+    unchanged for 50 consecutive iterations.
 
     The matrix must have no all-zero rows or columns (strip them first, e.g.
-    via rank_activities). A run that exhausts max_iterations without a stable
-    ranking streak is returned flagged, not raised.
+    via rank_activities). A run that exhausts its 5,000 iterations without a
+    stable ranking streak is returned flagged, not raised.
     """
     values = np.asarray(m.values, dtype=np.float64)
     if values.size == 0:
@@ -89,7 +87,7 @@ def run_efc(
     stable = False
     iterations = 0
     means: list[tuple[float, float]] = []
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         # reduce instead of matmul: identical rows/columns must get bitwise
         # identical sums, or exact rank ties jitter by 1 ulp and never settle
         raw_fitness = np.add.reduce(values * complexity[None, :], axis=1)
@@ -103,15 +101,14 @@ def run_efc(
             raw_complexity = 1.0 / harmonic
         fitness = raw_fitness / raw_fitness.mean()
         complexity = raw_complexity / raw_complexity.mean()
-        if track_means:
-            means.append((float(fitness.mean()), float(complexity.mean())))
+        means.append((float(fitness.mean()), float(complexity.mean())))
         orders = (
             _ranking_order(country_ranks, fitness),
             _ranking_order(activity_ranks, complexity),
         )
         streak = streak + 1 if orders == prev_orders else 0
         prev_orders = orders
-        if streak >= rank_stability_window:
+        if streak >= _RANK_STABILITY_WINDOW:
             stable = True
             break
     return FitnessComplexity(

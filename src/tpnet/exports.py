@@ -13,7 +13,7 @@ import json
 import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -96,16 +96,14 @@ _GRAPHML_HEAD = """\
 
 
 def write_graphml(
-    net: ValidatedNetwork,
-    path: str | Path,
-    product_sections: Optional[Mapping[str, str]] = None,
+    net: ValidatedNetwork, path: str | Path, product_sections: Mapping[str, str]
 ) -> None:
     """Directed GraphML with layer/group/degree node data and weighted edges.
 
-    Only nodes with at least one edge are emitted; disconnected axis entries
-    would render as clutter in graph viewers.
+    A product's group is its chapter's section in ``product_sections``, else
+    the chapter itself. Only nodes with at least one edge are emitted;
+    disconnected axis entries would render as clutter in graph viewers.
     """
-    sections = dict(product_sections) if product_sections else {}
     tech_degrees = {t: d for t, d in net.tech_degrees().items() if d > 0}
     product_degrees = {p: d for p, d in net.product_degrees().items() if d > 0}
     # each connected id is quoted once, for its node and all of its edges
@@ -127,7 +125,7 @@ def write_graphml(
         for tech in sorted(tech_degrees):
             node(tech_attrs[tech], "technology", _tech_group(tech), tech_degrees[tech])
         for product in sorted(product_degrees):
-            group = sections.get(product_chapter(product), product_chapter(product))
+            group = product_sections.get(product_chapter(product), product_chapter(product))
             node(product_attrs[product], "product", group, product_degrees[product])
         for tech, product, weight, p_value, tier in _edge_rows(net):
             if tier not in tier_text:

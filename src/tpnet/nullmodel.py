@@ -30,8 +30,9 @@ from .assist import _assist_values, _one_blas_thread
 from .errors import AxisMismatchError, FitError, PanelError
 from .rca import BinaryMatrix
 
-DEFAULT_TOLERANCE = 1e-8
-DEFAULT_MAX_ITERATIONS = 10_000
+# The solver's fixed budget: the largest degree error it accepts and the
+# fixed-point iterations it may take to get there.
+_TOLERANCE, _MAX_ITERATIONS = 1e-8, 10_000
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,6 @@ class BiCMModel:
     layer_kind: str
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
-    row_multipliers: np.ndarray
-    col_multipliers: np.ndarray
     link_probabilities: np.ndarray
     fit_residual: float
 
@@ -51,8 +50,6 @@ class BiCMModel:
         if p.shape != (len(self.country_ids), len(self.activity_ids)):
             raise PanelError("probability matrix shape does not match axes")
         object.__setattr__(self, "link_probabilities", p)
-        object.__setattr__(self, "row_multipliers", np.asarray(self.row_multipliers, dtype=np.float64))
-        object.__setattr__(self, "col_multipliers", np.asarray(self.col_multipliers, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,10 +61,9 @@ def _solve_reduced(
     row_mult: np.ndarray,
     col_deg: np.ndarray,
     col_mult: np.ndarray,
-    tolerance: float,
-    max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped fixed-point solve on distinct-degree classes.
+    """Damped fixed-point solve on distinct-degree classes, within
+    ``_TOLERANCE`` in at most ``_MAX_ITERATIONS`` iterations.
 
     Updates x then y from the constraint equations; on a residual increase the
     step is halved and retried, resetting to full steps after any accepted
@@ -86,8 +82,8 @@ def _solve_reduced(
     y = col_deg / math.sqrt(total)
     best = residual(x, y)
     step = 1.0
-    for _ in range(max_iterations):
-        if best <= tolerance:
+    for _ in range(_MAX_ITERATIONS):
+        if best <= _TOLERANCE:
             return x, y
         denom_x = (col_mult * y / (1.0 + np.outer(x, y))).sum(axis=1)
         x_prop = row_deg / denom_x
@@ -103,37 +99,31 @@ def _solve_reduced(
             step *= 0.5
             if step < 1e-12:
                 raise FitError(
-                    f"fixed-point stalled at residual {best:.3e} (tolerance {tolerance:.1e})",
+                    f"fixed-point stalled at residual {best:.3e} (tolerance {_TOLERANCE:.1e})",
                     residual=best,
                 )
-    if best <= tolerance:
+    if best <= _TOLERANCE:
         return x, y
     raise FitError(
-        f"no convergence within {max_iterations} iterations; residual {best:.3e} "
-        f"(tolerance {tolerance:.1e})",
+        f"no convergence within {_MAX_ITERATIONS} iterations; residual {best:.3e} "
+        f"(tolerance {_TOLERANCE:.1e})",
         residual=best,
     )
 
 
-def fit_bicm(
-    m: BinaryMatrix,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> BiCMModel:
-    """Fit the null model so expected degrees match observed within tolerance.
+def fit_bicm(m: BinaryMatrix) -> BiCMModel:
+    """Fit the null model so expected degrees match observed within 1e-8,
+    in at most 10,000 solver iterations (else ``FitError``).
 
     Deterministic given inputs. Degenerate nodes never reach the solver:
-    zero-degree rows/columns get multiplier 0, full rows/columns multiplier
-    inf with their entries pinned to probability 1 against the nodes active
-    when they were stripped.
+    zero-degree rows/columns get probability 0, full rows/columns probability
+    1 against the nodes active when they were stripped.
     """
     observed = np.asarray(m.values, dtype=np.int64)
     n_rows, n_cols = observed.shape
     if n_rows == 0 or n_cols == 0:
         raise PanelError("cannot fit a null model to an empty matrix")
     p = np.zeros((n_rows, n_cols))
-    x = np.zeros(n_rows)
-    y = np.zeros(n_cols)
 
     active_rows = np.arange(n_rows)
     active_cols = np.arange(n_cols)
@@ -149,10 +139,8 @@ def fit_bicm(
             break
         if full_r.any():
             p[np.ix_(active_rows[full_r], active_cols)] = 1.0
-            x[active_rows[full_r]] = np.inf
         if full_c.any():
             p[np.ix_(active_rows, active_cols[full_c])] = 1.0
-            y[active_cols[full_c]] = np.inf
         keep_r = ~(zero_r | full_r)
         keep_c = ~(zero_c | full_c)
         active_rows = active_rows[keep_r]
@@ -165,14 +153,9 @@ def fit_bicm(
         uniq_r, inv_r, mult_r = np.unique(row_deg, return_inverse=True, return_counts=True)
         uniq_c, inv_c, mult_c = np.unique(col_deg, return_inverse=True, return_counts=True)
         xr, yr = _solve_reduced(
-            uniq_r, mult_r.astype(np.float64), uniq_c, mult_c.astype(np.float64),
-            tolerance, max_iterations,
+            uniq_r, mult_r.astype(np.float64), uniq_c, mult_c.astype(np.float64)
         )
-        x_block = xr[inv_r]
-        y_block = yr[inv_c]
-        x[active_rows] = x_block
-        y[active_cols] = y_block
-        q = np.outer(x_block, y_block)
+        q = np.outer(xr[inv_r], yr[inv_c])
         p[np.ix_(active_rows, active_cols)] = q / (1.0 + q)
 
     row_err = np.abs(p.sum(axis=1) - observed.sum(axis=1)).max()
@@ -181,8 +164,6 @@ def fit_bicm(
         layer_kind=m.layer_kind,
         country_ids=m.country_ids,
         activity_ids=m.activity_ids,
-        row_multipliers=x,
-        col_multipliers=y,
         link_probabilities=p,
         fit_residual=float(max(row_err, col_err)),
     )

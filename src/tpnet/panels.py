@@ -13,7 +13,7 @@ import csv
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -99,18 +99,6 @@ class WindowedMatrix:
         if mat.shape != (len(self.country_ids), len(self.activity_ids)):
             raise PanelError("window matrix shape does not match axes")
         object.__setattr__(self, "values", _frozen(mat))
-
-    def restrict_countries(self, keep: Sequence[str]) -> "WindowedMatrix":
-        idx = _country_indices(self.country_ids, keep)
-        return replace(self, country_ids=tuple(keep), values=self.values[idx, :])
-
-
-def _country_indices(country_ids: Sequence[str], keep: Sequence[str]) -> list[int]:
-    pos = {c: i for i, c in enumerate(country_ids)}
-    missing = [c for c in keep if c not in pos]
-    if missing:
-        raise AxisMismatchError(f"countries not present in matrix: {missing}")
-    return [pos[c] for c in keep]
 
 
 def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
@@ -209,9 +197,8 @@ def missing_years(panel: ActivityPanel, delta: int, end_year: int) -> list[int]:
 
 
 def aggregate_window(panel: ActivityPanel, delta: int, end_year: int) -> WindowedMatrix:
-    """Sum the yearly matrices over [end_year - delta + 1, end_year]."""
-    if delta < 1:
-        raise WindowError(f"window length must be >= 1, got {delta}")
+    """Sum the yearly matrices over [end_year - delta + 1, end_year]; a
+    ``delta`` below 1 is a ``WindowError`` from ``WindowedMatrix``."""
     missing = missing_years(panel, delta, end_year)
     if missing:
         raise WindowError(
@@ -257,10 +244,9 @@ def aggregate_activities(panel: ActivityPanel, prefix_len: int) -> ActivityPanel
 
 
 def align_countries(tech, prod):
-    """Restrict two matrices to the sorted intersection of their country sets.
+    """Restrict two binary matrices (``rca.BinaryMatrix``) to the sorted
+    intersection of their country sets.
 
-    Works on any matrix type carrying ``country_ids`` and a
-    ``restrict_countries`` method (windowed, RCA, or binary matrices).
     Column axes are untouched. Returns the two restricted matrices and the
     common country list.
     """

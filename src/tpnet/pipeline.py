@@ -39,7 +39,7 @@ import numpy as np
 
 from . import exports
 from .assist import AssistMatrix, compute_assist
-from .config import LagSpec, RunConfig, config_to_dict
+from .config import LagSpec, RunConfig, _int, config_to_dict
 from .efc import (
     ActivityRanking,
     LinkDifferenceCurve,
@@ -114,7 +114,7 @@ class ArtifactCache:
     def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{_TAGS[kind]}-{key}.npz"
 
-    def load(self, kind: str, key: str, read=lambda arrays: arrays):
+    def load(self, kind: str, key: str, read):
         """``read`` of the entry's arrays, or None when there is no entry. An
         entry that cannot be read (empty, truncated, not an npz), or that
         ``read`` finds malformed (KeyError, TypeError or ValueError), is removed
@@ -616,12 +616,13 @@ def run_robustness(
     run's first network. Each window is recorded in the manifest as
     ``robustness_d<delta>_<end>`` with its edge counts at both tiers, and the
     report as ``robustness``. Every window length in ``deltas`` (at least one,
-    each >= 1, none repeated; checked before any work) is tried at every
-    end-year it fits, at the benchmark's tier and at the laxer 90% tier.
+    each an integer >= 1 by the config's rule, none repeated; checked before
+    any work) is tried at every end-year it fits, at the benchmark's tier and
+    at the laxer 90% tier.
     Windows reaching outside the span of the benchmark's own product windows
     are flagged.
     """
-    deltas = tuple(deltas)
+    deltas = tuple(_int("window length", delta) for delta in deltas)
     if not deltas:
         raise ConfigError("window lengths must list at least one length")
     if min(deltas) < 1:

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AllZeroError, PanelError
-from .panels import WindowedMatrix, _check_layer_kind, _country_indices, _frozen
+from .errors import AllZeroError, AxisMismatchError, PanelError
+from .panels import WindowedMatrix, _check_layer_kind, _frozen
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class RcaMatrix:
         if not np.all(np.isfinite(mat)) or np.any(mat < 0):
             raise PanelError("RCA values must be finite and >= 0")
         object.__setattr__(self, "values", _frozen(mat))
-
-    def restrict_countries(self, keep: Sequence[str]) -> "RcaMatrix":
-        idx = _country_indices(self.country_ids, keep)
-        return replace(self, country_ids=tuple(keep), values=self.values[idx, :])
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,11 @@ class BinaryMatrix:
         return self.values.sum(axis=0, dtype=np.int64)
 
     def restrict_countries(self, keep: Sequence[str]) -> "BinaryMatrix":
-        idx = _country_indices(self.country_ids, keep)
+        pos = {c: i for i, c in enumerate(self.country_ids)}
+        missing = [c for c in keep if c not in pos]
+        if missing:
+            raise AxisMismatchError(f"countries not present in matrix: {missing}")
+        idx = [pos[c] for c in keep]
         return replace(self, country_ids=tuple(keep), values=self.values[idx, :])
 
 

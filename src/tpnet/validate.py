@@ -317,16 +317,15 @@ class ProfileEntry:
 
 
 def significance_profile(
-    product_id: str, validations: PairValidation | Sequence[PairValidation]
+    product_id: str, validations: Sequence[PairValidation]
 ) -> tuple[ProfileEntry, ...]:
-    """All technologies' exceedance standing for one product.
+    """All technologies' exceedance standing for one product over a
+    sequence of pairs.
 
-    With several pairs the reported fraction is the smallest across pairs and
-    a tier counts as passed only when passed in every pair, matching the
-    network's intersection rule.
+    The reported fraction is the smallest across pairs and a tier counts as
+    passed only when passed in every pair, matching the network's
+    intersection rule.
     """
-    if isinstance(validations, PairValidation):
-        validations = [validations]
     first = _shared_axes(validations)
     if product_id not in first.product_ids:
         raise AxisMismatchError(f"unknown product {product_id!r}")

@@ -355,10 +355,9 @@ def reference_report_json(
     return json.dumps(_reference_json_ready(payload), sort_keys=True, indent=2) + "\n"
 
 
-def reference_graphml(net, product_sections=None):
+def reference_graphml(net, product_sections):
     """GraphML text built the direct way: every line in a list, each id quoted
     and each tier escaped where it is written, joined once at the end."""
-    sections = dict(product_sections) if product_sections else {}
     tech_degrees = net.tech_degrees()
     product_degrees = net.product_degrees()
     lines = [
@@ -383,7 +382,7 @@ def reference_graphml(net, product_sections=None):
     for tech in sorted(t for t, d in tech_degrees.items() if d > 0):
         node(f"t:{tech}", "technology", tech.split(" ")[0], tech_degrees[tech])
     for product in sorted(p for p, d in product_degrees.items() if d > 0):
-        group = sections.get(product_chapter(product), product_chapter(product))
+        group = product_sections.get(product_chapter(product), product_chapter(product))
         node(f"p:{product}", "product", group, product_degrees[product])
     rows, cols, weights, p_values, tiers = net.edge_arrays()
     for i, j, weight, p_value, tier in zip(rows, cols, weights, p_values, tiers):

@@ -20,6 +20,7 @@ from tpnet import (
     run_robustness,
     tier_threshold,
 )
+from tpnet import nullmodel
 from tpnet.config import LagSpec, RunConfig
 from tpnet.nullmodel import null_exceedance_counts
 from tpnet.panels import WindowedMatrix
@@ -114,7 +115,7 @@ def test_assist_row_stochasticity():
 
 
 @criterion(3, "Null model: expected degrees match within 1e-8; identity fixture p = 0.5 +/- 1e-10")
-def test_bicm_degree_matching():
+def test_bicm_degree_matching(monkeypatch):
     rng = np.random.default_rng(1003)
     for _ in range(100):
         shape = (int(rng.integers(2, 16)), int(rng.integers(2, 21)))
@@ -124,15 +125,18 @@ def test_bicm_degree_matching():
         rows, cols = model.link_probabilities.sum(axis=1), model.link_probabilities.sum(axis=0)
         assert np.abs(rows - m.diversification).max() <= 1e-8
         assert np.abs(cols - m.ubiquity).max() <= 1e-8
-    ident = fit_bicm(_binary(np.eye(2)), tolerance=1e-12)
+    monkeypatch.setattr(nullmodel, "_TOLERANCE", 1e-12)
+    ident = fit_bicm(_binary(np.eye(2)))
     assert np.abs(ident.link_probabilities - 0.5).max() <= 1e-10
 
 
 @criterion(4, "Sampling: N=10000 means within [0.485, 0.515]; seed-to-seed exceedance drift < 0.015")
-def test_sampling_fidelity():
+def test_sampling_fidelity(monkeypatch):
     ident_t = _binary(np.eye(2), "technology")
     ident_p = _binary(np.eye(2), "product")
-    model = fit_bicm(ident_t, tolerance=1e-12)
+    with monkeypatch.context() as tight:
+        tight.setattr(nullmodel, "_TOLERANCE", 1e-12)
+        model = fit_bicm(ident_t)
     mean = sum(null_draws(model, 10_000, seed=1)) / 10_000
     assert mean.min() >= 0.485 and mean.max() <= 0.515
     empirical = compute_assist(ident_t, ident_p)
@@ -211,7 +215,7 @@ def test_tier_and_intersection_monotonicity():
 
 @criterion(7, "Fitness-complexity: flat fixture, unit means at 1e-12, nested ranking, stable stop")
 def test_efc_properties():
-    flat = run_efc(_binary(np.ones((4, 6))), track_means=True)
+    flat = run_efc(_binary(np.ones((4, 6))))
     assert np.array_equal(flat.fitness, np.ones(4))
     assert np.array_equal(flat.complexity, np.ones(6))
 
@@ -219,7 +223,7 @@ def test_efc_properties():
     for _ in range(100):
         shape = (int(rng.integers(2, 10)), int(rng.integers(2, 12)))
         values = random_binary_no_empty(rng, shape, float(rng.uniform(0.3, 0.8)))
-        result = run_efc(_binary(values), track_means=True)
+        result = run_efc(_binary(values))
         assert result.iterations_run <= 5000
         for mean_f, mean_q in result.mean_history:
             assert abs(mean_f - 1.0) <= 1e-12

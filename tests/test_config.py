@@ -194,6 +194,25 @@ def test_malformed_value_is_a_config_error(tmp_path, override, message):
     assert not (tmp_path / "out").exists()
 
 
+_BASE = {"technology_panel": "t.csv", "product_panel": "p.csv"}
+_OUT_OF_RANGE = [
+    ({**_BASE, "delta": 0}, "delta must be >= 1, got 0"),
+    ({**_BASE, "samples": 0}, "samples must be >= 1, got 0"),
+    ({**_BASE, "digits": 0}, "digits must be >= 1, got 0"),
+    ({**_BASE, "lags": []}, "at least one lag must be configured"),
+    ({**_BASE, "lags": {"delta_t": 0}}, "lags must be a list$"),
+    ({**_BASE, "lags": [{"pairs": [[2011, 2011]]}]}, "each lag needs a delta_t"),
+    ({**_BASE, "lags": [{"delta_t": 0, "window": 3}]}, re.escape("unknown lag keys ['window']")),
+    ([_BASE], "config must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("payload, message", _OUT_OF_RANGE, ids=repr)
+def test_out_of_range_or_misshapen_config_is_rejected(tmp_path, payload, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_write(tmp_path, payload))
+
+
 def test_lenient_values_keep_their_meaning(tmp_path):
     path = _write(tmp_path, {"technology_panel": "t", "product_panel": "p",
                              "tier": 95, "digits": None})

@@ -10,6 +10,7 @@ from tpnet import (
     rank_activities,
     run_efc,
 )
+from tpnet import efc
 from tpnet.efc import ActivityRanking, _ranking_order
 from tpnet.validate import _id_ranks
 from tpnet.rca import BinaryMatrix
@@ -30,7 +31,7 @@ def _binary(values):
 
 
 def test_all_ones_matrix_is_flat_at_every_iteration():
-    result = run_efc(_binary(np.ones((4, 6))), track_means=True)
+    result = run_efc(_binary(np.ones((4, 6))))
     assert np.array_equal(result.fitness, np.ones(4))
     assert np.array_equal(result.complexity, np.ones(6))
     assert result.rank_stable
@@ -46,12 +47,13 @@ def test_diversified_country_and_exclusive_activity_win():
     assert result.activity_rank == {"a1": 1, "a0": 2}
 
 
-def test_matches_reference_iteration():
+def test_matches_reference_iteration(monkeypatch):
+    monkeypatch.setattr(efc, "_MAX_ITERATIONS", 40)
+    monkeypatch.setattr(efc, "_RANK_STABILITY_WINDOW", 10**9)
     rng = np.random.default_rng(101)
     for _ in range(10):
         values = random_binary_no_empty(rng, (5, 6), 0.5)
-        mine = run_efc(_binary(values), max_iterations=40,
-                       rank_stability_window=10**9, track_means=True)
+        mine = run_efc(_binary(values))
         ref_f, ref_q = reference_fitness_complexity(values, 40)
         assert np.allclose(mine.fitness, ref_f, atol=1e-10)
         assert np.allclose(mine.complexity, ref_q, atol=1e-10)
@@ -72,7 +74,7 @@ def test_nested_triangle_ranks_by_reverse_ubiquity():
 def test_mean_normalization_every_iteration():
     rng = np.random.default_rng(7)
     values = random_binary_no_empty(rng, (6, 8), 0.4)
-    result = run_efc(_binary(values), track_means=True)
+    result = run_efc(_binary(values))
     for mean_f, mean_q in result.mean_history:
         assert abs(mean_f - 1.0) <= 1e-12
         assert abs(mean_q - 1.0) <= 1e-12
@@ -95,14 +97,15 @@ def test_permutation_equivariance():
     assert shuffled.country_rank == base.country_rank
 
 
-def test_row_dominance_gives_weakly_higher_fitness():
+def test_row_dominance_gives_weakly_higher_fitness(monkeypatch):
+    monkeypatch.setattr(efc, "_RANK_STABILITY_WINDOW", 10**9)
     rng = np.random.default_rng(53)
     for _ in range(20):
         values = random_binary_no_empty(rng, (4, 6), 0.5)
         values[0] = np.maximum(values[0], values[1])  # row 0 contains row 1
         for k in range(1, 30):
-            result = run_efc(_binary(values), max_iterations=k,
-                             rank_stability_window=10**9)
+            monkeypatch.setattr(efc, "_MAX_ITERATIONS", k)
+            result = run_efc(_binary(values))
             assert result.fitness[0] >= result.fitness[1] - 1e-12
 
 
@@ -112,7 +115,7 @@ def test_zero_rows_or_columns_rejected_by_core():
         run_efc(_binary(values))
 
 
-def test_permanent_rank_oscillation_is_flagged_not_raised():
+def test_permanent_rank_oscillation_is_flagged_not_raised(monkeypatch):
     # two countries' fitness values converge to the same limit and keep
     # swapping order at machine precision: the run must end flagged
     values = np.array(
@@ -125,14 +128,15 @@ def test_permanent_rank_oscillation_is_flagged_not_raised():
             [1, 1, 0, 0, 0],
         ]
     )
-    result = run_efc(_binary(values), max_iterations=600)
+    monkeypatch.setattr(efc, "_MAX_ITERATIONS", 600)
+    result = run_efc(_binary(values))
     assert not result.rank_stable
     assert result.iterations_run == 600
     assert np.isfinite(result.fitness).all()
     assert np.isfinite(result.complexity).all()
 
 
-def test_values_drifting_to_zero_stay_finite():
+def test_values_drifting_to_zero_stay_finite(monkeypatch):
     # most fitness values decay geometrically here; once they underflow to
     # exact zero the complexity update must not produce NaN
     values = np.array(
@@ -146,10 +150,9 @@ def test_values_drifting_to_zero_stay_finite():
             [0, 1, 0, 1, 0, 1],
         ]
     )
-    result = run_efc(
-        _binary(values), max_iterations=3000, rank_stability_window=10**9,
-        track_means=True,
-    )
+    monkeypatch.setattr(efc, "_MAX_ITERATIONS", 3000)
+    monkeypatch.setattr(efc, "_RANK_STABILITY_WINDOW", 10**9)
+    result = run_efc(_binary(values))
     assert not np.isnan(result.fitness).any()
     assert not np.isnan(result.complexity).any()
     assert (result.fitness >= 0).all() and (result.complexity >= 0).all()

@@ -103,7 +103,7 @@ def test_graphml_matches_reference_on_markup_and_non_ascii_ids(tmp_path):
     tiers = net.edge_arrays()[4]
     assert None in tiers.tolist() and net.edge_count > 5
     sections = {"85": "Machinery & <electrical>", "72": "M\u00e9taux"}
-    for product_sections in (None, sections):
+    for product_sections in ({}, sections):
         path = tmp_path / "net.graphml"
         exports.write_graphml(net, path, product_sections)
         assert path.read_bytes() == reference_graphml(net, product_sections).encode("utf-8")

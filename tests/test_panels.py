@@ -17,7 +17,8 @@ from tpnet import (
     align_countries,
     read_panel_csv,
 )
-from tpnet.panels import ActivityPanel, WindowedMatrix
+from tpnet.panels import ActivityPanel
+from tpnet.rca import BinaryMatrix
 
 from .conftest import read_records
 from .oracles import reference_panel
@@ -167,6 +168,13 @@ def test_read_panel_csv_header_only_has_no_data_rows(tmp_path):
             read_panel_csv(path, "product")
 
 
+def test_read_panel_csv_zero_byte_file_is_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(PanelError, match=re.escape(f"{path}: file is empty")):
+        read_panel_csv(path, "product")
+
+
 def test_read_panel_csv_names_file_it_cannot_read(tmp_path):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"country,activity,year,value\nFRA,caf\xe9,2000,1\n")
@@ -271,6 +279,21 @@ def test_window_additivity():
     assert np.allclose(both.values, left.values + right.values)
 
 
+def test_window_length_below_one_rejected():
+    with pytest.raises(WindowError, match=r"^window length must be >= 1, got 0$"):
+        aggregate_window(_two_year_panel(), 0, 2017)
+
+
+def test_activity_panel_rejects_duplicate_labels_missing_years_and_unknown_kinds():
+    one_year = {2016: np.ones((1, 1))}
+    with pytest.raises(PanelError, match=re.escape("duplicate country labels: ['A']")):
+        ActivityPanel("product", ("A", "A"), ("x",), (2016,), {2016: np.ones((2, 1))})
+    with pytest.raises(PanelError, match="missing matrix for year 2017"):
+        ActivityPanel("product", ("A",), ("x",), (2016, 2017), one_year)
+    with pytest.raises(PanelError, match="layer_kind must be one of"):
+        ActivityPanel("trade", ("A",), ("x",), (2016,), one_year)
+
+
 def test_window_out_of_range_names_missing_years():
     panel = _two_year_panel()
     with pytest.raises(WindowError, match=r"\[2014, 2015\]"):
@@ -295,25 +318,23 @@ def test_aggregation_commutes_with_country_permutation():
     assert np.array_equal(direct, after)
 
 
-def _window(countries, values):
-    return WindowedMatrix(
-        "product", countries, ("x",), 1, 2000, np.asarray(values, dtype=float)
-    )
+def _binary(countries, values):
+    return BinaryMatrix("product", countries, ("x", "y"), np.asarray(values))
 
 
 def test_align_countries_intersection():
-    tech = _window(("A", "B", "C"), [[1.0], [2.0], [3.0]])
-    prod = _window(("B", "C", "D"), [[4.0], [5.0], [6.0]])
+    tech = _binary(("A", "B", "C"), [[1, 1], [0, 1], [1, 0]])
+    prod = _binary(("B", "C", "D"), [[1, 0], [0, 0], [1, 1]])
     tech2, prod2, common = align_countries(tech, prod)
     assert common == ("B", "C")
     assert tech2.country_ids == ("B", "C")
-    assert np.array_equal(tech2.values, [[2.0], [3.0]])
-    assert np.array_equal(prod2.values, [[4.0], [5.0]])
+    assert np.array_equal(tech2.values, [[0, 1], [1, 0]])
+    assert np.array_equal(prod2.values, [[1, 0], [0, 0]])
 
 
 def test_align_countries_identity_and_idempotence():
-    tech = _window(("A", "B"), [[1.0], [2.0]])
-    prod = _window(("A", "B"), [[3.0], [4.0]])
+    tech = _binary(("A", "B"), [[1, 0], [0, 1]])
+    prod = _binary(("A", "B"), [[1, 1], [0, 0]])
     tech2, prod2, common = align_countries(tech, prod)
     assert tech2 is tech and prod2 is prod
     tech3, prod3, common3 = align_countries(tech2, prod2)
@@ -327,15 +348,15 @@ def test_align_countries_paper_scale_counts():
     prod_ids = tuple(f"S{i:03d}" for i in range(47)) + tuple(
         f"X{i:03d}" for i in range(122)
     )
-    tech = _window(tech_ids, [[1.0]] * 48)
-    prod = _window(prod_ids, [[1.0]] * 169)
+    tech = _binary(tech_ids, [[1, 0]] * 48)
+    prod = _binary(prod_ids, [[0, 1]] * 169)
     _, _, common = align_countries(tech, prod)
     assert len(common) == 47
 
 
 def test_align_countries_empty_intersection_rejected():
-    tech = _window(("A",), [[1.0]])
-    prod = _window(("B",), [[1.0]])
+    tech = _binary(("A",), [[1, 0]])
+    prod = _binary(("B",), [[0, 1]])
     with pytest.raises(AxisMismatchError):
         align_countries(tech, prod)
 

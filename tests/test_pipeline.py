@@ -277,7 +277,7 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
     counts = np.array([[0, 400], [17, 399]])
     cache.store("counts", key, counts=counts, n=np.array([400]))
     cache.store("counts", key, counts=counts + 1, n=np.array([401]))
-    loaded = cache.load("counts", key)
+    loaded = cache.load("counts", key, read=dict)
     assert np.array_equal(loaded["counts"], counts)
     assert loaded["counts"].dtype == counts.dtype
     assert loaded["n"].tolist() == [400]
@@ -291,7 +291,7 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
     foreign.write_bytes(b"partial")
     cache.store("counts", other, counts=counts, n=np.array([400]))
     assert foreign.read_bytes() == b"partial"
-    assert np.array_equal(cache.load("counts", other)["counts"], counts)
+    assert np.array_equal(cache.load("counts", other, read=dict)["counts"], counts)
 
 
 def test_store_removes_its_kinds_entries_under_another_tag(tmp_path):
@@ -551,13 +551,40 @@ def test_robustness_given_benchmark_resolves_lags(planted_panel_files, tmp_path)
 
 
 @pytest.mark.parametrize(
-    "deltas", [(0,), (-1,), (3, 3), ()], ids=["zero", "negative", "repeated", "empty"]
+    "deltas, message",
+    [((0,), "window lengths must"), ((-1,), "window lengths must"),
+     ((3, 3), "window lengths must"), ((), "window lengths must"),
+     (("3",), "window length must be an integer"), ((3.0,), "window length must be an integer"),
+     ((True,), "window length must be an integer")],
+    ids=["zero", "negative", "repeated", "empty", "string", "float", "bool"],
 )
-def test_robustness_rejects_bad_deltas_before_ingest(planted_panel_files, tmp_path, deltas):
+def test_robustness_rejects_bad_deltas_before_ingest(planted_panel_files, tmp_path, deltas, message):
     cfg = _config(planted_panel_files, tmp_path, samples=50)
-    with pytest.raises(ConfigError, match="window lengths must"):
+    with pytest.raises(ConfigError, match=message):
         run_robustness(cfg, deltas=deltas)
     assert not list((tmp_path / "out" / "cache").glob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_robustness_takes_numpy_window_lengths_as_ints(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=50)
+    report = run_robustness(cfg, deltas=(np.int64(3),))
+    assert report.configurations > 0
+    written = json.loads((tmp_path / "out" / "robustness" / "report.json").read_text("utf-8"))
+    assert {row["delta"] for row in written["rows"]} == {3}
+    assert all(type(row.delta) is int for row in report.rows)
+    assert list(written["mean_overlaps"]) == ["3"]
+
+
+def test_network_of_an_unconfigured_lag_is_a_key_error():
+    result = pipeline.PipelineResult(
+        config=RunConfig("t.csv", "p.csv"),
+        lag_results=(pipeline.LagResult(LagSpec(0), _one_link_benchmark("T0", "10 P0", 10000)),),
+    )
+    assert result.network(0).edge_count == 1
+    with pytest.raises(KeyError) as err:
+        result.network(7)
+    assert err.value.args == ("no network for lag 7",)
 
 
 def test_enumerate_windows_counts(planted_decade_panel_files, tmp_path):
@@ -632,6 +659,29 @@ def test_cli_stage_commands(planted_panel_files, tmp_path):
     windows = {f"robustness_d2_{t2}" for _, t2 in enumerate_windows(*load_panels(cfg), 2, 0)}
     assert windows
     assert {"rca", "assist", "efc", "robustness", *windows} <= set(manifest["stages"])
+
+
+def test_cli_report_prints_each_curves_final_value(planted_panel_files, tmp_path):
+    lags = (LagSpec(0, ((2011, 2011), (2013, 2013))), LagSpec(2, ((2011, 2013),)))
+    cfg = _config(planted_panel_files, tmp_path, samples=100, lags=lags)
+    result = CliRunner().invoke(main, ["report", "--config", str(_write_config(cfg, tmp_path))])
+    assert result.exit_code == 0, result.output
+    curves = run_pipeline(cfg.replace(output_dir=str(tmp_path / "library"))).curves
+    assert [c.side for c in curves] == ["technology", "product"]
+    for curve in curves:
+        assert f"{curve.side} curve final value: {curve.final_value}\n" in result.output
+
+
+def test_cli_robustness_rejects_bad_deltas_in_one_line(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=50)
+    result = CliRunner().invoke(
+        main, ["robustness", "--config", str(_write_config(cfg, tmp_path)), "--deltas", "3,x"]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: bad --deltas value '3,x'\n"
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_overrides_and_failures(planted_panel_files, tmp_path):

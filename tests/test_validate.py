@@ -1,6 +1,7 @@
 """Exceedance counting, tiers, pair intersection, and reporting."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tpnet import (
 from tpnet.nullmodel import null_exceedance_counts
 from tpnet.rca import BinaryMatrix
 from tpnet import exports
-from tpnet.validate import TIER_ORDER, PairValidation
+from tpnet.validate import TIER_ORDER, PairValidation, _chapter_ranges
 
 from .oracles import reference_network, reference_profile
 
@@ -124,6 +125,23 @@ def test_intersect_single_pair_is_that_pair():
     assert net.pairs == ((2012, 2012),)
 
 
+def test_intersect_pairs_needs_pairs_on_one_pair_of_axes():
+    with pytest.raises(ValueError, match="need at least one validated pair"):
+        intersect_pairs([], "95")
+    a = _validation([[9999]], 10000)
+    b = _validation([[9999]], 10000, techs=("other",))
+    with pytest.raises(AxisMismatchError, match="validated pairs do not share axes"):
+        intersect_pairs([a, b], "95")
+
+
+def test_pair_validation_checks_shapes_and_count_range():
+    with pytest.raises(AxisMismatchError, match="validation matrices do not match axes"):
+        PairValidation(("t0",), ("10 p",), np.ones((1, 2)), np.zeros((1, 2), int), 10)
+    for count in (-1, 11):
+        with pytest.raises(ValueError, match=re.escape("exceedance counts must lie in [0, n_samples]")):
+            PairValidation(("t0",), ("10 p",), np.ones((1, 1)), np.full((1, 1), count), 10)
+
+
 def test_intersection_of_two_pairs():
     a = _validation([[9600, 9600, 0]], 10000, t1=2012, t2=2012)
     b = _validation([[0, 9600, 9600]], 10000, t1=2017, t2=2017)
@@ -197,6 +215,10 @@ def test_degree_report_counts_sections():
     assert not report.flagged
 
 
+def test_chapter_ranges_break_at_gaps_and_codes_that_are_not_numbers():
+    assert _chapter_ranges(["01", "02", "05", "ZZ"]) == "01-02,05,ZZ"
+
+
 def test_degree_report_flags_unmapped_chapters():
     net = _network([("t0", "ZZ123")], ("t0",), ("ZZ123",))
     report = degree_report(net, load_hs_sections())
@@ -229,13 +251,13 @@ def test_significance_profile_tier_chain():
     assert {t: bool(v.tier_mask(t)[0, 0]) for t in TIER_ORDER} == {
         "95": True, "99": True, "99.9": True
     }
-    # a bare pair, not a list, with the weakest standing below every tier
+    # one pair without years, with the weakest standing below every tier
     bare = PairValidation(
         tech_ids=("t0", "t1"), product_ids=("p0",),
         empirical=np.array([[0.3], [0.0]]),
         exceed_counts=np.array([[9991], [0]]), n_samples=10000,
     )
-    assert [e.highest_tier for e in significance_profile("p0", bare)] == ["99.9", None]
+    assert [e.highest_tier for e in significance_profile("p0", [bare])] == ["99.9", None]
 
 
 def test_significance_profile_multiple_pairs_takes_binding_tier():
