@@ -9,6 +9,7 @@ no activity, not missing data.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from array import array
@@ -27,6 +28,12 @@ LAYER_KINDS = ("technology", "product")
 PANEL_CSV_HEADER = ("country", "activity", "year", "value")
 
 PANEL_FORMAT = "one pass, plain ASCII decimals"  # keys cached panels: bump it with read_panel_csv's rules
+
+_YEARS = range(-(2**63), 2**63)  # a year must fit the int64 years of a cached panel
+
+_BLOCK_BYTES = 512 * 1024  # the most bytes of lines parsed at once: bounds the reader's extra memory
+
+_LF, _CR, _COMMA, _UNDERSCORE = b"\n\r,_"
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -106,13 +113,24 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
 
     A leading byte-order mark is ignored, blank lines are skipped, and
     whitespace around the fields is ignored. Years and values are plain ASCII
-    decimals. Each row is parsed, checked and appended in one pass, so the
-    first bad row fails first; ``bincount`` then adds in file order, so
-    duplicate keys sum as a running sum. Axes come out sorted
+    decimals, and a year must fit in 64 bits. ``bincount`` adds in file order,
+    so duplicate keys sum as a running sum. Axes come out sorted
     lexicographically, years ascending, and unrecorded cells are 0.
+
+    The body is parsed in numpy blocks of whole lines. A file the blocks
+    refuse goes to a loop over the rows, which takes every other CSV shape
+    and names the first bad line; the two give identical panels.
     """
     _check_layer_kind(layer_kind)
     path = Path(path)
+    panel = _read_blocks(path, layer_kind)
+    return _read_rows(path, layer_kind) if panel is None else panel
+
+
+def _read_rows(path: Path, layer_kind: str) -> ActivityPanel:
+    """``read_panel_csv`` one row at a time: the authority on what a file
+    holds and the source of every ``PanelError`` it raises. Each row is
+    parsed, checked and appended in one pass, so the first bad row fails first."""
     axes = y_pos, c_pos, a_pos = {}, {}, {}  # label -> first-seen index
     seen = y_idx, c_idx, a_idx = array("q"), array("q"), array("q")
     weights = array("d")
@@ -152,6 +170,8 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
                         year = int(year_raw)
                     except ValueError:
                         raise bad("unparseable year", year_raw)
+                    if year not in _YEARS:
+                        raise bad("year out of range", year_raw)
                     y = year_index[year_raw] = y_pos.setdefault(year, len(y_pos))
                 try:
                     if not value_raw.isascii() or "_" in value_raw:
@@ -175,19 +195,181 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
         raise PanelError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if not weights:
         raise PanelError(f"{path}: no data rows")
-    years, countries, activities = labels = [tuple(sorted(pos)) for pos in axes]
-    # first-seen index -> sorted index: argsort inverts "sorted index -> first-seen index"
-    ranks = [np.argsort([pos[x] for x in order]) for pos, order in zip(axes, labels)]
-    shape = tuple(map(len, labels))
-    flat = np.ravel_multi_index([r[np.frombuffer(i, np.int64)] for r, i in zip(ranks, seen)], shape)
-    block = np.bincount(flat, weights=np.frombuffer(weights), minlength=math.prod(shape))
-    first_max = np.argmax(block)  # values are >= 0: a sum past the float range is inf, the max
-    if np.isinf(block[first_max]):
-        y, c, a = np.unravel_index(first_max, shape)
+    (years, countries, activities), cells = _sum_cells(axes, seen, weights)
+    # values are >= 0: a sum past the float range is inf, the max
+    first_max = np.unravel_index(np.argmax(cells), cells.shape)
+    if np.isinf(cells[first_max]):
+        y, c, a = first_max
         raise PanelError(f"{path}: country {countries[c]!r}, activity {activities[a]!r}, "
                          f"year {years[y]}: values sum past the float range")
-    values = dict(zip(years, block.reshape(shape)))
-    return ActivityPanel(layer_kind, countries, activities, years, values)
+    return ActivityPanel(layer_kind, countries, activities, years, dict(zip(years, cells)))
+
+
+def _sum_cells(axes, seen, weights) -> tuple[list[tuple], np.ndarray]:
+    """Each axis's sorted labels, and the year x country x activity sums of
+    the rows, added in file order. ``axes`` map labels to distinct indices,
+    which ``seen`` holds per row; they are overwritten."""
+    labels = [tuple(sorted(pos)) for pos in axes]
+    # index -> sorted index: argsort inverts "sorted index -> index"
+    ranks = [np.argsort([pos[x] for x in order]) for pos, order in zip(axes, labels)]
+    shape = tuple(map(len, labels))
+    # each row's row-major cell index, built in place over its indices: no temporaries
+    flat, *rest = (np.frombuffer(i, np.int64) for i in seen)
+    np.take(ranks[0], flat, out=flat, mode="clip")  # "clip" is unbuffered; every index is valid
+    for r, i, n in zip(ranks[1:], rest, shape[1:]):
+        np.take(r, i, out=i, mode="clip")
+        flat *= n
+        flat += i
+    cells = np.bincount(flat, weights=np.frombuffer(weights), minlength=math.prod(shape))
+    return labels, cells.reshape(shape)
+
+
+def _read_blocks(path: Path, layer_kind: str) -> ActivityPanel | None:
+    """``read_panel_csv`` on blocks of whole lines of at most ``_BLOCK_BYTES``,
+    or None for a file the row loop must read.
+
+    It refuses a file it cannot open, a header that is not exactly the four
+    names, a ``"``, a lone CR, a NUL or a blank line anywhere, which
+    ``_count_lines`` finds before any block is parsed, a line without
+    exactly 3 commas, a line longer than a block, a field too wide for its
+    block or the CSV field limit, a bad year, a value that does not parse, is
+    not finite or is negative, text that is not UTF-8, a file without data
+    rows and a cell whose sum overflows.
+    """
+    axes = {}, {}, {}  # year, country, activity -> index
+    raw = {}, {}, {}  # the same from each distinct raw field
+    block = bytearray(_BLOCK_BYTES)  # one buffer for every block: no heap churn per block
+    try:
+        with path.open("rb") as fh:
+            header = fh.readline(_BLOCK_BYTES)
+            fields = header.removeprefix(codecs.BOM_UTF8).removesuffix(b"\n").removesuffix(b"\r")
+            if header[-1:] != b"\n" or b"\r" in fields:  # strip() would take the csv module's line end
+                return None
+            if tuple(f.strip().lower() for f in fields.decode().split(",")) != PANEL_CSV_HEADER:
+                return None
+            body = fh.tell()
+            lines = _count_lines(fh, block, header[-2:])
+            if lines is None:
+                return None
+            fh.seek(body)
+            # year, country and activity indices and the value bits of each row, allocated once
+            rows = np.empty((4, lines), np.int64)
+            filled = rest = 0
+            while True:
+                size = rest + fh.readinto(memoryview(block)[rest:])
+                last = size < _BLOCK_BYTES  # a short read is the end of the file
+                cut = size if last else block.rfind(b"\n", 0, size) + 1
+                if not cut and not last:
+                    return None  # a line longer than a block
+                if cut:
+                    filled = _parse_block(block, cut, axes, raw, rows, filled)
+                if last:
+                    break
+                rest = size - cut
+                block[:rest] = block[cut:size]
+    except (OSError, ValueError):  # ValueError: a refused block, UnicodeDecodeError among them
+        return None
+    if not filled:
+        return None
+    (years, countries, activities), cells = _sum_cells(axes, rows[:3, :filled],
+                                                       rows[3, :filled].view(np.float64))
+    if np.isinf(cells.max()):
+        return None
+    return ActivityPanel(layer_kind, countries, activities, years, dict(zip(years, cells)))
+
+
+def _count_lines(fh, block: bytearray, before: bytes) -> int | None:
+    """The lines from ``fh``'s position to its end, the last one counted even
+    without a newline, or None if they hold a quote, a NUL, a CR not ending
+    its line or a blank line: the CSV shapes only the row loop takes.
+    ``before`` is the 2 bytes before that position; ``block`` is scratch."""
+    block[:2] = before  # the 2 bytes before each read, so that a pattern across reads is seen
+    newlines = 0
+    while size := fh.readinto(memoryview(block)[2:]):
+        end = size + 2
+        if block.find(b'"', 2, end) >= 0 or block.find(b"\0", 2, end) >= 0:
+            return None
+        lf = np.frombuffer(block, np.uint8, end) == _LF
+        if np.any(lf[1:] & lf[:-1]):
+            return None
+        # a CR is judged once the byte after it is read; the file's last byte ends its line anyway
+        if block.find(b"\r", 1, end - 1) >= 0:
+            cr = np.frombuffer(block, np.uint8, end - 1)[1:] == _CR
+            if np.any(cr & ~lf[2:]) or np.any(lf[:-2] & cr & lf[2:]):  # "\n\r\n": a blank line
+                return None
+        newlines += np.count_nonzero(lf[2:])
+        block[:2] = block[end - 2:end]
+    return newlines + 1
+
+
+def _parse_block(block: bytearray, size: int, axes, raw, rows: np.ndarray, filled: int) -> int:
+    """Parse the whole lines of ``block[:size]`` into ``rows`` from column
+    ``filled`` on, and return the columns filled; a ValueError refuses the file."""
+    b = np.frombuffer(block, np.uint8, size)
+    ends = np.flatnonzero(b == _LF)
+    if b[-1] != _LF:  # the file's last line, without a final newline
+        ends = np.append(ends, size)
+    n = ends.size
+    commas = np.flatnonzero(b == _COMMA)
+    if commas.size != 3 * n:
+        raise ValueError
+    commas = commas.reshape(n, 3)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # commas are sorted and 3n in all, so 3 inside each line means exactly 3 per line
+    if np.any(commas[:, 0] < starts) or np.any(commas[:, 2] >= ends):
+        raise ValueError
+    field_starts = np.column_stack((starts, commas + 1))
+    lengths = np.column_stack((commas, ends)) - field_starts  # a CRLF's CR pads the value
+    widest = int(lengths.max())
+    if n * widest > _BLOCK_BYTES or widest > csv.field_size_limit():
+        raise ValueError
+    widths = np.maximum(lengths.max(axis=0), 8)  # a field of up to 8 bytes is keyed as one uint64
+    padded = np.concatenate((b, np.zeros(widths.max(), np.uint8)))
+
+    def field(k: int) -> np.ndarray:
+        """Field ``k`` of each line as an ``S`` string, zeroed past its end."""
+        width = widths[k]
+        at_every_byte = np.ndarray((size + 1,), f"S{width}", buffer=padded, strides=(1,))
+        strings = at_every_byte[field_starts[:, k]]
+        text = strings.view(np.uint8).reshape(n, width)
+        text *= np.arange(width) < lengths[:, k, None]
+        return strings
+
+    years, values = field(2), field(3)
+    # int() and float() also take "_" and non-ASCII digits, which the row loop refuses
+    if any(np.any(f.view(np.uint8) >= 0x80) or np.any(f.view(np.uint8) == _UNDERSCORE)
+           for f in (years, values)):
+        raise ValueError
+    weight = values.astype(np.float64)  # Python's float parser
+    if not np.all(np.isfinite(weight)) or np.any(weight < 0):
+        raise ValueError
+    out = rows[:, filled:filled + n]
+    out[0] = _indices(years, axes[0], raw[0], _year)
+    out[1] = _indices(field(0), axes[1], raw[1], _label)
+    out[2] = _indices(field(1), axes[2], raw[2], _label)
+    out[3] = weight.view(np.int64)
+    return filled + n
+
+
+def _indices(fields: np.ndarray, pos: dict, raw: dict, key) -> np.ndarray:
+    """Each field's index in ``pos``, adding ``key`` of each raw field not yet in ``raw``."""
+    width = fields.dtype.itemsize
+    distinct, inverse = np.unique(fields.view("<u8") if width == 8 else fields, return_inverse=True)
+    distinct = distinct.view(f"S{width}").tolist()
+    for field in sorted(set(distinct).difference(raw)):
+        raw[field] = pos.setdefault(key(field), len(pos))
+    return np.array(list(map(raw.__getitem__, distinct)), np.int64)[inverse.ravel()]
+
+
+def _label(field: bytes) -> str:
+    return field.decode().strip()
+
+
+def _year(field: bytes) -> int:
+    year = int(field.decode())
+    if year not in _YEARS:
+        raise ValueError
+    return year
 
 
 def missing_years(panel: ActivityPanel, delta: int, end_year: int) -> list[int]:

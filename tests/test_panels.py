@@ -1,7 +1,10 @@
 """Panel loading, window aggregation, and country alignment."""
 
+import codecs
 import csv
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from tpnet import (
     align_countries,
     read_panel_csv,
 )
+from tpnet import panels
 from tpnet.panels import ActivityPanel
 from tpnet.rca import BinaryMatrix
 
@@ -129,22 +133,22 @@ def test_read_panel_csv_accepts_byte_order_mark(tmp_path):
         ("FRA,x,\u0662\u0660\u0660\u0661,1", "unparseable year '\u0662\u0660\u0660\u0661'"),
         ("FRA,x,2001,\u0661", "non-numeric value '\u0661'"),
         ("FRA,x,2000\u00a0,1", "unparseable year '2000\\xa0'"),
+        ("FRA,x,100000000000000000000,1", "year out of range '100000000000000000000'"),
     ],
     ids=["year", "year-before-value", "value", "nan", "inf", "negative", "fields", "padded-year",
          "blank-year", "padded-value", "padded-nan", "padded-negative", "padded-fields",
          "underscore-year", "underscore-value", "arabic-indic-year", "arabic-indic-value",
-         "no-break-space-year"],
+         "no-break-space-year", "year-past-int64"],
 )
 def test_read_panel_csv_names_offending_line(tmp_path, row, message):
-    # the blank line 3 is skipped but still counted
+    # a blank line 3 is skipped but still counted; without it the blocks
+    # parse up to the bad row, then hand the file to the row loop
     path = tmp_path / "panel.csv"
-    path.write_text(
-        f"country,activity,year,value\nFRA,x,2000,1\n\n{row}\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(PanelError) as excinfo:
-        read_panel_csv(path, "product")
-    assert str(excinfo.value) == f"{path}:4: {message}"
+    for blank, line in (("\n", 4), ("", 3)):
+        path.write_text(f"country,activity,year,value\nFRA,x,2000,1\n{blank}{row}\n", encoding="utf-8")
+        with pytest.raises(PanelError) as excinfo:
+            read_panel_csv(path, "product")
+        assert str(excinfo.value) == f"{path}:{line}: {message}"
 
 
 def test_read_panel_csv_ignores_field_padding(tmp_path):
@@ -158,6 +162,19 @@ def test_read_panel_csv_ignores_field_padding(tmp_path):
     assert (a.country_ids, a.activity_ids, a.years) == (b.country_ids, b.activity_ids, b.years)
     for year in a.years:
         assert a.values[year].tobytes() == b.values[year].tobytes()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ['"FRA",x,2000,1.5\nDEU,"y",2001,2\n', "FRA,x,2000,1.5\n\nDEU,y,2001,2\n",
+     "FRA,x,2000,1.5\r\nDEU,y,2001,2\r\n", "FRA,x,2000,1.5\rDEU,y,2001,2"],
+    ids=["quoted", "blank-line", "crlf", "lone-cr"],
+)
+def test_read_panel_csv_reads_other_csv_shapes_like_plain_lines(tmp_path, body):
+    plain, shaped = tmp_path / "plain.csv", tmp_path / "shaped.csv"
+    plain.write_text("country,activity,year,value\nFRA,x,2000,1.5\nDEU,y,2001,2\n", encoding="utf-8")
+    shaped.write_bytes(b"country,activity,year,value\r\n" + body.encode())
+    assert _outcome(read_panel_csv, shaped) == _outcome(read_panel_csv, plain)
 
 
 def test_read_panel_csv_header_only_has_no_data_rows(tmp_path):
@@ -245,6 +262,135 @@ def test_ingest_matches_reference_panel(tmp_path_factory, records):
     assert panel.years == years
     for year in years:
         assert panel.values[year].tobytes() == values[year].tobytes()
+
+
+def _outcome(read, path):
+    """A panel's labels, years and value bytes, or the text of its ``PanelError``."""
+    try:
+        panel = read(path, "product")
+    except PanelError as exc:
+        return str(exc)
+    return (panel.country_ids, panel.activity_ids, panel.years,
+            [panel.values[year].tobytes() for year in panel.years])
+
+
+def _no_row_loop(path, layer_kind):
+    raise AssertionError(f"{path} went to the row loop")
+
+
+def _no_block(*args):
+    raise AssertionError("a block was parsed")
+
+
+_TOKENS = [*',"\r\n\t _\u00a0\u0662\u00e9.e-', *"0129", "nan", "inf", "A"]
+_NOISE = st.lists(st.sampled_from(_TOKENS), max_size=4).map("".join)
+
+
+def _field(usual: list[str], odd: list[str]) -> st.SearchStrategy[str]:
+    """One of ``usual`` in 16 draws of 20, else one of ``odd`` or, once in 20, noise."""
+    return st.integers(0, 19).flatmap(
+        lambda i: _NOISE if i == 0 else st.sampled_from(odd if i < 4 else usual))
+
+
+_ROW = st.tuples(
+    _field(["A", "B", " A ", "\u00e9"], ["A\u00a0", "", '"A"', "A\rB", "\x1cB\x0b", "A\x00"]),
+    _field(["x", "\u00e9t\u00e9", "y "], ["x\r", '"x,y"', "\u2028"]),
+    _field(["2000", "2001", " 2001\t"],
+           ["20_01", "\u0662\u0660\u0660\u0661", "2001\u00a0", " ", "-9223372036854775808",
+            "9223372036854775808"]),
+    _field(["1", "0.5", "1e3", " 2 ", "1e308"],
+           ["1_0", "nan", "inf", "1e999", "-1", "-0", "\u0661", "", '"1"']),
+)
+_HEADER = _field(["country,activity,year,value", " Country,ACTIVITY ,year,value"],
+                 ['"country",activity,year,value', "country\r,activity,year,value"])
+_LINE = st.integers(0, 19).flatmap(
+    lambda i: st.one_of(st.just(""), _NOISE) if i == 0 else _ROW.map(",".join))
+
+
+@st.composite
+def _panel_files(draw):
+    """CSV bytes that are mostly valid rows, with quotes, stray CRs and LFs,
+    commas, NULs, padding, non-ASCII digits, blank lines, a BOM, CRLF line
+    ends and a missing final newline mixed in."""
+    lines = [draw(_HEADER), *draw(st.lists(_LINE, max_size=8))]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return codecs.BOM_UTF8 * draw(st.booleans()) + text.encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_panel_files(), st.sampled_from([40, 64, panels._BLOCK_BYTES]))
+def test_read_panel_csv_matches_row_loop(tmp_path_factory, data, block_bytes):
+    path = tmp_path_factory.mktemp("differential") / "panel.csv"
+    path.write_bytes(data)
+    expected = _outcome(panels._read_rows, path)
+    with mock.patch.object(panels, "_BLOCK_BYTES", block_bytes):
+        assert _outcome(read_panel_csv, path) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_block_reader_splits_rows_and_characters_across_blocks(tmp_path, monkeypatch, newline):
+    # rows of 17 to 22 bytes whose labels have 2- and 3-byte characters; a CRLF is split too
+    path = tmp_path / "panel.csv"
+    rows = [f"{c},{a},{2000 + i % 3},{i % 4 + 0.5}"
+            for i, (c, a) in enumerate(zip(["Z\u00fcri", "\u6771\u4eac", "\u00c5s"] * 9,
+                                           ["\u00e9t\u00e9", "x\u4e00", "a\u00df"] * 9))]
+    path.write_bytes(newline.join(["country,activity,year,value", *rows, ""]).encode())
+    expected = _outcome(panels._read_rows, path)
+    monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
+    for block_bytes in range(32, 64):
+        monkeypatch.setattr(panels, "_BLOCK_BYTES", block_bytes)
+        assert _outcome(read_panel_csv, path) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("last", ['"A",x,2000,1', "A\0,x,2000,1", "A\rB,x,2000,1", ""],
+                         ids=["quote", "nul", "lone-cr", "blank-line"])
+def test_row_loop_shapes_are_refused_before_any_block_is_parsed(tmp_path, monkeypatch, newline, last):
+    # the shape sits on the last line, and straddles the reads at some block sizes
+    path = tmp_path / "panel.csv"
+    lines = ["country,activity,year,value", *(f"C{i},x,2000,{i}" for i in range(6)), last]
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    expected = _outcome(panels._read_rows, path)
+    monkeypatch.setattr(panels, "_parse_block", _no_block)
+    for block_bytes in range(32, 80):
+        monkeypatch.setattr(panels, "_BLOCK_BYTES", block_bytes)
+        assert _outcome(read_panel_csv, path) == expected
+
+
+def test_block_reader_reads_a_label_near_the_field_limit(tmp_path, monkeypatch):
+    # one row may fill most of a block; zero-filling its fields costs memory by the block, not the width squared
+    path = tmp_path / "panel.csv"
+    path.write_text(f"country,activity,year,value\nFRA,{'x' * 100_000},2000,1\nDEU,y,2001,2\n",
+                    encoding="utf-8")
+    expected = _outcome(panels._read_rows, path)
+    monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
+    tracemalloc.start()
+    try:
+        assert _outcome(read_panel_csv, path) == expected
+        assert tracemalloc.get_traced_memory()[1] < 8 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final-newline", "no-final-newline"])
+def test_bench_shaped_file_never_reaches_row_loop(tmp_path, monkeypatch, newline, bom, final_newline):
+    # the benchmark's panels: chapter-prefixed codes and repr() floats
+    rng = np.random.default_rng(3)
+    rows = [f"C{c:03d},{p:02d}{q:04d},{year},{v!r}"
+            for year in range(2008, 2011)
+            for c, p, q, v in zip(rng.integers(0, 150, 400), rng.integers(1, 98, 400),
+                                  rng.integers(0, 60, 400), rng.lognormal(3.0, 1.5, 400).tolist())]
+    text = newline.join(["country,activity,year,value", *rows]) + newline * final_newline
+    path = tmp_path / "panel.csv"
+    path.write_bytes(bom + text.encode())
+    expected = _outcome(panels._read_rows, path)
+    monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
+    monkeypatch.setattr(panels, "_BLOCK_BYTES", 4096)  # many blocks, each ending mid-row
+    assert _outcome(read_panel_csv, path) == expected
 
 
 def _two_year_panel():
