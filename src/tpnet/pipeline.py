@@ -7,11 +7,13 @@ and all writers are deterministic. Each period pair's null sampling
 is one pass of ``nullmodel.null_exceedance_counts``, the package's only null
 loop: it draws both layers, contracts them with the kernel of the empirical
 matrix and yields the exceedance counts and each layer's worst sampled-degree
-z-score, the sampling-bias audit. Two costly results are cached on disk: the
-exceedance counts, keyed by a content hash of their inputs, and each parsed
-panel, keyed by its file's bytes, layer kind and ``PANEL_FORMAT``; a store
-removes entries of another ``SAMPLING_SCHEME`` or ``PANEL_FORMAT``. Windows,
-RCA, contractions and fits are recomputed, so a rerun gives identical results.
+z-score, the sampling-bias audit. Two costly results are cached on disk, one
+entry per artifact: each pair's exceedance counts, named by its stream key,
+and each parsed panel, named by its layer kind. An entry holds the content
+key of its inputs (for counts, ``SAMPLING_SCHEME`` among them; for a panel,
+the file's bytes and ``PANEL_FORMAT``), and one made from other inputs is
+replaced. Windows, RCA, contractions and fits are recomputed, so a rerun
+gives identical results.
 
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
 ``Run``: it opens the output directory, the cache and ``manifest.json`` once,
@@ -29,7 +31,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -85,17 +86,17 @@ def _publish(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# Each kind of cache entry names a short hash of the format its bits follow.
-_TAGS = {kind: hashlib.sha256(fmt.encode()).hexdigest()[:8]
-         for kind, fmt in (("counts", SAMPLING_SCHEME), ("panel", PANEL_FORMAT))}
-
-
 class ArtifactCache:
-    """Write-once npz store keyed by a content hash of each artifact's
-    inputs; its directory is created by the first store."""
+    """npz store of one entry per artifact, ``<name>.npz``, holding the
+    content ``key`` of the inputs it was made from; its directory is created
+    by the first store. Opening it removes the entries of earlier layouts,
+    which were named by their 64-hex content key."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        for kind in ("counts", "panel"):
+            for old in self.root.glob(f"{kind}-*{'[0-9a-f]' * 64}.npz"):
+                old.unlink(missing_ok=True)
 
     @staticmethod
     def key(*parts) -> str:
@@ -111,41 +112,33 @@ class ArtifactCache:
             digest.update(b"\x1f")
         return digest.hexdigest()
 
-    def _path(self, kind: str, key: str) -> Path:
-        return self.root / f"{kind}-{_TAGS[kind]}-{key}.npz"
-
-    def load(self, kind: str, key: str, read):
-        """``read`` of the entry's arrays, or None when there is no entry. An
-        entry that cannot be read (empty, truncated, not an npz), or that
-        ``read`` finds malformed (KeyError, TypeError or ValueError), is removed
-        with a warning and counts as a miss, so ``store`` writes a fresh one."""
-        path = self._path(kind, key)
+    def load(self, name: str, key: str, read):
+        """``read`` of the arrays of entry ``name``, or None when there is no
+        entry or it was made under another ``key``. An entry that cannot be
+        read (empty, truncated, not an npz), has no ``key``, or that ``read``
+        finds malformed (KeyError, TypeError or ValueError), is removed with a
+        warning and counts as a miss, so ``store`` writes a fresh one."""
+        path = self.root / f"{name}.npz"
         if not path.exists():
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
+                arrays = {field: data[field] for field in data.files}
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             problem = f"unreadable ({exc})"
         else:
             try:
-                return read(arrays)
+                return read(arrays) if str(arrays.pop("key")) == key else None
             except (KeyError, TypeError, ValueError) as exc:
                 problem = f"malformed ({exc})"
         logger.warning("%s is %s; removing it", path, problem)
         path.unlink(missing_ok=True)
         return None
 
-    def store(self, kind: str, key: str, **arrays: np.ndarray) -> None:
-        """Write the entry unless it exists; remove its kind's entries of another or no tag."""
-        path = self._path(kind, key)
-        if path.exists():
-            return
-        _publish(path, lambda tmp: np.savez(tmp, **arrays))
-        stale = re.compile(rf"{kind}-(?!{_TAGS[kind]}-)([0-9a-f]{{8}}-)?[0-9a-f]{{64}}\.npz")
-        for entry in self.root.glob(f"{kind}-*.npz"):
-            if stale.fullmatch(entry.name):
-                entry.unlink(missing_ok=True)
+    def store(self, name: str, key: str, **arrays: np.ndarray) -> None:
+        """Replace entry ``name`` with ``arrays`` made under ``key``."""
+        _publish(self.root / f"{name}.npz",
+                 lambda tmp: np.savez(tmp, key=np.array(key), **arrays))
 
 
 @dataclass(frozen=True)
@@ -176,8 +169,6 @@ class PipelineResult:
 def _stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except StageError:
-        raise
     except TpnetError as exc:
         raise StageError(stage, str(exc)) from exc
 
@@ -191,7 +182,8 @@ def _cached_panel(entry: dict, layer_kind: str) -> ActivityPanel:
 
 
 def _read_panel(path: str | Path, layer_kind: str, cache: ArtifactCache) -> ActivityPanel:
-    """``read_panel_csv`` through ``cache``, keyed on the file's bytes and ``PANEL_FORMAT``."""
+    """``read_panel_csv`` through ``cache``'s entry ``panel-<layer_kind>``, keyed
+    on the file's bytes and ``PANEL_FORMAT``."""
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
@@ -199,14 +191,15 @@ def _read_panel(path: str | Path, layer_kind: str, cache: ArtifactCache) -> Acti
                 digest.update(chunk)
     except (OSError, ValueError):  # ValueError: a NUL byte in the path
         return read_panel_csv(path, layer_kind)  # for its error message
+    name = f"panel-{layer_kind}"
     key = cache.key("panel", PANEL_FORMAT, layer_kind, digest.hexdigest())
-    panel = cache.load("panel", key, read=lambda entry: _cached_panel(entry, layer_kind))
+    panel = cache.load(name, key, read=lambda entry: _cached_panel(entry, layer_kind))
     if panel is not None:
         logger.info("read the %s panel %s from the cache", layer_kind, path)
         return panel
     panel = read_panel_csv(path, layer_kind)  # a failed parse stores nothing
     labels = json.dumps([panel.country_ids, panel.activity_ids]).encode("utf-8")
-    cache.store("panel", key, labels=np.frombuffer(labels, np.uint8),
+    cache.store(name, key, labels=np.frombuffer(labels, np.uint8),
                 years=np.array(panel.years, np.int64),
                 values=np.stack([panel.values[year] for year in panel.years]))
     return panel
@@ -388,7 +381,8 @@ def validate_pair(
         cfg.samples, cfg.seed, *stream_key,
     )
     n = cfg.samples
-    counts = cache.load("counts", counts_key,
+    name = "counts-" + "-".join(map(str, stream_key))
+    counts = cache.load(name, counts_key,
                         read=lambda entry: _cached_counts(entry, empirical.values.shape, n))
     if counts is None:
         counts, drift = null_exceedance_counts(
@@ -401,7 +395,7 @@ def validate_pair(
                     "expectation over %d draws",
                     pair, layer, worst, n,
                 )
-        cache.store("counts", counts_key, counts=counts, n=np.array([n]))
+        cache.store(name, counts_key, counts=counts, n=np.array([n]))
     return PairValidation(
         tech_ids=empirical.tech_ids,
         product_ids=empirical.product_ids,

@@ -374,6 +374,23 @@ def test_block_reader_reads_a_label_near_the_field_limit(tmp_path, monkeypatch):
         tracemalloc.stop()
 
 
+def test_block_reader_hands_a_line_longer_than_a_block_to_the_row_loop(tmp_path, monkeypatch):
+    # the first row is parsed in a block; the next holds no line end in a full block
+    path = tmp_path / "panel.csv"
+    path.write_text(f"country,activity,year,value\nFRA,x,2000,1\nDEU,{'y' * 100},2000,2\n"
+                    "ITA,x,2001,3\n", encoding="utf-8")
+    expected = _outcome(panels._read_rows, path)
+    calls = []
+    for name in ("_parse_block", "_read_rows"):
+        def spy(*args, _fn=getattr(panels, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(panels, name, spy)
+    monkeypatch.setattr(panels, "_BLOCK_BYTES", 64)
+    assert _outcome(read_panel_csv, path) == expected
+    assert calls == ["_parse_block", "_read_rows"]
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
 @pytest.mark.parametrize("final_newline", [True, False], ids=["final-newline", "no-final-newline"])

@@ -1,6 +1,5 @@
 """End-to-end pipeline runs, caching, robustness harness, and the CLI."""
 
-import hashlib
 import io
 import json
 from collections import Counter
@@ -27,7 +26,7 @@ from tpnet import (
 )
 from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig, config_to_dict
-from tpnet.panels import aggregate_window
+from tpnet.panels import aggregate_window, read_panel_csv
 from tpnet.pipeline import (
     ArtifactCache,
     contract_pair,
@@ -275,49 +274,81 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     key = ArtifactCache.key("counts", np.arange(6).reshape(2, 3), 400, 7)
     counts = np.array([[0, 400], [17, 399]])
-    cache.store("counts", key, counts=counts, n=np.array([400]))
-    cache.store("counts", key, counts=counts + 1, n=np.array([401]))
-    loaded = cache.load("counts", key, read=dict)
+    cache.store("counts-0-0-0", key, counts=counts, n=np.array([400]))
+    loaded = cache.load("counts-0-0-0", key, read=dict)
     assert np.array_equal(loaded["counts"], counts)
     assert loaded["counts"].dtype == counts.dtype
     assert loaded["n"].tolist() == [400]
-    tag = pipeline._TAGS["counts"]
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"counts-{tag}-{key}.npz"]
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["counts-0-0-0.npz"]
     assert not list((tmp_path / "cache").glob("*.tmp.npz"))
 
     # another run writing the same entry keeps its own temp file
-    other = ArtifactCache.key("counts", 8)
-    foreign = tmp_path / "cache" / f"counts-{tag}-{other}.999.tmp.npz"
+    foreign = tmp_path / "cache" / "counts-0-0-1.999.tmp.npz"
     foreign.write_bytes(b"partial")
-    cache.store("counts", other, counts=counts, n=np.array([400]))
+    cache.store("counts-0-0-1", key, counts=counts, n=np.array([400]))
     assert foreign.read_bytes() == b"partial"
-    assert np.array_equal(cache.load("counts", other, read=dict)["counts"], counts)
+    assert np.array_equal(cache.load("counts-0-0-1", key, read=dict)["counts"], counts)
 
 
-def test_store_removes_its_kinds_entries_under_another_tag(tmp_path):
-    # untagged names are those of entries stored before tags; temp files,
-    # other kinds and other names stay
-    cache, tags = ArtifactCache(tmp_path / "cache"), pipeline._TAGS
-    old, key = ArtifactCache.key(1), ArtifactCache.key(2)
-    cache.store("counts", old, counts=np.zeros(2))
-    stale = [f"panel-{old}.npz", f"panel-0123abcd-{old}.npz"]
-    kept = [f"counts-{tags['counts']}-{old}.npz", f"counts-{old}.npz",
-            f"panel-{tags['panel']}-{old}.npz", f"panel-0123abcd-{old}.999.tmp.npz",
-            "panel-notes.npz"]
-    for name in stale + kept[1:]:
-        (tmp_path / "cache" / name).write_bytes(b"planted")
-    cache.store("panel", key, values=np.zeros(2))
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
-        kept + [f"panel-{tags['panel']}-{key}.npz"]
-    )
+def test_entry_under_another_key_is_a_silent_miss_and_is_replaced(
+    planted_panel_files, tmp_path, caplog
+):
+    cache = ArtifactCache(tmp_path / "cache")
+    old, new = ArtifactCache.key(1), ArtifactCache.key(2)
+    cache.store("counts-0-0-0", old, counts=np.zeros(2, np.int64))
+    with caplog.at_level("WARNING", logger="tpnet"):
+        assert cache.load("counts-0-0-0", new, read=dict) is None
+    assert not caplog.records
+    cache.store("counts-0-0-0", new, counts=np.ones(2, np.int64))
+    assert cache.load("counts-0-0-0", new, read=dict)["counts"].tolist() == [1, 1]
+    assert cache.load("counts-0-0-0", old, read=dict) is None
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["counts-0-0-0.npz"]
+
+    # a run with another seed replaces each pair's counts, and its entries
+    # are those of a run with that seed alone
+    cfg = _config(planted_panel_files, tmp_path, samples=30)
+    cache_dir = tmp_path / "out" / "cache"
+    run_pipeline(cfg, write=False)
+    names = sorted(p.name for p in cache_dir.iterdir())
+    assert names == ["counts-0-0-0.npz", "counts-0-0-1.npz",
+                     "panel-product.npz", "panel-technology.npz"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tpnet"):
+        reseeded = run_pipeline(cfg.replace(seed=8), write=False)
+    assert not caplog.records
+    assert sorted(p.name for p in cache_dir.iterdir()) == names
+    alone = run_pipeline(cfg.replace(seed=8, output_dir=str(tmp_path / "alone")), write=False)
+    for name in names[:2]:
+        with np.load(cache_dir / name) as a, np.load(tmp_path / "alone" / "cache" / name) as b:
+            assert sorted(a.files) == sorted(b.files)
+            assert all(np.array_equal(a[f], b[f]) for f in a.files)
+    for x, y in zip(reseeded.lag_results[0].validations, alone.lag_results[0].validations):
+        assert np.array_equal(x.exceed_counts, y.exceed_counts)
+
+
+def test_opening_the_cache_removes_entries_of_the_old_layouts(tmp_path):
+    # earlier layouts named an entry by its content key, with or without a
+    # format tag before it; temp files and other names stay
+    root = tmp_path / "cache"
+    root.mkdir()
+    key = ArtifactCache.key(1)
+    old = [f"counts-{key}.npz", f"counts-0123abcd-{key}.npz",
+           f"panel-{key}.npz", f"panel-0123abcd-{key}.npz"]
+    kept = [f"panel-0123abcd-{key}.999.tmp.npz", "panel-notes.npz", f"notes-{key}.npz",
+            "counts-0-0-0.npz", "panel-product.npz"]
+    for name in old + kept:
+        (root / name).write_bytes(b"planted")
+    ArtifactCache(root)
+    assert sorted(p.name for p in root.iterdir()) == sorted(kept)
 
 
 def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp_path):
     # entries under the keys and file names of earlier schemes, as the
     # full-layer loop (no tag), the three-substream class loop, the
     # binomial-block class loop and the jumped-substream loop stored their
-    # counts, and one under another name tag: every cell at n, so reading
-    # any would keep every link. Storing the run's counts removes them all.
+    # counts, one under another name tag, and the pair's entry under the
+    # jumped-substream key: every cell at n, so reading any would keep every
+    # link. The run reads none, and its store replaces the pair's entry.
     cfg = _config(
         planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
     )
@@ -338,18 +369,16 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
     names.append(f"counts-0123abcd-{ArtifactCache.key('counts', *inputs)}.npz")
     for name in names:
         np.savez(cache_dir / name, counts=planted, n=np.array([cfg.samples]))
+    np.savez(cache_dir / "counts-0-0-0.npz", counts=planted, n=np.array([cfg.samples]),
+             key=np.array(ArtifactCache.key("counts", *earlier[-1], *inputs)))
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert len(list(cache_dir.glob("counts-*.npz"))) == 1
+    assert [p.name for p in cache_dir.glob("counts-*.npz")] == ["counts-0-0-0.npz"]
 
-    # the run stored its counts under the current scheme's key, and an entry
-    # under that key is what a rerun reads
+    # an entry under the current scheme's key is what a rerun reads
     key = ArtifactCache.key("counts", nullmodel.SAMPLING_SCHEME, *inputs)
-    current = cache_dir / f"counts-{pipeline._TAGS['counts']}-{key}.npz"
-    assert current.exists()
-    current.unlink()
-    ArtifactCache(tmp_path / "out" / "cache").store(
-        "counts", key, counts=planted, n=np.array([cfg.samples])
+    ArtifactCache(cache_dir).store(
+        "counts-0-0-0", key, counts=planted, n=np.array([cfg.samples])
     )
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert np.array_equal(counts, planted)
@@ -361,12 +390,14 @@ def _npz(**arrays) -> bytes:
     return buffer.getvalue()
 
 
-def _edited(entry: bytes, counts=lambda counts: counts, n=None) -> bytes:
-    """The counts entry ``entry`` with ``counts`` applied to its counts, and
-    with another ``n`` when given."""
+def _damaged(entry: bytes, **edits) -> bytes:
+    """The entry ``entry`` with each named array passed through its edit; an
+    edit that gives None drops its array."""
     with np.load(io.BytesIO(entry), allow_pickle=False) as data:
-        stored_n = data["n"] if n is None else np.array([n])
-        return _npz(counts=counts(data["counts"].copy()), n=stored_n)
+        arrays = {name: data[name] for name in data.files}
+    for name, edit in edits.items():
+        arrays[name] = edit(arrays[name])
+    return _npz(**{name: array for name, array in arrays.items() if array is not None})
 
 
 def _first_count(value):
@@ -382,18 +413,22 @@ def _first_count(value):
         pytest.param(lambda entry: b"", "unreadable", id="empty"),
         pytest.param(lambda entry: entry[: len(entry) // 2], "unreadable", id="truncated"),
         pytest.param(lambda entry: b"partial", "unreadable", id="not-npz"),
+        pytest.param(lambda entry: _damaged(entry, key=lambda key: None), "malformed",
+                     id="no-key"),
         pytest.param(
-            lambda entry: _npz(counts=np.zeros((2, 3), dtype=np.int32), n=np.array([50])),
+            lambda entry: _damaged(entry, counts=lambda c: np.zeros((2, 3), dtype=np.int32)),
             "malformed", id="wrong-shape",
         ),
-        pytest.param(lambda entry: _edited(entry, _first_count(51)), "malformed",
+        pytest.param(lambda entry: _damaged(entry, counts=_first_count(51)), "malformed",
                      id="out-of-range"),
-        pytest.param(lambda entry: _edited(entry, _first_count(-1)), "malformed",
+        pytest.param(lambda entry: _damaged(entry, counts=_first_count(-1)), "malformed",
                      id="negative"),
-        pytest.param(lambda entry: _edited(entry, lambda c: c.astype(np.float64)),
+        pytest.param(lambda entry: _damaged(entry, counts=lambda c: c.astype(np.float64)),
                      "malformed", id="float-counts"),
-        pytest.param(lambda entry: _npz(n=np.array([50])), "malformed", id="no-counts"),
-        pytest.param(lambda entry: _edited(entry, n=49), "malformed", id="other-n"),
+        pytest.param(lambda entry: _damaged(entry, counts=lambda c: None), "malformed",
+                     id="no-counts"),
+        pytest.param(lambda entry: _damaged(entry, n=lambda n: np.array([49])), "malformed",
+                     id="other-n"),
     ],
 )
 def test_unreadable_cache_entry_is_a_miss(
@@ -403,7 +438,7 @@ def test_unreadable_cache_entry_is_a_miss(
         planted_panel_files, tmp_path, samples=50, lags=(LagSpec(0, ((2013, 2013),)),)
     )
     cold = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
-    [entry] = (tmp_path / "out" / "cache").glob("counts-*.npz")
+    entry = tmp_path / "out" / "cache" / "counts-0-0-0.npz"
     entry.write_bytes(damage(entry.read_bytes()))
     config_path = _write_config(cfg, tmp_path)
     with caplog.at_level("WARNING", logger="tpnet"):
@@ -875,21 +910,31 @@ def test_cached_panel_is_keyed_on_file_bytes(planted_panel_files, tmp_path, monk
     assert reads == []
     _assert_same_panel(moved[1], cold[1])
 
-    # edited bytes are a miss, parsed and stored as a new entry
+    # edited bytes are a miss, parsed again, and replace the layer's entry
     prod_csv.write_bytes(prod_csv.read_bytes().replace(b"2013,1.0", b"2013,2.0"))
     edited = load_panels(cfg, cache)[1]
     assert [args[0] for args in reads] == [cfg.product_panel]
     assert edited.values[2013].max() == 2.0
-    assert len(list((tmp_path / "cache").glob("panel-*.npz"))) == 3
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "panel-product.npz", "panel-technology.npz"]
+    _assert_same_panel(load_panels(cfg, cache)[1], edited)
+    assert len(reads) == 1
 
 
-def _damaged_panel(entry: bytes, **edits) -> bytes:
-    """The panel entry ``entry`` with each named array passed through its edit."""
-    with np.load(io.BytesIO(entry), allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
-    for name, edit in edits.items():
-        arrays[name] = edit(arrays[name])
-    return _npz(**arrays)
+def test_each_edit_of_a_panel_replaces_its_one_entry(planted_panel_files, tmp_path, monkeypatch):
+    _, prod_csv = planted_panel_files
+    cfg = _config(planted_panel_files, tmp_path)
+    cache = ArtifactCache(tmp_path / "cache")
+    load_panels(cfg, cache)
+    sizes = {p.name: p.stat().st_size for p in (tmp_path / "cache").iterdir()}
+    reads = _count_reads(monkeypatch)
+    for value in (b"2.0", b"3.0"):
+        prod_csv.write_bytes(prod_csv.read_bytes().replace(b"2013,1.0", b"2013," + value, 1))
+        warm = load_panels(cfg, cache)[1]
+        _assert_same_panel(warm, read_panel_csv(prod_csv, "product"))
+    assert [args[0] for args in reads] == [cfg.product_panel] * 2
+    assert {p.name: p.stat().st_size for p in (tmp_path / "cache").iterdir()} == sizes
+    assert sorted(sizes) == ["panel-product.npz", "panel-technology.npz"]
 
 
 def _negative_first(values):
@@ -902,11 +947,11 @@ def _negative_first(values):
     "damage, problem",
     [
         pytest.param(lambda entry: entry[: len(entry) // 2], "unreadable", id="truncated"),
-        pytest.param(lambda entry: _damaged_panel(entry, values=lambda v: v[:, :, :-1]),
+        pytest.param(lambda entry: _damaged(entry, values=lambda v: v[:, :, :-1]),
                      "malformed", id="wrong-shape"),
-        pytest.param(lambda entry: _damaged_panel(entry, values=_negative_first),
+        pytest.param(lambda entry: _damaged(entry, values=_negative_first),
                      "malformed", id="negative"),
-        pytest.param(lambda entry: _damaged_panel(
+        pytest.param(lambda entry: _damaged(
             entry, labels=lambda labels: np.frombuffer(b'["\xff"]', np.uint8)),
             "malformed", id="undecodable-labels"),
     ],
@@ -917,11 +962,7 @@ def test_damaged_panel_entry_is_a_miss(
     cfg = _config(planted_panel_files, tmp_path)
     cache = ArtifactCache(tmp_path / "cache")
     cold = load_panels(cfg, cache)
-    key = ArtifactCache.key(
-        "panel", pipeline.PANEL_FORMAT, "product",
-        hashlib.sha256(Path(cfg.product_panel).read_bytes()).hexdigest(),
-    )
-    entry = tmp_path / "cache" / f"panel-{pipeline._TAGS['panel']}-{key}.npz"
+    entry = tmp_path / "cache" / "panel-product.npz"
     stored = entry.read_bytes()
     entry.write_bytes(damage(stored))
     reads = _count_reads(monkeypatch)
@@ -950,7 +991,7 @@ def test_failed_ingest_leaves_no_output_directory(planted_panel_files, tmp_path)
     assert not (tmp_path / "missing").exists()
     assert [p.name for p in (tmp_path / "bad").iterdir()] == ["cache"]
     [entry] = (tmp_path / "bad" / "cache").iterdir()
-    assert entry.name.startswith(f"panel-{pipeline._TAGS['panel']}-")
+    assert entry.name == "panel-technology.npz"
     with np.load(entry) as data:
         assert json.loads(data["labels"].tobytes())[1] == list(PLANTED_TECHS)
 
