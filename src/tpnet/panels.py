@@ -117,20 +117,30 @@ def read_panel_csv(path: str | Path, layer_kind: str) -> ActivityPanel:
     so duplicate keys sum as a running sum. Axes come out sorted
     lexicographically, years ascending, and unrecorded cells are 0.
 
-    The body is parsed in numpy blocks of whole lines. A file the blocks
-    refuse goes to a loop over the rows, which takes every other CSV shape
-    and names the first bad line; the two give identical panels.
+    The body is parsed in numpy blocks of whole lines. A file a block refuses
+    is read again by a loop over the rows, which takes every other CSV shape
+    and names the first bad line; the two give identical rows, which are
+    summed and checked here.
     """
     _check_layer_kind(layer_kind)
     path = Path(path)
-    panel = _read_blocks(path, layer_kind)
-    return _read_rows(path, layer_kind) if panel is None else panel
+    axes, seen, weights = _read_blocks(path) or _read_rows(path)
+    if not weights:
+        raise PanelError(f"{path}: no data rows")
+    (years, countries, activities), cells = _sum_cells(axes, seen, weights)
+    # values are >= 0: a sum past the float range is inf, the max
+    first_max = np.unravel_index(np.argmax(cells), cells.shape)
+    if np.isinf(cells[first_max]):
+        y, c, a = first_max
+        raise PanelError(f"{path}: country {countries[c]!r}, activity {activities[a]!r}, "
+                         f"year {years[y]}: values sum past the float range")
+    return ActivityPanel(layer_kind, countries, activities, years, dict(zip(years, cells)))
 
 
-def _read_rows(path: Path, layer_kind: str) -> ActivityPanel:
-    """``read_panel_csv`` one row at a time: the authority on what a file
-    holds and the source of every ``PanelError`` it raises. Each row is
-    parsed, checked and appended in one pass, so the first bad row fails first."""
+def _read_rows(path: Path):
+    """``read_panel_csv``'s rows, one at a time: the authority on what a file
+    holds, and the ``PanelError`` naming a bad line or a file it cannot read.
+    Each row is parsed, checked and appended in one pass, so the first bad row fails first."""
     axes = y_pos, c_pos, a_pos = {}, {}, {}  # label -> first-seen index
     seen = y_idx, c_idx, a_idx = array("q"), array("q"), array("q")
     weights = array("d")
@@ -193,16 +203,7 @@ def _read_rows(path: Path, layer_kind: str) -> ActivityPanel:
         raise PanelError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise PanelError(f"{path}: cannot read ({exc.strerror or exc})") from exc
-    if not weights:
-        raise PanelError(f"{path}: no data rows")
-    (years, countries, activities), cells = _sum_cells(axes, seen, weights)
-    # values are >= 0: a sum past the float range is inf, the max
-    first_max = np.unravel_index(np.argmax(cells), cells.shape)
-    if np.isinf(cells[first_max]):
-        y, c, a = first_max
-        raise PanelError(f"{path}: country {countries[c]!r}, activity {activities[a]!r}, "
-                         f"year {years[y]}: values sum past the float range")
-    return ActivityPanel(layer_kind, countries, activities, years, dict(zip(years, cells)))
+    return axes, seen, weights
 
 
 def _sum_cells(axes, seen, weights) -> tuple[list[tuple], np.ndarray]:
@@ -224,20 +225,16 @@ def _sum_cells(axes, seen, weights) -> tuple[list[tuple], np.ndarray]:
     return labels, cells.reshape(shape)
 
 
-def _read_blocks(path: Path, layer_kind: str) -> ActivityPanel | None:
-    """``read_panel_csv`` on blocks of whole lines of at most ``_BLOCK_BYTES``,
-    or None for a file the row loop must read.
+def _read_blocks(path: Path):
+    """``read_panel_csv``'s rows, parsed in blocks of whole lines of at most
+    ``_BLOCK_BYTES``, or None for a file the row loop must read.
 
     It refuses a file it cannot open, a header that is not exactly the four
-    names, a ``"``, a lone CR, a NUL or a blank line anywhere, which
-    ``_count_lines`` finds before any block is parsed, a line without
-    exactly 3 commas, a line longer than a block, a field too wide for its
-    block or the CSV field limit, a bad year, a value that does not parse, is
-    not finite or is negative, text that is not UTF-8, a file without data
-    rows and a cell whose sum overflows.
+    names, a line longer than a block, and any block ``_parse_block`` refuses.
     """
     axes = {}, {}, {}  # year, country, activity -> index
     raw = {}, {}, {}  # the same from each distinct raw field
+    seen, weights = (array("q"), array("q"), array("q")), array("d")
     block = bytearray(_BLOCK_BYTES)  # one buffer for every block: no heap churn per block
     try:
         with path.open("rb") as fh:
@@ -247,65 +244,35 @@ def _read_blocks(path: Path, layer_kind: str) -> ActivityPanel | None:
                 return None
             if tuple(f.strip().lower() for f in fields.decode().split(",")) != PANEL_CSV_HEADER:
                 return None
-            body = fh.tell()
-            lines = _count_lines(fh, block, header[-2:])
-            if lines is None:
-                return None
-            fh.seek(body)
-            # year, country and activity indices and the value bits of each row, allocated once
-            rows = np.empty((4, lines), np.int64)
-            filled = rest = 0
+            rest = 0
             while True:
                 size = rest + fh.readinto(memoryview(block)[rest:])
                 last = size < _BLOCK_BYTES  # a short read is the end of the file
                 cut = size if last else block.rfind(b"\n", 0, size) + 1
-                if not cut and not last:
-                    return None  # a line longer than a block
                 if cut:
-                    filled = _parse_block(block, cut, axes, raw, rows, filled)
+                    _parse_block(block, cut, axes, raw, seen, weights)
+                elif not last:
+                    return None  # a line longer than a block
                 if last:
-                    break
+                    return axes, seen, weights
                 rest = size - cut
                 block[:rest] = block[cut:size]
     except (OSError, ValueError):  # ValueError: a refused block, UnicodeDecodeError among them
         return None
-    if not filled:
-        return None
-    (years, countries, activities), cells = _sum_cells(axes, rows[:3, :filled],
-                                                       rows[3, :filled].view(np.float64))
-    if np.isinf(cells.max()):
-        return None
-    return ActivityPanel(layer_kind, countries, activities, years, dict(zip(years, cells)))
 
 
-def _count_lines(fh, block: bytearray, before: bytes) -> int | None:
-    """The lines from ``fh``'s position to its end, the last one counted even
-    without a newline, or None if they hold a quote, a NUL, a CR not ending
-    its line or a blank line: the CSV shapes only the row loop takes.
-    ``before`` is the 2 bytes before that position; ``block`` is scratch."""
-    block[:2] = before  # the 2 bytes before each read, so that a pattern across reads is seen
-    newlines = 0
-    while size := fh.readinto(memoryview(block)[2:]):
-        end = size + 2
-        if block.find(b'"', 2, end) >= 0 or block.find(b"\0", 2, end) >= 0:
-            return None
-        lf = np.frombuffer(block, np.uint8, end) == _LF
-        if np.any(lf[1:] & lf[:-1]):
-            return None
-        # a CR is judged once the byte after it is read; the file's last byte ends its line anyway
-        if block.find(b"\r", 1, end - 1) >= 0:
-            cr = np.frombuffer(block, np.uint8, end - 1)[1:] == _CR
-            if np.any(cr & ~lf[2:]) or np.any(lf[:-2] & cr & lf[2:]):  # "\n\r\n": a blank line
-                return None
-        newlines += np.count_nonzero(lf[2:])
-        block[:2] = block[end - 2:end]
-    return newlines + 1
-
-
-def _parse_block(block: bytearray, size: int, axes, raw, rows: np.ndarray, filled: int) -> int:
-    """Parse the whole lines of ``block[:size]`` into ``rows`` from column
-    ``filled`` on, and return the columns filled; a ValueError refuses the file."""
+def _parse_block(block: bytearray, size: int, axes, raw, seen, weights) -> None:
+    """Append the rows of the whole lines of ``block[:size]`` to ``seen`` and
+    ``weights``. A ValueError refuses the file: the block holds a ``"``, a
+    NUL, a CR not ending its line (the file's last byte may be one), a line
+    without exactly 3 commas (a blank line among them), a field too wide for
+    the block or the CSV field limit, a bad year, a value that does not parse,
+    is not finite or is negative, or text that is not UTF-8."""
     b = np.frombuffer(block, np.uint8, size)
+    # the CSV shapes only the row loop takes; a block other than the file's last ends at an LF
+    if (block.find(b'"', 0, size) >= 0 or block.find(b"\0", 0, size) >= 0
+            or np.any((b[:-1] == _CR) & (b[1:] != _LF))):
+        raise ValueError
     ends = np.flatnonzero(b == _LF)
     if b[-1] != _LF:  # the file's last line, without a final newline
         ends = np.append(ends, size)
@@ -343,12 +310,10 @@ def _parse_block(block: bytearray, size: int, axes, raw, rows: np.ndarray, fille
     weight = values.astype(np.float64)  # Python's float parser
     if not np.all(np.isfinite(weight)) or np.any(weight < 0):
         raise ValueError
-    out = rows[:, filled:filled + n]
-    out[0] = _indices(years, axes[0], raw[0], _year)
-    out[1] = _indices(field(0), axes[1], raw[1], _label)
-    out[2] = _indices(field(1), axes[2], raw[2], _label)
-    out[3] = weight.view(np.int64)
-    return filled + n
+    seen[0].frombytes(_indices(years, axes[0], raw[0], _year).tobytes())
+    seen[1].frombytes(_indices(field(0), axes[1], raw[1], _label).tobytes())
+    seen[2].frombytes(_indices(field(1), axes[2], raw[2], _label).tobytes())
+    weights.frombytes(weight.tobytes())
 
 
 def _indices(fields: np.ndarray, pos: dict, raw: dict, key) -> np.ndarray:

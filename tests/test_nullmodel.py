@@ -19,6 +19,7 @@ from tpnet.nullmodel import (
     _UNIT_BITS,
     BiCMModel,
     _diversification_table,
+    _solve_reduced,
     _stream,
     null_exceedance_counts,
 )
@@ -93,6 +94,14 @@ def test_nonconvergence_carries_residual(monkeypatch):
     with pytest.raises(FitError) as err:
         fit_bicm(_binary(np.eye(3)))
     assert err.value.residual > 0
+
+
+def test_infeasible_degrees_stall_with_residual():
+    # row total 5 against column total 8: no fit exists, so steps are halved until the solve stalls
+    with pytest.raises(FitError, match="^fixed-point stalled at residual") as err:
+        _solve_reduced(np.array([1.0, 2.0]), np.array([3.0, 1.0]),
+                       np.array([1.0, 4.0]), np.array([4.0, 1.0]))
+    assert err.value.residual == pytest.approx(0.83, abs=0.01)
 
 
 def test_sampling_degenerate_probabilities():

@@ -230,6 +230,22 @@ def test_read_panel_csv_names_cell_whose_sum_overflows(tmp_path):
     )
 
 
+def test_block_read_file_names_cell_whose_sum_overflows(tmp_path, monkeypatch):
+    # the blocks read every row; the overflow is found once, after them, with no second read
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "country,activity,year,value\nA,w,2000,1\nA,x,2000,1e308\nB,y,2001,1\nA,x,2000,1e308\n",
+        encoding="utf-8",
+    )
+    calls = _spy_on_readers(monkeypatch)
+    with pytest.raises(PanelError) as excinfo:
+        read_panel_csv(path, "product")
+    assert str(excinfo.value) == (
+        f"{path}: country 'A', activity 'x', year 2000: values sum past the float range"
+    )
+    assert calls == ["_parse_block"]
+
+
 _IDS = st.text(alphabet="AZaz019", min_size=1, max_size=6)
 _VALUES = st.one_of(
     st.sampled_from([0.0, 0.1, 0.2, 0.3]),
@@ -274,12 +290,25 @@ def _outcome(read, path):
             [panel.values[year].tobytes() for year in panel.years])
 
 
-def _no_row_loop(path, layer_kind):
+def _row_outcome(path):
+    """``_outcome`` of ``read_panel_csv`` with the rows read by the row loop."""
+    with mock.patch.object(panels, "_read_blocks", lambda path: None):
+        return _outcome(read_panel_csv, path)
+
+
+def _spy_on_readers(monkeypatch) -> list[str]:
+    """The names of ``_parse_block`` and ``_read_rows``, in the order they are called."""
+    calls = []
+    for name in ("_parse_block", "_read_rows"):
+        def spy(*args, _fn=getattr(panels, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(panels, name, spy)
+    return calls
+
+
+def _no_row_loop(path):
     raise AssertionError(f"{path} went to the row loop")
-
-
-def _no_block(*args):
-    raise AssertionError("a block was parsed")
 
 
 _TOKENS = [*',"\r\n\t _\u00a0\u0662\u00e9.e-', *"0129", "nan", "inf", "A"]
@@ -324,7 +353,7 @@ def _panel_files(draw):
 def test_read_panel_csv_matches_row_loop(tmp_path_factory, data, block_bytes):
     path = tmp_path_factory.mktemp("differential") / "panel.csv"
     path.write_bytes(data)
-    expected = _outcome(panels._read_rows, path)
+    expected = _row_outcome(path)
     with mock.patch.object(panels, "_BLOCK_BYTES", block_bytes):
         assert _outcome(read_panel_csv, path) == expected
 
@@ -337,7 +366,7 @@ def test_block_reader_splits_rows_and_characters_across_blocks(tmp_path, monkeyp
             for i, (c, a) in enumerate(zip(["Z\u00fcri", "\u6771\u4eac", "\u00c5s"] * 9,
                                            ["\u00e9t\u00e9", "x\u4e00", "a\u00df"] * 9))]
     path.write_bytes(newline.join(["country,activity,year,value", *rows, ""]).encode())
-    expected = _outcome(panels._read_rows, path)
+    expected = _row_outcome(path)
     monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
     for block_bytes in range(32, 64):
         monkeypatch.setattr(panels, "_BLOCK_BYTES", block_bytes)
@@ -345,15 +374,27 @@ def test_block_reader_splits_rows_and_characters_across_blocks(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("last", ['"A",x,2000,1', "A\0,x,2000,1", "A\rB,x,2000,1", ""],
-                         ids=["quote", "nul", "lone-cr", "blank-line"])
-def test_row_loop_shapes_are_refused_before_any_block_is_parsed(tmp_path, monkeypatch, newline, last):
-    # the shape sits on the last line, and straddles the reads at some block sizes
+@pytest.mark.parametrize("last", ['"A",x,2000,1', "A\0,x,2000,1", "A\rB,x,2000,1", "", " \t"],
+                         ids=["quote", "nul", "lone-cr", "blank-line", "whitespace-line"])
+def test_row_loop_shapes_are_refused_by_the_block_that_holds_them(tmp_path, monkeypatch, newline, last):
+    # the shape sits on the last line, in a later block than the first at some block sizes
     path = tmp_path / "panel.csv"
     lines = ["country,activity,year,value", *(f"C{i},x,2000,{i}" for i in range(6)), last]
     path.write_bytes(newline.join(lines).encode() + newline.encode())
-    expected = _outcome(panels._read_rows, path)
-    monkeypatch.setattr(panels, "_parse_block", _no_block)
+    expected = _row_outcome(path)
+    for block_bytes in range(32, 80):
+        monkeypatch.setattr(panels, "_BLOCK_BYTES", block_bytes)
+        assert panels._read_blocks(path) is None
+        assert _outcome(read_panel_csv, path) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_block_reader_reads_a_file_whose_last_byte_is_a_lone_cr(tmp_path, monkeypatch, newline):
+    path = tmp_path / "panel.csv"
+    lines = ["country,activity,year,value", *(f"C{i},x,2000,{i}" for i in range(6))]
+    path.write_bytes(newline.join(lines).encode() + b"\r")
+    expected = _row_outcome(path)
+    monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
     for block_bytes in range(32, 80):
         monkeypatch.setattr(panels, "_BLOCK_BYTES", block_bytes)
         assert _outcome(read_panel_csv, path) == expected
@@ -364,7 +405,7 @@ def test_block_reader_reads_a_label_near_the_field_limit(tmp_path, monkeypatch):
     path = tmp_path / "panel.csv"
     path.write_text(f"country,activity,year,value\nFRA,{'x' * 100_000},2000,1\nDEU,y,2001,2\n",
                     encoding="utf-8")
-    expected = _outcome(panels._read_rows, path)
+    expected = _row_outcome(path)
     monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
     tracemalloc.start()
     try:
@@ -379,13 +420,8 @@ def test_block_reader_hands_a_line_longer_than_a_block_to_the_row_loop(tmp_path,
     path = tmp_path / "panel.csv"
     path.write_text(f"country,activity,year,value\nFRA,x,2000,1\nDEU,{'y' * 100},2000,2\n"
                     "ITA,x,2001,3\n", encoding="utf-8")
-    expected = _outcome(panels._read_rows, path)
-    calls = []
-    for name in ("_parse_block", "_read_rows"):
-        def spy(*args, _fn=getattr(panels, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(panels, name, spy)
+    expected = _row_outcome(path)
+    calls = _spy_on_readers(monkeypatch)
     monkeypatch.setattr(panels, "_BLOCK_BYTES", 64)
     assert _outcome(read_panel_csv, path) == expected
     assert calls == ["_parse_block", "_read_rows"]
@@ -404,7 +440,7 @@ def test_bench_shaped_file_never_reaches_row_loop(tmp_path, monkeypatch, newline
     text = newline.join(["country,activity,year,value", *rows]) + newline * final_newline
     path = tmp_path / "panel.csv"
     path.write_bytes(bom + text.encode())
-    expected = _outcome(panels._read_rows, path)
+    expected = _row_outcome(path)
     monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
     monkeypatch.setattr(panels, "_BLOCK_BYTES", 4096)  # many blocks, each ending mid-row
     assert _outcome(read_panel_csv, path) == expected
