@@ -8,8 +8,7 @@ inherited from the full panels.
 
 Degeneracy conventions: countries with zero product diversification carry no
 co-occurrence information and are skipped; technologies held by no country
-keep an all-zero row and are flagged inactive so the matrix shape is stable
-across period pairs.
+keep an all-zero row, so the matrix shape is stable across period pairs.
 
 Contractions run on one OpenBLAS thread (``_one_blas_thread``): OpenBLAS
 rounds the product differently at different thread counts for some shapes,
@@ -37,22 +36,12 @@ class AssistMatrix:
     tech_ids: tuple[str, ...]
     product_ids: tuple[str, ...]
     values: np.ndarray
-    common_country_ids: tuple[str, ...]
-    t1: Optional[int] = None
-    t2: Optional[int] = None
-    inactive_tech_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         mat = np.asarray(self.values, dtype=np.float64)
         if mat.shape != (len(self.tech_ids), len(self.product_ids)):
             raise PanelError("assist matrix shape does not match axes")
         object.__setattr__(self, "values", mat)
-
-    @property
-    def lag(self) -> Optional[int]:
-        if self.t1 is None or self.t2 is None:
-            return None
-        return self.t2 - self.t1
 
 
 _OPENBLAS_THREAD_FUNCTIONS = tuple(
@@ -136,14 +125,5 @@ def compute_assist(tech: BinaryMatrix, prod: BinaryMatrix) -> AssistMatrix:
             "list before contraction"
         )
     with _one_blas_thread():
-        values, u = _assist_values(tech.values.astype(np.float64), prod.values)
-    inactive = tuple(t for t, k in zip(tech.activity_ids, u) if k == 0)
-    return AssistMatrix(
-        tech_ids=tech.activity_ids,
-        product_ids=prod.activity_ids,
-        values=values,
-        common_country_ids=tech.country_ids,
-        t1=tech.end_year,
-        t2=prod.end_year,
-        inactive_tech_ids=inactive,
-    )
+        values, _ = _assist_values(tech.values.astype(np.float64), prod.values)
+    return AssistMatrix(tech.activity_ids, prod.activity_ids, values)

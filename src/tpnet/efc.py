@@ -165,8 +165,6 @@ def rank_activities(m: BinaryMatrix) -> tuple[ActivityRanking, FitnessComplexity
         country_ids=tuple(m.country_ids[i] for i in keep_rows),
         activity_ids=tuple(m.activity_ids[j] for j in keep_cols),
         values=m.values[np.ix_(keep_rows, keep_cols)],
-        delta=m.delta,
-        end_year=m.end_year,
     )
     result = run_efc(core)
     ranks = dict(result.activity_rank)
@@ -192,7 +190,6 @@ class LinkDifferenceCurve:
 
     side: str
     points: tuple[CurvePoint, ...]
-    quartile_positions: dict[str, int]
 
     @property
     def final_value(self) -> int:
@@ -227,10 +224,8 @@ def cumulative_link_difference(
         )
     positions = ranking.positions_ascending_complexity()
     n = len(positions)
-    boundaries = {
-        f"{q}%": n - (q * n) // 100 for q in (25, 50, 75)
-    }
-    label_at = {pos: label for label, pos in sorted(boundaries.items())}
+    # where boundaries coincide (few activities), the larger quartile's label wins
+    label_at = {n - (q * n) // 100: f"{q}%" for q in (25, 50, 75)}
     points = []
     running = 0
     for k, activity in enumerate(positions, start=1):
@@ -247,6 +242,4 @@ def cumulative_link_difference(
                 quartile_label=label_at.get(k),
             )
         )
-    return LinkDifferenceCurve(
-        side=side, points=tuple(points), quartile_positions=boundaries
-    )
+    return LinkDifferenceCurve(side=side, points=tuple(points))

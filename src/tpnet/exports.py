@@ -13,7 +13,7 @@ import json
 import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -27,26 +27,30 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row, as csv.writer writes them."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_matrix_csv(
     row_ids: Sequence[str], col_ids: Sequence[str], values: np.ndarray, path: str | Path
 ) -> None:
     """Dense matrix dump with row labels in the first column."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["", *col_ids])
-        for i, row_id in enumerate(row_ids):
-            writer.writerow([row_id, *(_fmt(v) for v in values[i])])
+    _write_csv(path, ["", *col_ids],
+               ([row_id, *map(_fmt, values[i])] for i, row_id in enumerate(row_ids)))
 
 
 def write_assist_csv(assist: AssistMatrix, path: str | Path) -> None:
     """Nonzero contraction entries as (tech, product, value) rows."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tech", "product", "value"])
-        rows, cols = np.nonzero(assist.values)
-        values = assist.values[rows, cols].tolist()
-        for i, j, v in zip(rows.tolist(), cols.tolist(), values):
-            writer.writerow([assist.tech_ids[i], assist.product_ids[j], _fmt(v)])
+    rows, cols = np.nonzero(assist.values)
+    values = assist.values[rows, cols].tolist()
+    _write_csv(path, ["tech", "product", "value"], (
+        [assist.tech_ids[i], assist.product_ids[j], _fmt(v)]
+        for i, j, v in zip(rows.tolist(), cols.tolist(), values)
+    ))
 
 
 class _CsvFields(dict):  # each text as csv.writer writes it inside a row, quoted once
@@ -264,32 +268,18 @@ def tech_subclass_degrees(net: ValidatedNetwork) -> dict[str, int]:
 
 
 def write_ranking_csv(ranking: ActivityRanking, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["activity", "rank", "stripped"])
-        stripped = set(ranking.stripped)
-        for activity in sorted(ranking.ranks, key=lambda a: (ranking.ranks[a], a)):
-            writer.writerow(
-                [activity, ranking.ranks[activity], int(activity in stripped)]
-            )
+    ranks, stripped = ranking.ranks, set(ranking.stripped)
+    _write_csv(path, ["activity", "rank", "stripped"], (
+        [activity, ranks[activity], int(activity in stripped)]
+        for activity in sorted(ranks, key=lambda a: (ranks[a], a))
+    ))
 
 
 def write_curve_csv(curve: LinkDifferenceCurve, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["position", "activity", "degree_base", "degree_lagged",
-             "cumulative", "quartile"]
-        )
-        for point in curve.points:
-            writer.writerow(
-                [
-                    point.position,
-                    point.activity_id,
-                    point.degree_base,
-                    point.degree_lagged,
-                    point.cumulative,
-                    point.quartile_label or "",
-                ]
-            )
+    _write_csv(
+        path,
+        ["position", "activity", "degree_base", "degree_lagged", "cumulative", "quartile"],
+        ([p.position, p.activity_id, p.degree_base, p.degree_lagged, p.cumulative,
+          p.quartile_label or ""] for p in curve.points),
+    )
 

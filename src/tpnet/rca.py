@@ -9,7 +9,7 @@ advantage, so 0/0 is defined as non-specialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ class RcaMatrix:
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
     values: np.ndarray
-    delta: Optional[int] = None
-    end_year: Optional[int] = None
 
     def __post_init__(self):
         _check_layer_kind(self.layer_kind)
@@ -50,8 +48,6 @@ class BinaryMatrix:
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
     values: np.ndarray
-    delta: Optional[int] = None
-    end_year: Optional[int] = None
 
     def __post_init__(self):
         _check_layer_kind(self.layer_kind)
@@ -106,8 +102,6 @@ def compute_rca(window: WindowedMatrix) -> RcaMatrix:
         country_ids=window.country_ids,
         activity_ids=window.activity_ids,
         values=rca,
-        delta=window.delta,
-        end_year=window.end_year,
     )
 
 
@@ -119,6 +113,4 @@ def binarize(rca: RcaMatrix) -> BinaryMatrix:
         country_ids=rca.country_ids,
         activity_ids=rca.activity_ids,
         values=(rca.values >= 1.0).astype(np.int8),
-        delta=rca.delta,
-        end_year=rca.end_year,
     )

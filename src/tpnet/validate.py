@@ -55,7 +55,10 @@ class PairValidation:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         shape = (len(self.tech_ids), len(self.product_ids))
         emp = np.asarray(self.empirical, dtype=np.float64)
-        counts = np.asarray(self.exceed_counts, dtype=np.int64)
+        counts = np.asarray(self.exceed_counts)
+        if counts.dtype.kind not in "iu":  # refuse floats and bools, never truncate them
+            raise ValueError(f"exceedance counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
         if emp.shape != shape or counts.shape != shape:
             raise AxisMismatchError("validation matrices do not match axes")
         if counts.min(initial=0) < 0 or counts.max(initial=0) > self.n_samples:
@@ -223,10 +226,6 @@ class DegreeReport:
     total_edges: int
     unclassified_chapters: tuple[str, ...] = ()
 
-    @property
-    def flagged(self) -> bool:
-        return bool(self.unclassified_chapters)
-
 
 def _chapter_ranges(chapters: Sequence[str]) -> str:
     """Collapse sorted 2-digit chapter codes into range notation like 01-05,08."""
@@ -254,7 +253,8 @@ def degree_report(
     """Count product nodes and edges per section, with shares of the totals.
 
     Products whose chapter is missing from the mapping land in an
-    "Unclassified" row and the report is flagged.
+    "Unclassified" row, and their chapters are named in
+    ``unclassified_chapters``.
     """
     product_degrees = net.product_degrees()
     unclassified: set[str] = set()

@@ -105,11 +105,9 @@ def test_assist_row_stochasticity():
         for i in range(n_c):
             if tech[i].any() and not prod[i].any():
                 prod[i, rng.integers(prod.shape[1])] = 1
-        assist = compute_assist(
-            _binary(tech, "technology"), _binary(prod, "product")
-        )
-        active = ~np.isin(assist.tech_ids, assist.inactive_tech_ids)
-        sums = assist.values[active].sum(axis=1)
+        tech_layer = _binary(tech, "technology")
+        assist = compute_assist(tech_layer, _binary(prod, "product"))
+        sums = assist.values[tech_layer.ubiquity > 0].sum(axis=1)
         if sums.size:
             assert np.abs(sums - 1.0).max() <= 1e-12
 

@@ -24,12 +24,10 @@ def _layers(tech_values, prod_values, countries=None):
     tech = BinaryMatrix(
         "technology", countries,
         tuple(f"t{j}" for j in range(tech_values.shape[1])), tech_values,
-        delta=5, end_year=2012,
     )
     prod = BinaryMatrix(
         "product", countries,
         tuple(f"p{j}" for j in range(prod_values.shape[1])), prod_values,
-        delta=5, end_year=2017,
     )
     return tech, prod
 
@@ -38,7 +36,6 @@ def test_hand_evaluated_contraction():
     tech, prod = _layers([[1], [0]], [[1, 1], [1, 0]])
     assist = compute_assist(tech, prod)
     assert np.allclose(assist.values, [[0.5, 0.5]])
-    assert assist.t1 == 2012 and assist.t2 == 2017 and assist.lag == 5
 
 
 def test_full_cooccurrence_single_column():
@@ -47,11 +44,11 @@ def test_full_cooccurrence_single_column():
     assert assist.values.tolist() == [[1.0]]
 
 
-def test_inactive_technology_row_is_zero_and_flagged():
+def test_inactive_technology_row_is_zero():
     tech, prod = _layers([[1, 0], [1, 0]], [[1], [1]])
     assist = compute_assist(tech, prod)
+    assert assist.tech_ids == ("t0", "t1")
     assert assist.values[1].tolist() == [0.0]
-    assert assist.inactive_tech_ids == ("t1",)
 
 
 def test_zero_diversification_country_is_skipped():
@@ -139,8 +136,7 @@ def test_active_rows_sum_to_one_when_no_degenerate_holder():
                 prod_values[i, rng.integers(5)] = 1
         tech, prod = _layers(tech_values, prod_values)
         assist = compute_assist(tech, prod)
-        active = ~np.isin(assist.tech_ids, assist.inactive_tech_ids)
-        sums = assist.values[active].sum(axis=1)
+        sums = assist.values[tech.ubiquity > 0].sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
 

@@ -234,9 +234,13 @@ def test_curve_quartile_positions():
     ranking = _ranking(list(prods))
     net = _net([], ("t0",), prods)
     curve = cumulative_link_difference(net, net, ranking, "product")
-    assert curve.quartile_positions == {"25%": 75, "50%": 50, "75%": 25}
     labeled = {pt.position: pt.quartile_label for pt in curve.points if pt.quartile_label}
     assert labeled == {75: "25%", 50: "50%", 25: "75%"}
+    # with two activities the 50% and 75% boundaries coincide; 75% labels it
+    prods = ("p0", "p1")
+    net = _net([], ("t0",), prods)
+    curve = cumulative_link_difference(net, net, _ranking(list(prods)), "product")
+    assert [pt.quartile_label for pt in curve.points] == ["75%", "25%"]
 
 
 def test_curve_rejects_unranked_connected_node():

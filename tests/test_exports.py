@@ -118,7 +118,7 @@ def test_matrix_and_assist_csv(tmp_path):
 
     assist = AssistMatrix(
         tech_ids=("t0",), product_ids=("p0", "p1"),
-        values=np.array([[0.75, 0.0]]), common_country_ids=("A",),
+        values=np.array([[0.75, 0.0]]),
     )
     exports.write_assist_csv(assist, tmp_path / "assist.csv")
     rows = list(csv.DictReader((tmp_path / "assist.csv").read_text().splitlines()))

@@ -142,6 +142,18 @@ def test_pair_validation_checks_shapes_and_count_range():
             PairValidation(("t0",), ("10 p",), np.ones((1, 1)), np.full((1, 1), count), 10)
 
 
+@pytest.mark.parametrize("counts, dtype", [
+    ([[9600.7]], "float64"),  # once truncated to 9600, which passes tier 95
+    (np.ones((1, 1), bool), "bool"),  # once read as a count of 1
+])
+def test_pair_validation_refuses_counts_that_are_not_integers(counts, dtype):
+    with pytest.raises(ValueError, match=f"exceedance counts must be integers, got dtype {dtype}"):
+        PairValidation(("t",), ("10 p",), [[0.5]], counts, 10000)
+    for ints in ([[9600]], np.full((1, 1), 9600, np.uint16)):
+        v = PairValidation(("t",), ("10 p",), [[0.5]], ints, 10000)
+        assert v.exceed_counts.dtype == np.int64 and v.tier_mask("95")[0, 0]
+
+
 def test_intersection_of_two_pairs():
     a = _validation([[9600, 9600, 0]], 10000, t1=2012, t2=2012)
     b = _validation([[0, 9600, 9600]], 10000, t1=2017, t2=2017)
@@ -212,7 +224,7 @@ def test_degree_report_counts_sections():
     assert chem.nodes == 1 and chem.edges == 1
     assert report.total_nodes == 3 and report.total_edges == 4
     assert animal.edge_pct == pytest.approx(75.0)
-    assert not report.flagged
+    assert not report.unclassified_chapters
 
 
 def test_chapter_ranges_break_at_gaps_and_codes_that_are_not_numbers():
@@ -222,7 +234,6 @@ def test_chapter_ranges_break_at_gaps_and_codes_that_are_not_numbers():
 def test_degree_report_flags_unmapped_chapters():
     net = _network([("t0", "ZZ123")], ("t0",), ("ZZ123",))
     report = degree_report(net, load_hs_sections())
-    assert report.flagged
     assert report.unclassified_chapters == ("ZZ",)
     assert report.rows[-1].section == "Unclassified"
 
