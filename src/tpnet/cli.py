@@ -129,7 +129,7 @@ def assist(cfg):
     written = []
     for spec in run.lags:
         for t1, t2 in spec.pairs:
-            _, _, matrix = _stage("assist", contract_pair, cfg, run.tech, run.prod, (t1, t2))
+            _, _, matrix = _stage("assist", contract_pair, cfg.delta, run.tech, run.prod, (t1, t2))
             written.append(out / f"assist_{t1}_{t2}.csv")
             exports.write_assist_csv(matrix, written[-1])
     run.record("assist", outputs=written)

@@ -1,15 +1,20 @@
 """End-to-end orchestration: ingest, windows, RCA, contraction, null-model
 validation, ranking, reports, and the window-robustness harness.
 
+A configured lag pair and a robustness window are one kind of (t1, t2)
+pair, and ``Run.validate_pair`` is the one path that validates either: it
+windows, contracts and fits the pair, then reads or draws its null counts.
 Runs are deterministic given (config, seed): each pair's random stream is
-derived from the master seed plus a structural key (lag index, pair index),
-and all writers are deterministic. Each period pair's null sampling
+derived from the master seed plus a structural key, (0, lag index, pair
+index) for a lag pair and (1, window length, end year) for a robustness
+window, and all writers are deterministic. Each pair's null sampling
 is one pass of ``nullmodel.null_exceedance_counts``, the package's only null
 loop: it draws both layers, contracts them with the kernel of the empirical
 matrix and yields the exceedance counts and each layer's worst sampled-degree
 z-score, the sampling-bias audit. Two costly results are cached on disk, one
-entry per artifact: each pair's exceedance counts, named by its stream key,
-and each parsed panel, named by its layer kind. An entry holds the content
+entry per artifact: each pair's exceedance counts, named by its stream key
+and read back as the ``PairValidation`` that checks them, and each parsed
+panel, named by its layer kind. An entry holds the content
 key of its inputs (for counts, ``SAMPLING_SCHEME`` among them; for a panel,
 the file's bytes and ``PANEL_FORMAT``), and one made from other inputs is
 replaced. Windows, RCA, contractions and fits are recomputed, so a rerun
@@ -311,8 +316,7 @@ class Run:
         spec = self.lags[lag_index]
         stage = f"validate_lag_{spec.delta_t}"
         validations = tuple(
-            _stage(stage, validate_pair, self.cfg, self.tech, self.prod, pair,
-                   (0, lag_index, pair_index), self.cache)
+            self.validate_pair(stage, self.cfg.delta, pair, (0, lag_index, pair_index))
             for pair_index, pair in enumerate(spec.pairs)
         )
         network = _stage(stage, intersect_pairs, validations, self.cfg.tier)
@@ -323,6 +327,56 @@ class Run:
         self.record(stage, pairs=[list(p) for p in spec.pairs], edges=network.edge_count)
         return LagResult(spec=spec, network=network)
 
+    def validate_pair(
+        self, stage: str, delta: int, pair: tuple[int, int], stream_key: tuple[int, ...]
+    ) -> PairValidation:
+        """One (t1, t2) pair under ``stage``'s tag: its ``delta``-year windows,
+        RCA, alignment and contraction, then its exceedance counts.
+
+        The counts are read from the cache entry ``counts-<stream_key>``, as
+        the ``PairValidation`` they build, or drawn by
+        ``null_exceedance_counts`` and stored there. That one pass also audits
+        the sampling bias: a layer whose sampled degrees drift past 4 sigma
+        over the n draws gets a log warning, never a failure, since such an
+        excursion happens by chance now and then.
+        """
+        n = self.cfg.samples
+        try:
+            tech_bin, prod_bin, empirical = contract_pair(delta, self.tech, self.prod, pair)
+            tech_model = fit_bicm(tech_bin)
+            prod_model = fit_bicm(prod_bin)
+            key = self.cache.key(
+                "counts", SAMPLING_SCHEME, empirical.values,
+                tech_model.link_probabilities, prod_model.link_probabilities,
+                n, self.cfg.seed, *stream_key,
+            )
+
+            def read(entry: dict) -> PairValidation:
+                if not np.array_equal(entry["n"], [n]):
+                    raise ValueError(f"n other than {n}")
+                return PairValidation(empirical.tech_ids, empirical.product_ids,
+                                      empirical.values, entry["counts"], n, *pair)
+
+            name = "counts-" + "-".join(map(str, stream_key))
+            validation = self.cache.load(name, key, read)
+            if validation is not None:
+                return validation
+            counts, drift = null_exceedance_counts(
+                tech_model, prod_model, empirical.values, n, self.cfg.seed, stream_key
+            )
+            for layer, worst in zip(("technology", "product"), drift):
+                if worst > 4.0:
+                    logger.warning(
+                        "pair %s: %s layer sampled degrees drift %.2f sigma from "
+                        "expectation over %d draws",
+                        pair, layer, worst, n,
+                    )
+            entry = {"counts": counts, "n": np.array([n])}
+            self.cache.store(name, key, **entry)
+            return read(entry)
+        except TpnetError as exc:
+            raise StageError(stage, str(exc)) from exc
+
 
 def _binary_for_window(
     panel: ActivityPanel, delta: int, end_year: int
@@ -331,80 +385,19 @@ def _binary_for_window(
 
 
 def contract_pair(
-    cfg: RunConfig,
+    delta: int,
     tech_panel: ActivityPanel,
     prod_panel: ActivityPanel,
     pair: tuple[int, int],
 ) -> tuple[BinaryMatrix, BinaryMatrix, AssistMatrix]:
-    """Windows, RCA and alignment of one (t1, t2) pair, then its contraction."""
+    """``delta``-year windows, RCA and alignment of one (t1, t2) pair, then
+    its contraction."""
     t1, t2 = pair
-    tech_bin = _binary_for_window(tech_panel, cfg.delta, t1)
-    prod_bin = _binary_for_window(prod_panel, cfg.delta, t2)
+    tech_bin = _binary_for_window(tech_panel, delta, t1)
+    prod_bin = _binary_for_window(prod_panel, delta, t2)
     tech_bin, prod_bin, common = align_countries(tech_bin, prod_bin)
     logger.info("pair (%s, %s): %d common countries", t1, t2, len(common))
     return tech_bin, prod_bin, compute_assist(tech_bin, prod_bin)
-
-
-def _cached_counts(entry: dict, shape: tuple[int, ...], n: int) -> np.ndarray:
-    """The counts of a ``counts`` entry; ValueError unless they are the counts
-    of n draws over a matrix of ``shape``."""
-    counts = entry.get("counts")
-    if counts is None or counts.dtype.kind not in "iu" or counts.shape != shape:
-        raise ValueError(f"no integer counts of shape {shape}")
-    if ((counts < 0) | (counts > n)).any() or not np.array_equal(entry.get("n"), [n]):
-        raise ValueError(f"counts outside [0, {n}] or n other than {n}")
-    return counts
-
-
-def validate_pair(
-    cfg: RunConfig,
-    tech_panel: ActivityPanel,
-    prod_panel: ActivityPanel,
-    pair: tuple[int, int],
-    stream_key: tuple[int, ...],
-    cache: ArtifactCache,
-) -> PairValidation:
-    """Full single-pair chain: windows, RCA, alignment, contraction, nulls.
-
-    The null draws, their comparison with the empirical matrix and the
-    sampling-bias audit are one pass, ``null_exceedance_counts``. A layer
-    whose sampled degrees drift past 4 sigma over the n draws gets a log
-    warning, never a failure: such an excursion happens by chance now and
-    then.
-    """
-    tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, pair)
-    tech_model = fit_bicm(tech_bin)
-    prod_model = fit_bicm(prod_bin)
-    counts_key = cache.key(
-        "counts", SAMPLING_SCHEME, empirical.values,
-        tech_model.link_probabilities, prod_model.link_probabilities,
-        cfg.samples, cfg.seed, *stream_key,
-    )
-    n = cfg.samples
-    name = "counts-" + "-".join(map(str, stream_key))
-    counts = cache.load(name, counts_key,
-                        read=lambda entry: _cached_counts(entry, empirical.values.shape, n))
-    if counts is None:
-        counts, drift = null_exceedance_counts(
-            tech_model, prod_model, empirical.values, n, cfg.seed, stream_key
-        )
-        for layer, worst in zip(("technology", "product"), drift):
-            if worst > 4.0:
-                logger.warning(
-                    "pair %s: %s layer sampled degrees drift %.2f sigma from "
-                    "expectation over %d draws",
-                    pair, layer, worst, n,
-                )
-        cache.store(name, counts_key, counts=counts, n=np.array([n]))
-    return PairValidation(
-        tech_ids=empirical.tech_ids,
-        product_ids=empirical.product_ids,
-        empirical=empirical.values,
-        exceed_counts=counts,
-        n_samples=n,
-        t1=pair[0],
-        t2=pair[1],
-    )
 
 
 def compute_rankings(
@@ -628,8 +621,8 @@ def run_robustness(
         benchmark = run.validate_lag(0).network
     _stage("robustness", _check_benchmark, benchmark, run.tech, run.prod)
     delta_t = benchmark.lag if benchmark.lag is not None else run.lags[0].delta_t
-    bench_t2 = [t2 for _, t2 in benchmark.pairs if t2 is not None]
-    span = (min(bench_t2) - cfg.delta + 1, max(bench_t2)) if bench_t2 else None
+    bench_t2 = [t2 for _, t2 in benchmark.pairs]
+    span = (min(bench_t2) - cfg.delta + 1, max(bench_t2))
     benchmark_edges = benchmark.edge_count
     tier = benchmark.tier
 
@@ -637,15 +630,10 @@ def run_robustness(
     for delta in deltas:
         for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t):
             stage = f"robustness_d{delta}_{t2}"
-            validation = _stage(
-                stage, validate_pair, cfg.replace(delta=delta),
-                run.tech, run.prod, (t1, t2), (1, delta, t2), run.cache,
-            )
+            validation = run.validate_pair(stage, delta, (t1, t2), (1, delta, t2))
             at_tier = validation.tier_mask(tier)
             at_lax = validation.tier_mask(LAX_TIER)
-            outside = span is not None and not (
-                span[0] <= t2 - delta + 1 and t2 <= span[1]
-            )
+            outside = not (span[0] <= t2 - delta + 1 and t2 <= span[1])
             rows.append(
                 RobustnessRow(
                     delta=delta,

@@ -40,15 +40,16 @@ def tier_threshold(tier: str, n_samples: int) -> int:
 
 @dataclass(frozen=True)
 class PairValidation:
-    """Per-link exceedance counts for one (technology window, product window) pair."""
+    """Per-link exceedance counts for one pair of a technology window ending
+    in year ``t1`` and a product window ending in year ``t2``."""
 
     tech_ids: tuple[str, ...]
     product_ids: tuple[str, ...]
     empirical: np.ndarray
     exceed_counts: np.ndarray
     n_samples: int
-    t1: Optional[int] = None
-    t2: Optional[int] = None
+    t1: int
+    t2: int
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -133,13 +134,13 @@ class ValidatedNetwork:
         return self.validations[0].product_ids
 
     @property
-    def pairs(self) -> tuple[tuple[Optional[int], Optional[int]], ...]:
+    def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((v.t1, v.t2) for v in self.validations)
 
     @property
     def lag(self) -> Optional[int]:
-        """t2 - t1, when every pair has its years and all share one lag."""
-        lags = {t2 - t1 for t1, t2 in self.pairs if t1 is not None and t2 is not None}
+        """t2 - t1, when all pairs share one lag."""
+        lags = {t2 - t1 for t1, t2 in self.pairs}
         return lags.pop() if len(lags) == 1 else None
 
     @property

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from tpnet import (
     ConfigError,
+    FitError,
     PanelError,
     StageError,
     TpnetError,
@@ -353,7 +354,7 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
         planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
     )
     tech_panel, prod_panel = load_panels(cfg)
-    tech_bin, prod_bin, empirical = contract_pair(cfg, tech_panel, prod_panel, (2013, 2013))
+    tech_bin, prod_bin, empirical = contract_pair(cfg.delta, tech_panel, prod_panel, (2013, 2013))
     inputs = (
         empirical.values, fit_bicm(tech_bin).link_probabilities,
         fit_bicm(prod_bin).link_probabilities, cfg.samples, cfg.seed, 0, 0, 0,
@@ -486,6 +487,52 @@ def test_sampling_bias_flag_reports_every_draw(
     assert [r.getMessage() for r in caplog.records] == [
         "pair (2013, 2013): technology layer sampled degrees drift 4.50 sigma "
         "from expectation over 30 draws"
+    ]
+
+
+def _fit_fails_on_call(monkeypatch, failing_call):
+    """Patch the pipeline's fit so that its ``failing_call``-th call (from 1)
+    raises ``FitError``."""
+    real_fit, calls = pipeline.fit_bicm, []
+
+    def fit(binary):
+        calls.append(binary.layer_kind)
+        if len(calls) == failing_call:
+            raise FitError("planted fit failure", residual=1.0)
+        return real_fit(binary)
+
+    monkeypatch.setattr(pipeline, "fit_bicm", fit)
+
+
+def test_failing_lag_pair_is_tagged_with_its_lag(planted_panel_files, tmp_path, monkeypatch):
+    # lag 0 fits both layers of its two pairs; the fifth fit is lag 2's first
+    lags = (LagSpec(0), LagSpec(2, ((2011, 2013),)))
+    cfg = _config(planted_panel_files, tmp_path, samples=30, lags=lags)
+    _fit_fails_on_call(monkeypatch, 5)
+    with pytest.raises(StageError, match=r"^\[validate_lag_2\] planted fit failure$") as err:
+        run_pipeline(cfg)
+    assert isinstance(err.value.__cause__, FitError)
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert "validate_lag_0" in stages and "validate_lag_2" not in stages
+
+
+def test_failing_robustness_window_is_tagged_with_its_window(
+    planted_panel_files, tmp_path, monkeypatch
+):
+    # the benchmark's two pairs take 4 fits and the four 1-year windows 8;
+    # the 15th is the first fit of the second 2-year window, ending in 2012
+    cfg = _config(planted_panel_files, tmp_path, samples=30)
+    _fit_fails_on_call(monkeypatch, 15)
+    with pytest.raises(
+        StageError, match=r"^\[robustness_d2_2012\] planted fit failure$"
+    ) as err:
+        run_robustness(cfg, deltas=(1, 2))
+    assert isinstance(err.value.__cause__, FitError)
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    windows = sorted(stage for stage in stages if stage.startswith("robustness"))
+    assert windows == [
+        "robustness_d1_2010", "robustness_d1_2011", "robustness_d1_2012",
+        "robustness_d1_2013", "robustness_d2_2011",
     ]
 
 
@@ -1032,13 +1079,24 @@ def test_cli_robustness_after_report_parses_no_panel(planted_panel_files, tmp_pa
     assert reads == []
 
 
-def test_warm_manifest_equals_cold(planted_panel_files, tmp_path):
+@pytest.mark.parametrize("command, outputs", [
+    pytest.param(["report"], ["manifest.json"], id="report"),
+    pytest.param(["robustness", "--deltas", "1,2"],
+                 ["manifest.json", "robustness/report.json"], id="robustness"),
+])
+def test_warm_manifest_equals_cold(planted_panel_files, tmp_path, monkeypatch, command, outputs):
     cfg = _config(planted_panel_files, tmp_path, samples=100)
-    config_path = str(_write_config(cfg, tmp_path))
-    manifest = tmp_path / "out" / "manifest.json"
-    assert CliRunner().invoke(main, ["report", "--config", config_path]).exit_code == 0
-    cold = manifest.read_bytes()
-    manifest.unlink()
-    # panels and counts now come from the cache
-    assert CliRunner().invoke(main, ["report", "--config", config_path]).exit_code == 0
-    assert manifest.read_bytes() == cold
+    args = [*command, "--config", str(_write_config(cfg, tmp_path))]
+    out = tmp_path / "out"
+    assert CliRunner().invoke(main, args).exit_code == 0
+    cold = [(out / name).read_bytes() for name in outputs]
+    (out / "manifest.json").unlink()
+
+    # panels and counts now come from the cache: the warm run draws nothing
+    def no_draws(*args):
+        raise AssertionError("the warm run drew null samples")
+
+    monkeypatch.setattr(pipeline, "null_exceedance_counts", no_draws)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert [(out / name).read_bytes() for name in outputs] == cold

@@ -33,7 +33,7 @@ def _null_validation(empirical, tech, prod, n, seed):
     )
     return PairValidation(
         tech_ids=empirical.tech_ids, product_ids=empirical.product_ids,
-        empirical=empirical.values, exceed_counts=counts, n_samples=n,
+        empirical=empirical.values, exceed_counts=counts, n_samples=n, t1=2012, t2=2012,
     )
 
 
@@ -136,10 +136,11 @@ def test_intersect_pairs_needs_pairs_on_one_pair_of_axes():
 
 def test_pair_validation_checks_shapes_and_count_range():
     with pytest.raises(AxisMismatchError, match="validation matrices do not match axes"):
-        PairValidation(("t0",), ("10 p",), np.ones((1, 2)), np.zeros((1, 2), int), 10)
+        PairValidation(("t0",), ("10 p",), np.ones((1, 2)), np.zeros((1, 2), int), 10, 2012, 2012)
     for count in (-1, 11):
         with pytest.raises(ValueError, match=re.escape("exceedance counts must lie in [0, n_samples]")):
-            PairValidation(("t0",), ("10 p",), np.ones((1, 1)), np.full((1, 1), count), 10)
+            PairValidation(("t0",), ("10 p",), np.ones((1, 1)), np.full((1, 1), count), 10,
+                           2012, 2012)
 
 
 @pytest.mark.parametrize("counts, dtype", [
@@ -148,9 +149,9 @@ def test_pair_validation_checks_shapes_and_count_range():
 ])
 def test_pair_validation_refuses_counts_that_are_not_integers(counts, dtype):
     with pytest.raises(ValueError, match=f"exceedance counts must be integers, got dtype {dtype}"):
-        PairValidation(("t",), ("10 p",), [[0.5]], counts, 10000)
+        PairValidation(("t",), ("10 p",), [[0.5]], counts, 10000, 2012, 2012)
     for ints in ([[9600]], np.full((1, 1), 9600, np.uint16)):
-        v = PairValidation(("t",), ("10 p",), [[0.5]], ints, 10000)
+        v = PairValidation(("t",), ("10 p",), [[0.5]], ints, 10000, 2012, 2012)
         assert v.exceed_counts.dtype == np.int64 and v.tier_mask("95")[0, 0]
 
 
@@ -262,11 +263,11 @@ def test_significance_profile_tier_chain():
     assert {t: bool(v.tier_mask(t)[0, 0]) for t in TIER_ORDER} == {
         "95": True, "99": True, "99.9": True
     }
-    # one pair without years, with the weakest standing below every tier
+    # one pair built directly, with the weakest standing below every tier
     bare = PairValidation(
         tech_ids=("t0", "t1"), product_ids=("p0",),
         empirical=np.array([[0.3], [0.0]]),
-        exceed_counts=np.array([[9991], [0]]), n_samples=10000,
+        exceed_counts=np.array([[9991], [0]]), n_samples=10000, t1=2012, t2=2012,
     )
     assert [e.highest_tier for e in significance_profile("p0", [bare])] == ["99.9", None]
 
