@@ -33,7 +33,16 @@ _YEARS = range(-(2**63), 2**63)  # a year must fit the int64 years of a cached p
 
 _BLOCK_BYTES = 512 * 1024  # the most bytes of lines parsed at once: bounds the reader's extra memory
 
-_LF, _CR, _COMMA, _UNDERSCORE = b"\n\r,_"
+_LF, _CR, _COMMA, _UNDERSCORE, _ZERO, _POINT = b"\n\r,_0."
+
+# The exact decimal kernel runs where a long double is x87's, with a 64-bit significand.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63
+
+_DECIMAL_BYTES = 29  # the widest plain decimal _decimals reads: "0." and 27 digits
+
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))  # 10**0 .. 10**27, exact
+
+_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(9)], np.uint64)  # the first i bytes of a key
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -233,7 +242,7 @@ def _read_blocks(path: Path):
     names, a line longer than a block, and any block ``_parse_block`` refuses.
     """
     axes = {}, {}, {}  # year, country, activity -> index
-    raw = {}, {}, {}  # the same from each distinct raw field
+    tables = {}, {}, {}  # per raw key dtype: the sorted raw keys seen and their indices
     seen, weights = (array("q"), array("q"), array("q")), array("d")
     block = bytearray(_BLOCK_BYTES)  # one buffer for every block: no heap churn per block
     try:
@@ -250,7 +259,7 @@ def _read_blocks(path: Path):
                 last = size < _BLOCK_BYTES  # a short read is the end of the file
                 cut = size if last else block.rfind(b"\n", 0, size) + 1
                 if cut:
-                    _parse_block(block, cut, axes, raw, seen, weights)
+                    _parse_block(block, cut, axes, tables, seen, weights)
                 elif not last:
                     return None  # a line longer than a block
                 if last:
@@ -261,7 +270,7 @@ def _read_blocks(path: Path):
         return None
 
 
-def _parse_block(block: bytearray, size: int, axes, raw, seen, weights) -> None:
+def _parse_block(block: bytearray, size: int, axes, tables, seen, weights) -> None:
     """Append the rows of the whole lines of ``block[:size]`` to ``seen`` and
     ``weights``. A ValueError refuses the file: the block holds a ``"``, a
     NUL, a CR not ending its line (the file's last byte may be one), a line
@@ -290,40 +299,110 @@ def _parse_block(block: bytearray, size: int, axes, raw, seen, weights) -> None:
     widest = int(lengths.max())
     if n * widest > _BLOCK_BYTES or widest > csv.field_size_limit():
         raise ValueError
-    widths = np.maximum(lengths.max(axis=0), 8)  # a field of up to 8 bytes is keyed as one uint64
-    padded = np.concatenate((b, np.zeros(widths.max(), np.uint8)))
+    # room before the first value for _decimals and after the last field for an 8-byte key
+    padded = np.zeros(_DECIMAL_BYTES + size + max(widest, 8), np.uint8)
+    padded[_DECIMAL_BYTES:][:size] = b
+    field_starts += _DECIMAL_BYTES
+    ends += _DECIMAL_BYTES
 
-    def field(k: int) -> np.ndarray:
-        """Field ``k`` of each line as an ``S`` string, zeroed past its end."""
-        width = widths[k]
-        at_every_byte = np.ndarray((size + 1,), f"S{width}", buffer=padded, strides=(1,))
-        strings = at_every_byte[field_starts[:, k]]
-        text = strings.view(np.uint8).reshape(n, width)
-        text *= np.arange(width) < lengths[:, k, None]
-        return strings
-
-    years, values = field(2), field(3)
-    # int() and float() also take "_" and non-ASCII digits, which the row loop refuses
-    if any(np.any(f.view(np.uint8) >= 0x80) or np.any(f.view(np.uint8) == _UNDERSCORE)
-           for f in (years, values)):
-        raise ValueError
-    weight = values.astype(np.float64)  # Python's float parser
-    if not np.all(np.isfinite(weight)) or np.any(weight < 0):
-        raise ValueError
-    seen[0].frombytes(_indices(years, axes[0], raw[0], _year).tobytes())
-    seen[1].frombytes(_indices(field(0), axes[1], raw[1], _label).tobytes())
-    seen[2].frombytes(_indices(field(1), axes[2], raw[2], _label).tobytes())
+    cr = padded[ends - 1] == _CR  # a CRLF's CR, or one ending the file, after the value
+    weight, exact = _decimals(padded, ends - cr, lengths[:, 3] - cr)
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        text = _strings(padded, field_starts[rest, 3], lengths[rest, 3])
+        # float() also takes "_" and non-ASCII digits, which the row loop refuses
+        if np.any(text.view(np.uint8) >= 0x80) or np.any(text.view(np.uint8) == _UNDERSCORE):
+            raise ValueError
+        weight[rest] = parsed = text.astype(np.float64)  # Python's float parser
+        if not np.all(np.isfinite(parsed)) or np.any(parsed < 0):
+            raise ValueError
+    for axis, k, key in ((0, 2, _year), (1, 0, _label), (2, 1, _label)):
+        keys = _keys(padded, field_starts[:, k], lengths[:, k])
+        seen[axis].frombytes(_indices(keys, axes[axis], tables[axis], key).tobytes())
     weights.frombytes(weight.tobytes())
 
 
-def _indices(fields: np.ndarray, pos: dict, raw: dict, key) -> np.ndarray:
-    """Each field's index in ``pos``, adding ``key`` of each raw field not yet in ``raw``."""
-    width = fields.dtype.itemsize
-    distinct, inverse = np.unique(fields.view("<u8") if width == 8 else fields, return_inverse=True)
-    distinct = distinct.view(f"S{width}").tolist()
-    for field in sorted(set(distinct).difference(raw)):
-        raw[field] = pos.setdefault(key(field), len(pos))
-    return np.array(list(map(raw.__getitem__, distinct)), np.int64)[inverse.ravel()]
+def _decimals(padded: np.ndarray, ends: np.ndarray,
+              lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each text of ``lengths`` bytes ending before ``ends`` in
+    ``padded``, and whether it is exact: the text is a plain decimal and its
+    value is ``float(text)`` bit for bit. A plain decimal has ASCII digits, at
+    least one, and at most one ``.``; without leading zeros and the point its
+    digits form a mantissa M < 10**19, and at most 27 of them follow the point.
+
+    M and 10**k are exact in a long double, so their quotient is rounded once
+    to 64 bits; rounding that to a float64 rounds the decimal correctly
+    unless the quotient lies halfway between two float64s, which is not exact.
+    Where a long double is not x87's, no text is exact."""
+    width = min(int(lengths.max()), _DECIMAL_BYTES)
+    if not (width and _EXTENDED):
+        return np.empty(len(ends)), np.zeros(len(ends), bool)
+    # the last ``width`` bytes before each end less "0", one C-contiguous row per column:
+    # "0" to "9" read 0 to 9, and every other byte reads more, wrapping below "0"
+    digit = np.ascontiguousarray(_gather(padded, ends - width, width).T)
+    digit -= _ZERO
+    left = np.arange(width, 0, -1, dtype=np.uint8)[:, None]  # bytes from each column to the end
+    digit *= left <= np.minimum(lengths, width).astype(np.uint8)  # the bytes before the text read 0
+    is_digit, is_point = digit < 10, digit == _POINT - _ZERO + 256
+    point = (is_point * left).max(axis=0)  # 0 without a point, else 1 + the digits after it
+    lead = ((digit - 1 < 9) * left).max(axis=0)  # 0 for M = 0, else the bytes from its first digit
+    fraction = point - (point > 0)  # k: the digits after the point
+    digits = lead - ((point > 0) & (point < lead))  # M's digits
+    points = is_point.sum(axis=0, dtype=np.uint8)
+    plain = (np.all(is_digit | is_point, axis=0) & (points <= 1) & (points < lengths)
+             & (lengths <= width) & (digits <= 19) & (fraction <= 27))
+    digit *= is_digit
+    mantissa = np.zeros(len(ends), np.uint64)
+    for times, plus in zip(10 - 9 * is_point.view(np.uint8), digit):
+        mantissa *= times  # the point's column leaves M as it is
+        mantissa += plus
+    quotient = mantissa.astype(np.longdouble) / _POW10[np.minimum(fraction, 27)]
+    # an x87 long double's significand is its first 8 bytes, least significant first
+    halfway = quotient.view(np.uint16)[:: quotient.itemsize // 2] & 0x7FF == 0x400
+    return quotient.astype(np.float64), plain & ~halfway
+
+
+def _gather(padded: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes from each of ``starts`` in ``padded``, one row each."""
+    at_every_byte = np.ndarray((padded.size - width + 1,), f"S{width}", buffer=padded, strides=(1,))
+    return at_every_byte[starts].view(np.uint8).reshape(len(starts), width)
+
+
+def _strings(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ``lengths`` bytes from each of ``starts`` as ``S`` strings, zeroed past their end."""
+    width = max(int(lengths.max()), 1)
+    text = _gather(padded, starts, width)
+    text *= np.arange(width) < lengths[:, None]
+    return text.view(f"S{width}").ravel()
+
+
+def _keys(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each field's bytes as one key: little-endian uint64s, zeroed past
+    their end, where no field is over 8 bytes, else ``S`` strings."""
+    if lengths.max() > 8:
+        return _strings(padded, starts, lengths)
+    words = np.ndarray((padded.size - 7,), "<u8", buffer=padded, strides=(1,))
+    return words[starts] & _LOW_BYTES[lengths]
+
+
+def _indices(keys: np.ndarray, pos: dict, tables: dict, key) -> np.ndarray:
+    """Each raw key's index in ``pos``, adding ``key`` of the raw keys not yet
+    in ``tables``, which holds the sorted raw keys of each dtype seen so far and
+    their indices. A key under two dtypes is parsed once under each."""
+    known, index = tables.get(keys.dtype, (keys[:0], np.empty(0, np.int64)))
+    at = np.searchsorted(known, keys)
+    missed = known[np.minimum(at, known.size - 1)] != keys if known.size else np.ones(keys.size, bool)
+    if missed.any():
+        new = np.sort(keys[missed])  # not np.unique, which imports numpy.ma: 0.5 MB resident
+        new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+        # each key's bytes in file order, trailing zeros dropped
+        fields = new.astype(new.dtype.newbyteorder("<")).view(f"S{new.itemsize}").tolist()
+        added = np.array([pos.setdefault(key(field), len(pos)) for field in fields], np.int64)
+        known, index = np.concatenate((known, new)), np.concatenate((index, added))
+        order = np.argsort(known)
+        tables[keys.dtype] = known, index = known[order], index[order]
+        at = np.searchsorted(known, keys)
+    return index[at]
 
 
 def _label(field: bytes) -> str:
@@ -331,6 +410,9 @@ def _label(field: bytes) -> str:
 
 
 def _year(field: bytes) -> int:
+    # int() also takes "_" and non-ASCII digits, which the row loop refuses
+    if not field.isascii() or b"_" in field:
+        raise ValueError
     year = int(field.decode())
     if year not in _YEARS:
         raise ValueError

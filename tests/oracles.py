@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
@@ -33,6 +34,30 @@ def reference_panel(records):
     for (country, activity, year), value in cells.items():
         values[year][countries.index(country), activities.index(activity)] = value
     return countries, activities, years, values
+
+
+def decimal_kernel_takes(text: str) -> bool:
+    """Whether ``panels._decimals`` may parse ``text``, decided in exact
+    rational arithmetic: a plain decimal of at most 29 bytes, whose digits
+    without leading zeros and the point form M < 10**19, with k <= 27 digits
+    after the point, and whose M / 10**k, rounded to a 64-bit significand
+    with ties to even, is not halfway between two float64s."""
+    match = re.fullmatch(r"([0-9]*)(?:\.([0-9]*))?", text)
+    if not match or not text.strip(".") or len(text) > 29:
+        return False
+    whole, fraction = match[1], match[2] or ""
+    mantissa = int(whole + fraction)
+    if mantissa >= 10**19 or len(fraction) > 27:
+        return False
+    if mantissa == 0:
+        return True
+    scaled = Fraction(mantissa, 10 ** len(fraction))
+    while scaled >= 2**64:
+        scaled /= 2
+    while scaled < 2**63:
+        scaled *= 2
+    # a float64 keeps the top 53 of the 64 bits: halfway leaves 1 followed by ten 0s
+    return round(scaled) % 2**11 != 2**10
 
 
 def reference_rca(weights: np.ndarray) -> np.ndarray:

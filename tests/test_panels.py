@@ -3,6 +3,7 @@
 import codecs
 import csv
 import re
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -25,7 +26,7 @@ from tpnet.panels import ActivityPanel
 from tpnet.rca import BinaryMatrix
 
 from .conftest import read_records
-from .oracles import reference_panel
+from .oracles import decimal_kernel_takes, reference_panel
 
 
 def test_single_record_identity(tmp_path):
@@ -444,6 +445,134 @@ def test_bench_shaped_file_never_reaches_row_loop(tmp_path, monkeypatch, newline
     monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
     monkeypatch.setattr(panels, "_BLOCK_BYTES", 4096)  # many blocks, each ending mid-row
     assert _outcome(read_panel_csv, path) == expected
+
+
+def _kernel(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``_decimals`` of ``texts`` laid out as the value fields of a block."""
+    body = "".join(f",{text}" for text in texts).encode()
+    padded = np.zeros(panels._DECIMAL_BYTES + len(body) + 8, np.uint8)
+    padded[panels._DECIMAL_BYTES:][:len(body)] = np.frombuffer(body, np.uint8)
+    lengths = np.array([len(text) for text in texts])
+    ends = panels._DECIMAL_BYTES + np.cumsum(lengths + 1)
+    return panels._decimals(padded, ends, lengths)
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", value) for value in values]
+
+
+def _assert_kernel_matches_float(texts: list[str]) -> np.ndarray:
+    values, exact = _kernel(texts)
+    assert exact.tolist() == list(map(decimal_kernel_takes, texts))
+    assert _bits(values[exact]) == _bits(float(text) for text, e in zip(texts, exact) if e)
+    return exact
+
+
+@st.composite
+def _decimal_texts(draw):
+    """1 to 22 digits, a point anywhere or none, and up to 8 leading zeros
+    and, after a point, 8 trailing ones: fractions of 0 to 30 digits."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=22))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    zeros = draw(st.integers(0, 8))
+    if point is None:
+        return "0" * zeros + digits
+    return "0" * zeros + digits[:point] + "." + digits[point:] + "0" * draw(st.integers(0, 8))
+
+
+@pytest.mark.skipif(not panels._EXTENDED, reason="the kernel needs an x87 long double")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_decimal_texts(), min_size=1, max_size=30))
+def test_decimal_kernel_matches_float_bit_for_bit(texts):
+    _assert_kernel_matches_float(texts)
+
+
+@pytest.mark.skipif(not panels._EXTENDED, reason="the kernel needs an x87 long double")
+@pytest.mark.parametrize("text, taken", [
+    ("9007199254740993", False),  # 2**53 + 1: the decimal itself is halfway
+    ("18.988222672245195", False),  # only its 64-bit quotient is halfway (found by search)
+    ("1234567890123456789", True),  # 19 digits
+    ("9999999999999999999", True),
+    ("12345678901234567890", False),  # 20 digits
+    ("00000000000000000000012345.6", True),  # leading zeros are not digits of M
+    ("0", True), ("0.", True), (".0", True), ("5.", True), (".5", True),
+    ("0.000000000000000000000000001", True),  # 27 digits after the point
+    (".0000000000000000000000000001", False),  # 28
+    ("0.0000000000000000000000000001", False),  # 30 bytes
+    (".", False), ("", False), ("1.2.3", False), ("1e3", False), ("-1", False), (" 2", False),
+])
+def test_decimal_kernel_pinned_texts(text, taken):
+    assert _assert_kernel_matches_float([text]).tolist() == [taken]
+
+
+@pytest.mark.skipif(not panels._EXTENDED, reason="the kernel needs an x87 long double")
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_halfway_quotients_take_the_fallback(tmp_path, monkeypatch, newline):
+    texts = ["9007199254740993", "18.988222672245195", "2.5"]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(newline.join(["country,activity,year,value",
+                                   *(f"C{i},x,2000,{t}" for i, t in enumerate(texts)), ""]).encode())
+    calls = []
+
+    def spy(*args, _decimals=panels._decimals):
+        values, exact = _decimals(*args)
+        calls.append((values.copy(), exact))  # the reader overwrites the values it parses again
+        return values, exact
+
+    monkeypatch.setattr(panels, "_decimals", spy)
+    monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
+    panel = read_panel_csv(path, "product")
+    [(values, exact)] = calls
+    assert exact.tolist() == [False, False, True]
+    # one more rounding of the second quotient misses its float by one unit: float() must parse it
+    assert _bits(values[1:2]) != _bits([float(texts[1])])
+    assert _bits(panel.values[2000][:, 0]) == _bits(map(float, texts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_panel_files(), st.sampled_from([40, 64, panels._BLOCK_BYTES]))
+def test_read_panel_csv_without_the_decimal_kernel_reads_the_same(tmp_path_factory, data, block_bytes):
+    # where a long double is not x87's, every value goes through float()
+    path = tmp_path_factory.mktemp("no_kernel") / "panel.csv"
+    path.write_bytes(data)
+    taken = []
+
+    def spy(*args, _decimals=panels._decimals):
+        values, exact = _decimals(*args)
+        taken.append(exact.any())
+        return values, exact
+
+    with mock.patch.object(panels, "_BLOCK_BYTES", block_bytes):
+        expected = _outcome(read_panel_csv, path)
+        with mock.patch.object(panels, "_EXTENDED", False), mock.patch.object(panels, "_decimals", spy):
+            assert _outcome(read_panel_csv, path) == expected
+    assert not any(taken)
+
+
+_KEY_CASES = {
+    "new-keys-in-later-blocks": ["A,x,2000,1", "A,x,2000,2", "B,y,2001,3", "A,x,2000,4", "C,z,2002,5",
+                                 "B,x,2003,6", "D,w,2000,7", "A,z,2003,8"],
+    "eight-byte-label": ["ABCDEFGH,x,2000,1", "ABCDEFG,x,2000,2", "A,12345678,2001,3",
+                         "ABCDEFGH,1234567,2000,4", "ABCDEFG,12345678,2001,5"],
+    "wide-label-in-one-block": ["A,x,2000,1", "ABCDEFGH,xy,2000,2", "ABCDEFGHIJ,x,2001,3",
+                                "A,abcdefghij,2000,4", "ABCDEFGH,abcdefgh,2001,5", "AB,x,2001,6",
+                                "ABCDEFGHIJ,xy,2000,7", "A,x,2000,8"],
+    "padded-year-in-another-block": ["A,x,2008,1", "B,x,2009,2", "C,x,2008,3", "A,y, 2008,4",
+                                     "B,y,2009 ,5", "C,x,2008,6", "A,x, 2008,7"],
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("rows", list(_KEY_CASES.values()), ids=list(_KEY_CASES))
+def test_block_keys_match_row_loop_across_blocks(tmp_path, monkeypatch, rows, newline):
+    # blocks of 1 to 4 rows: each block's keys are looked up among the earlier blocks' raw keys
+    path = tmp_path / "panel.csv"
+    path.write_bytes(newline.join(["country,activity,year,value", *rows, ""]).encode())
+    expected = _row_outcome(path)
+    monkeypatch.setattr(panels, "_read_rows", _no_row_loop)
+    for block_bytes in range(32, 80):
+        monkeypatch.setattr(panels, "_BLOCK_BYTES", block_bytes)
+        assert _outcome(read_panel_csv, path) == expected
 
 
 def _two_year_panel():
