@@ -20,7 +20,14 @@ import numpy as np
 
 from .assist import AssistMatrix
 from .efc import ActivityRanking, LinkDifferenceCurve
-from .validate import TIER_ORDER, DegreeReport, ValidatedNetwork, _standing, product_chapter
+from .validate import (
+    TIER_ORDER,
+    DegreeReport,
+    PairValidation,
+    ValidatedNetwork,
+    _standing,
+    product_chapter,
+)
 
 
 def _fmt(value: float) -> str:
@@ -158,8 +165,9 @@ def _json_ready(obj):
 
 def write_json(payload: dict, path: str | Path) -> None:
     """``payload`` as sorted, indent=2 JSON. A ``significance_profiles``
-    member from ``network_report`` is streamed from its matrices, one product
-    at a time, in exactly the bytes its dict-of-lists form would encode to."""
+    member from ``network_report`` is computed from the pairs' exceedance
+    counts and written one block of products at a time, in exactly the bytes
+    its dict-of-lists form would encode to."""
     profiles = payload.get("significance_profiles")
     if not isinstance(profiles, _Profiles):
         Path(path).write_text(
@@ -182,50 +190,62 @@ def write_json(payload: dict, path: str | Path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Profiles:
-    """The tech axis, the connected products in id order, and over (tech,
-    those products) the exceedance fraction and tier level matrices of
-    ``validate._standing``."""
+    """What the significance profiles are computed from: the tech axis, the
+    connected products in id order with their column positions, and the
+    lag's pairs. It holds no matrix of its own; ``_profile_chunks`` reads the
+    pairs' counts one block of products at a time."""
 
     tech_ids: tuple[str, ...]
     products: tuple[str, ...]
-    fractions: np.ndarray
-    levels: np.ndarray
+    cols: np.ndarray
+    validations: tuple[PairValidation, ...]
 
 
 _PROFILES_KEY = '\n  "significance_profiles": '
 # The JSON value of each tier level: null below every tier, then TIER_ORDER.
 _TIER_JSON = ("null", *(json.dumps(t) for t in TIER_ORDER))
+# Profile cells (technologies x products) computed and encoded at once.
+_PROFILE_BLOCK_CELLS = 1 << 16
+
+
+class _EntryHeads(dict):  # per fraction, an entry's head for each tier level, encoded once
+    def __missing__(self, fraction: float) -> tuple[str, ...]:
+        text = ('      {\n        "exceed_fraction": ' + json.dumps(fraction)
+                + ',\n        "highest_tier": ')
+        self[fraction] = heads = tuple(text + tier for tier in _TIER_JSON)
+        return heads
 
 
 def _profile_chunks(profiles: _Profiles):
     """The ``significance_profiles`` value as an indent=2 top-level member,
-    one product per chunk. Each entry is a head encoded once per distinct
-    (fraction, tier) plus a tail encoded once per technology."""
+    one product per chunk. Products are taken in blocks of at most
+    ``_PROFILE_BLOCK_CELLS`` cells. Each entry is a head encoded once per
+    distinct (fraction, tier) plus a tail encoded once per technology."""
     if not profiles.products:
         yield "{}"
         return
-    values, index = np.unique(profiles.fractions, return_inverse=True)
-    heads = np.array(
-        [
-            '      {\n        "exceed_fraction": ' + json.dumps(value)
-            + ',\n        "highest_tier": ' + tier
-            for value in values.tolist()
-            for tier in _TIER_JSON
-        ],
-        dtype=object,
-    )
+    entry_heads = _EntryHeads()
     tails = [
         ',\n        "tech": ' + json.dumps(tech) + "\n      }"
         for tech in profiles.tech_ids
     ]
-    cells = heads[index.reshape(profiles.levels.shape) * len(_TIER_JSON) + profiles.levels]
+    width = max(1, _PROFILE_BLOCK_CELLS // len(profiles.tech_ids))
     opening = "{\n"
-    for product, column in zip(profiles.products, cells.T.tolist()):
-        yield (
-            opening + "    " + json.dumps(product) + ": [\n"
-            + ",\n".join(map(operator.add, column, tails)) + "\n    ]"
+    for start in range(0, len(profiles.products), width):
+        fractions, levels = _standing(
+            profiles.validations, (slice(None), profiles.cols[start:start + width])
         )
-        opening = ",\n"
+        values, index = np.unique(fractions, return_inverse=True)
+        heads = np.array(
+            [head for value in values.tolist() for head in entry_heads[value]], dtype=object
+        )
+        cells = heads[index.reshape(levels.shape) * len(_TIER_JSON) + levels]
+        for product, column in zip(profiles.products[start:start + width], cells.T.tolist()):
+            yield (
+                opening + "    " + json.dumps(product) + ": [\n"
+                + ",\n".join(map(operator.add, column, tails)) + "\n    ]"
+            )
+            opening = ",\n"
     yield "\n  }"
 
 
@@ -235,12 +255,10 @@ def network_report(
     """The report.json payload, for ``write_json``. Only connected products
     are profiled, each as a list of {"tech", "exceed_fraction",
     "highest_tier"} entries in tech axis order, as ``significance_profile``
-    gives them."""
+    gives them. The profiles are not computed here: ``write_json`` computes
+    and writes them one block of products at a time."""
     product_ids = net.product_ids
     cols = sorted(np.flatnonzero(net.mask.any(axis=0)).tolist(), key=product_ids.__getitem__)
-    fractions, levels = _standing(
-        net.validations, (slice(None), np.array(cols, dtype=np.intp))
-    )
     return {
         "meta": dict(meta),
         "tier": net.tier,
@@ -252,7 +270,8 @@ def network_report(
         "degree_report": asdict(report),
         "tech_subclass_degrees": dict(sorted(tech_subclass_degrees(net).items())),
         "significance_profiles": _Profiles(
-            net.tech_ids, tuple(product_ids[j] for j in cols), fractions, levels
+            net.tech_ids, tuple(product_ids[j] for j in cols),
+            np.array(cols, dtype=np.intp), net.validations,
         ),
     }
 

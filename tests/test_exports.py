@@ -175,7 +175,7 @@ def _profile_pairs(rng, sample_counts, layout):
     "sample_counts", [(3,), (10, 9), (7, 11, 13), (300,), (1000, 301), (313, 1000, 210)]
 )
 @pytest.mark.parametrize("layout", ["full", "single", "empty"])
-def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path):
+def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path, monkeypatch):
     rng = np.random.default_rng(sum(sample_counts) + len(layout))
     pairs = _profile_pairs(rng, sample_counts, layout)
     net = intersect_pairs(pairs, "95")
@@ -184,11 +184,18 @@ def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path):
     meta = {"delta": 2, "samples": sample_counts[0], "seed": 7, "tier": "95",
             "label": "caf\u00e9 \"q\" \\"}
     path = tmp_path / "report.json"
-    exports.write_json(exports.network_report(net, report, meta), path)
     expected = reference_report_json(
         net, report, subclass, meta, TIER_ORDER, tier_threshold
-    )
-    assert path.read_bytes() == expected.encode("utf-8")
+    ).encode("utf-8")
+    # the default block holds every product here; 1, 2 and 3 products per
+    # block end blocks inside the product list and at its end
+    for products_per_block in (None, 1, 2, 3):
+        if products_per_block is not None:
+            monkeypatch.setattr(
+                exports, "_PROFILE_BLOCK_CELLS", products_per_block * len(_ODD_TECHS)
+            )
+        exports.write_json(exports.network_report(net, report, meta), path)
+        assert path.read_bytes() == expected, products_per_block
 
     profiles = json.loads(path.read_text(encoding="utf-8"))["significance_profiles"]
     connected = {"full": None, "single": [_ODD_PRODUCTS[0]], "empty": []}[layout]
@@ -198,6 +205,31 @@ def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path):
         assert len(profiles) > 1
         tiers = {e["highest_tier"] for e in profiles[_ODD_PRODUCTS[0]]}
         assert tiers == ({None, *TIER_ORDER} if min(sample_counts) >= 200 else {None, "99.9"})
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_profiles_are_computed_one_block_at_a_time(width, tmp_path, monkeypatch):
+    pairs = _profile_pairs(np.random.default_rng(6), (1000, 301), "full")
+    net = intersect_pairs(pairs, "95")
+    connected = sorted(np.flatnonzero(net.mask.any(axis=0)).tolist(),
+                       key=net.product_ids.__getitem__)
+    assert len(connected) == 5  # with 2 per block, the last block is short
+    monkeypatch.setattr(exports, "_PROFILE_BLOCK_CELLS", width * len(_ODD_TECHS) + 1)
+    calls = []
+    standing = exports._standing
+
+    def spy(validations, index):
+        calls.append(index)
+        return standing(validations, index)
+
+    monkeypatch.setattr(exports, "_standing", spy)
+    payload = exports.network_report(net, degree_report(net, {}), {})
+    assert calls == []
+    exports.write_json(payload, tmp_path / "report.json")
+    assert len(calls) == -(-len(connected) // width)
+    for rows, cols in calls:
+        assert rows == slice(None) and len(cols) <= width
+    assert np.concatenate([cols for _, cols in calls]).tolist() == connected
 
 
 def test_write_json_other_payloads_unchanged(tmp_path):
