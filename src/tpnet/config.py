@@ -5,7 +5,7 @@ Schema (JSON object; unknown keys rejected):
     technology_panel  path to the technology panel CSV        (required)
     product_panel     path to the product panel CSV           (required)
     delta             aggregation window length in years      (default 5)
-    samples           null-ensemble size N                    (default 10000)
+    samples           null-ensemble size N, below 2**31       (default 10000)
     seed              master random seed, >= 0                (default 0)
     tier              significance tier: 90|95|99|99.9        (default "95")
     digits            product code prefix length to aggregate (default null)
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .validate import TIER_LEVELS
+from .validate import MAX_SAMPLES, TIER_LEVELS
 
 
 def _int(name: str, value) -> int:
@@ -105,6 +105,10 @@ class RunConfig:
             raise ConfigError(f"delta must be >= 1, got {self.delta}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(
+                f"samples must be < 2**31, the int32 null counts' bound, got {self.samples}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if str(self.tier) not in TIER_LEVELS:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
@@ -68,26 +68,6 @@ class _CsvFields(dict):  # each text as csv.writer writes it inside a row, quote
         return field
 
 
-def write_edge_csv(net: ValidatedNetwork, path: str | Path) -> None:
-    quoted = _CsvFields()  # one f-string per edge, in the bytes csv.writer writes
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("tech,product,weight,p_value,tier\r\n")
-        for tech, product, weight, p_value, tier in _edge_rows(net):
-            fh.write(f"{quoted[tech]},{quoted[product]},{_fmt(weight)},{_fmt(p_value)},"
-                     f"{quoted[tier]}\r\n")
-
-
-def _edge_rows(net: ValidatedNetwork):
-    """(tech, product, weight, p_value, tier) per edge, in id order; the tier
-    is the strongest one passed in every pair, at least the network's."""
-    tech_ids, product_ids, lowest = net.tech_ids, net.product_ids, net.tier
-    rows, cols, weights, p_values, tiers = net.edge_arrays()
-    for i, j, weight, p_value, tier in zip(
-        rows.tolist(), cols.tolist(), weights.tolist(), p_values.tolist(), tiers.tolist()
-    ):
-        yield tech_ids[i], product_ids[j], weight, p_value, tier or lowest
-
-
 def _tech_group(tech_id: str) -> str:
     """Grouping label for a technology node: the code's leading token."""
     return tech_id.split(" ")[0]
@@ -106,26 +86,41 @@ _GRAPHML_HEAD = """\
 """
 
 
-def write_graphml(
-    net: ValidatedNetwork, path: str | Path, product_sections: Mapping[str, str]
+def write_network(
+    net: ValidatedNetwork,
+    edge_path: str | Path,
+    graphml_path: str | Path,
+    product_sections: Mapping[str, str],
 ) -> None:
-    """Directed GraphML with layer/group/degree node data and weighted edges.
+    """The network's edges in id order, as ``edge_path``'s CSV rows (tech,
+    product, weight, p_value, tier) and as directed GraphML at
+    ``graphml_path``, both written in one walk over ``net.edge_arrays()``.
+    An edge's tier is the strongest one passed in every pair, at least the
+    network's.
 
-    A product's group is its chapter's section in ``product_sections``, else
-    the chapter itself. Only nodes with at least one edge are emitted;
-    disconnected axis entries would render as clutter in graph viewers.
+    GraphML nodes carry layer/group/degree data. A product's group is its
+    chapter's section in ``product_sections``, else the chapter itself. Only
+    nodes with at least one edge are emitted; disconnected axis entries
+    would render as clutter in graph viewers.
     """
+    tech_ids, product_ids, lowest = net.tech_ids, net.product_ids, net.tier
     tech_degrees = {t: d for t, d in net.tech_degrees().items() if d > 0}
     product_degrees = {p: d for p, d in net.product_degrees().items() if d > 0}
     # each connected id is quoted once, for its node and all of its edges
     tech_attrs = {t: quoteattr(f"t:{t}") for t in tech_degrees}
     product_attrs = {p: quoteattr(f"p:{p}") for p in product_degrees}
+    quoted = _CsvFields()  # one f-string per edge, in the bytes csv.writer writes
     tier_text: dict[str, str] = {}
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(_GRAPHML_HEAD)
+    rows, cols, weights, p_values, tiers = net.edge_arrays()
+    with (
+        Path(edge_path).open("w", newline="", encoding="utf-8") as csv_fh,
+        Path(graphml_path).open("w", encoding="utf-8") as xml_fh,
+    ):
+        csv_fh.write("tech,product,weight,p_value,tier\r\n")
+        xml_fh.write(_GRAPHML_HEAD)
 
         def node(node_attr: str, layer: str, group: str, degree: int) -> None:
-            fh.write(
+            xml_fh.write(
                 f"    <node id={node_attr}>\n"
                 f'      <data key="layer">{escape(layer)}</data>\n'
                 f'      <data key="group">{escape(group)}</data>\n'
@@ -138,17 +133,23 @@ def write_graphml(
         for product in sorted(product_degrees):
             group = product_sections.get(product_chapter(product), product_chapter(product))
             node(product_attrs[product], "product", group, product_degrees[product])
-        for tech, product, weight, p_value, tier in _edge_rows(net):
+        for i, j, weight, p_value, tier in zip(
+            rows.tolist(), cols.tolist(), weights.tolist(), p_values.tolist(), tiers.tolist()
+        ):
+            tech, product, tier = tech_ids[i], product_ids[j], tier or lowest
+            weight, p_value = repr(weight), repr(p_value)
             if tier not in tier_text:
                 tier_text[tier] = escape(tier)
-            fh.write(
+            csv_fh.write(f"{quoted[tech]},{quoted[product]},{weight},{p_value},"
+                         f"{quoted[tier]}\r\n")
+            xml_fh.write(
                 f"    <edge source={tech_attrs[tech]} target={product_attrs[product]}>\n"
-                f'      <data key="weight">{_fmt(weight)}</data>\n'
-                f'      <data key="p_value">{_fmt(p_value)}</data>\n'
+                f'      <data key="weight">{weight}</data>\n'
+                f'      <data key="p_value">{p_value}</data>\n'
                 f'      <data key="tier">{tier_text[tier]}</data>\n'
                 "    </edge>\n"
             )
-        fh.write("  </graph>\n</graphml>\n")
+        xml_fh.write("  </graph>\n</graphml>\n")
 
 
 def _json_ready(obj):
@@ -163,42 +164,13 @@ def _json_ready(obj):
     return obj
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+
+
 def write_json(payload: dict, path: str | Path) -> None:
-    """``payload`` as sorted, indent=2 JSON. A ``significance_profiles``
-    member from ``network_report`` is computed from the pairs' exceedance
-    counts and written one block of products at a time, in exactly the bytes
-    its dict-of-lists form would encode to."""
-    profiles = payload.get("significance_profiles")
-    if not isinstance(profiles, _Profiles):
-        Path(path).write_text(
-            json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        return
-    text = json.dumps(
-        _json_ready({**payload, "significance_profiles": None}),
-        sort_keys=True, indent=2,
-    ) + "\n"
-    # a raw newline cannot occur inside an encoded string, so this top-level
-    # key line is found exactly once
-    head, _, tail = text.partition(_PROFILES_KEY + "null")
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(head + _PROFILES_KEY)
-        fh.writelines(_profile_chunks(profiles))
-        fh.write(tail)
-
-
-@dataclass(frozen=True, eq=False)
-class _Profiles:
-    """What the significance profiles are computed from: the tech axis, the
-    connected products in id order with their column positions, and the
-    lag's pairs. It holds no matrix of its own; ``_profile_chunks`` reads the
-    pairs' counts one block of products at a time."""
-
-    tech_ids: tuple[str, ...]
-    products: tuple[str, ...]
-    cols: np.ndarray
-    validations: tuple[PairValidation, ...]
+    """``payload`` as sorted, indent=2 JSON."""
+    Path(path).write_text(_json_text(payload), encoding="utf-8")
 
 
 _PROFILES_KEY = '\n  "significance_profiles": '
@@ -216,31 +188,34 @@ class _EntryHeads(dict):  # per fraction, an entry's head for each tier level, e
         return heads
 
 
-def _profile_chunks(profiles: _Profiles):
+def _profile_chunks(
+    tech_ids: Sequence[str],
+    products: Sequence[str],
+    cols: np.ndarray,
+    validations: Sequence[PairValidation],
+):
     """The ``significance_profiles`` value as an indent=2 top-level member,
     one product per chunk. Products are taken in blocks of at most
     ``_PROFILE_BLOCK_CELLS`` cells. Each entry is a head encoded once per
     distinct (fraction, tier) plus a tail encoded once per technology."""
-    if not profiles.products:
+    if not products:
         yield "{}"
         return
     entry_heads = _EntryHeads()
     tails = [
         ',\n        "tech": ' + json.dumps(tech) + "\n      }"
-        for tech in profiles.tech_ids
+        for tech in tech_ids
     ]
-    width = max(1, _PROFILE_BLOCK_CELLS // len(profiles.tech_ids))
+    width = max(1, _PROFILE_BLOCK_CELLS // len(tech_ids))
     opening = "{\n"
-    for start in range(0, len(profiles.products), width):
-        fractions, levels = _standing(
-            profiles.validations, (slice(None), profiles.cols[start:start + width])
-        )
+    for start in range(0, len(products), width):
+        fractions, levels = _standing(validations, (slice(None), cols[start:start + width]))
         values, index = np.unique(fractions, return_inverse=True)
         heads = np.array(
             [head for value in values.tolist() for head in entry_heads[value]], dtype=object
         )
         cells = heads[index.reshape(levels.shape) * len(_TIER_JSON) + levels]
-        for product, column in zip(profiles.products[start:start + width], cells.T.tolist()):
+        for product, column in zip(products[start:start + width], cells.T.tolist()):
             yield (
                 opening + "    " + json.dumps(product) + ": [\n"
                 + ",\n".join(map(operator.add, column, tails)) + "\n    ]"
@@ -249,17 +224,18 @@ def _profile_chunks(profiles: _Profiles):
     yield "\n  }"
 
 
-def network_report(
-    net: ValidatedNetwork, report: DegreeReport, meta: Mapping[str, object]
-) -> dict:
-    """The report.json payload, for ``write_json``. Only connected products
-    are profiled, each as a list of {"tech", "exceed_fraction",
-    "highest_tier"} entries in tech axis order, as ``significance_profile``
-    gives them. The profiles are not computed here: ``write_json`` computes
-    and writes them one block of products at a time."""
+def write_report(
+    net: ValidatedNetwork, report: DegreeReport, meta: Mapping[str, object], path: str | Path
+) -> None:
+    """report.json: the network's summary, ``report`` and ``meta``, as sorted,
+    indent=2 JSON. Only connected products are profiled, each as a list of
+    {"tech", "exceed_fraction", "highest_tier"} entries in tech axis order,
+    as ``significance_profile`` gives them. The profiles are computed from
+    the pairs' exceedance counts and written one block of products at a
+    time, in exactly the bytes their dict-of-lists form would encode to."""
     product_ids = net.product_ids
     cols = sorted(np.flatnonzero(net.mask.any(axis=0)).tolist(), key=product_ids.__getitem__)
-    return {
+    text = _json_text({
         "meta": dict(meta),
         "tier": net.tier,
         "lag": net.lag,
@@ -269,11 +245,18 @@ def network_report(
         "product_nodes": sum(1 for d in net.product_degrees().values() if d > 0),
         "degree_report": asdict(report),
         "tech_subclass_degrees": dict(sorted(tech_subclass_degrees(net).items())),
-        "significance_profiles": _Profiles(
-            net.tech_ids, tuple(product_ids[j] for j in cols),
+        "significance_profiles": None,
+    })
+    # a raw newline cannot occur inside an encoded string, so this top-level
+    # key line is found exactly once
+    head, _, tail = text.partition(_PROFILES_KEY + "null")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(head + _PROFILES_KEY)
+        fh.writelines(_profile_chunks(
+            net.tech_ids, [product_ids[j] for j in cols],
             np.array(cols, dtype=np.intp), net.validations,
-        ),
-    }
+        ))
+        fh.write(tail)
 
 
 def tech_subclass_degrees(net: ValidatedNetwork) -> dict[str, int]:

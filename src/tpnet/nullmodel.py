@@ -29,6 +29,7 @@ import numpy as np
 from .assist import _assist_values, _one_blas_thread
 from .errors import AxisMismatchError, FitError, PanelError
 from .rca import BinaryMatrix
+from .validate import MAX_SAMPLES
 
 # The solver's fixed budget: the largest degree error it accepts and the
 # fixed-point iterations it may take to get there.
@@ -280,14 +281,17 @@ def null_exceedance_counts(
     empirical weight strictly exceeds (ties do not count). Counts add across
     chunks; BLAS runs on one thread throughout.
 
-    Returns (counts, drift): int32 counts, and per layer (technology,
-    product) the largest |z| of the drawn degrees' means over the n draws
-    against their expectations, the sampling-bias audit. Class members share
-    their representative's column, so the z-scores are taken per class; the
-    technology row degrees never enter a null weight and are not drawn.
+    Returns (counts, drift): int32 counts, so n is at most ``MAX_SAMPLES``,
+    and per layer (technology, product) the largest |z| of the drawn
+    degrees' means over the n draws against their expectations, the
+    sampling-bias audit. Class members share their representative's column,
+    so the z-scores are taken per class; the technology row degrees never
+    enter a null weight and are not drawn.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count must be < 2**31, the int32 counts' bound, got {n}")
     if tech_model.country_ids != prod_model.country_ids:
         raise AxisMismatchError(
             "technology and product models must share the same country axis"

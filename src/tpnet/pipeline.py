@@ -430,11 +430,8 @@ def _write_lag_outputs(
     lag_dir = out_dir / f"lag_{result.spec.delta_t}"
     lag_dir.mkdir(parents=True, exist_ok=True)
     net = result.network
-    edge_path = lag_dir / "edges.csv"
-    exports.write_edge_csv(net, edge_path)
-    graphml_path = lag_dir / "network.graphml"
-    exports.write_graphml(net, graphml_path, sections)
-    written = [edge_path, graphml_path]
+    written = [lag_dir / "edges.csv", lag_dir / "network.graphml"]
+    exports.write_network(net, *written, sections)
     if reports:
         report = degree_report(net, sections)
         meta = {
@@ -445,7 +442,7 @@ def _write_lag_outputs(
             "digits": cfg.digits,
         }
         report_path = lag_dir / "report.json"
-        exports.write_json(exports.network_report(net, report, meta), report_path)
+        exports.write_report(net, report, meta, report_path)
         written.append(report_path)
     return written
 

@@ -26,6 +26,9 @@ TIER_LEVELS: dict[str, Fraction] = {
     "99.9": Fraction(999, 1000),
 }
 
+# The largest sample count: the null loop's counts and tallies are int32.
+MAX_SAMPLES = np.iinfo(np.int32).max
+
 # Main-pipeline tiers, weakest to strongest; "90" exists for robustness runs.
 TIER_ORDER = ("95", "99", "99.9")
 
@@ -59,7 +62,6 @@ class PairValidation:
         counts = np.asarray(self.exceed_counts)
         if counts.dtype.kind not in "iu":  # refuse floats and bools, never truncate them
             raise ValueError(f"exceedance counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64, copy=False)
         if emp.shape != shape or counts.shape != shape:
             raise AxisMismatchError("validation matrices do not match axes")
         if counts.min(initial=0) < 0 or counts.max(initial=0) > self.n_samples:
@@ -173,8 +175,9 @@ class ValidatedNetwork:
         )
         rows, cols = rows[order], cols[order]
         weight = sum(v.empirical[rows, cols] for v in self.validations) / len(self.validations)
+        # counts keep the dtype they were drawn in, which may not hold n
         p_value = np.maximum.reduce(
-            [(v.n_samples - v.exceed_counts[rows, cols]) / v.n_samples
+            [(v.n_samples - v.exceed_counts[rows, cols].astype(np.int64)) / v.n_samples
              for v in self.validations]
         )
         _, level = _standing(self.validations, (rows, cols))

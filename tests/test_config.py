@@ -198,6 +198,8 @@ _BASE = {"technology_panel": "t.csv", "product_panel": "p.csv"}
 _OUT_OF_RANGE = [
     ({**_BASE, "delta": 0}, "delta must be >= 1, got 0"),
     ({**_BASE, "samples": 0}, "samples must be >= 1, got 0"),
+    ({**_BASE, "samples": 2**31},
+     re.escape("samples must be < 2**31, the int32 null counts' bound, got 2147483648")),
     ({**_BASE, "digits": 0}, "digits must be >= 1, got 0"),
     ({**_BASE, "lags": []}, "at least one lag must be configured"),
     ({**_BASE, "lags": {"delta_t": 0}}, "lags must be a list$"),
@@ -211,6 +213,12 @@ _OUT_OF_RANGE = [
 def test_out_of_range_or_misshapen_config_is_rejected(tmp_path, payload, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(_write(tmp_path, payload))
+
+
+def test_largest_sample_count_is_accepted(tmp_path):
+    # parsed only: no run draws at this N
+    cfg = parse_config(_write(tmp_path, {**_BASE, "samples": 2**31 - 1}))
+    assert cfg.samples == 2**31 - 1
 
 
 def test_lenient_values_keep_their_meaning(tmp_path):

@@ -32,7 +32,7 @@ def _network():
 
 def test_edge_csv_format(tmp_path):
     path = tmp_path / "edges.csv"
-    exports.write_edge_csv(_network(), path)
+    exports.write_network(_network(), path, tmp_path / "net.graphml", {})
     rows = list(csv.DictReader(path.read_text().splitlines()))
     assert [r["tech"] for r in rows] == ["Y02A 10", "Y02E 60"]
     assert rows[0]["product"] == "810520"
@@ -54,12 +54,16 @@ def test_edge_csv_matches_csv_writer_on_ids_that_need_quoting(tmp_path):
     net = intersect_pairs([validation], "95")
     assert net.edge_count > 4
     path = tmp_path / "edges.csv"
-    exports.write_edge_csv(net, path)
+    exports.write_network(net, path, tmp_path / "net.graphml", {})
+    rows, cols, weights, p_values, tiers = net.edge_arrays()
     with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tech", "product", "weight", "p_value", "tier"])
-        for tech, product, weight, p_value, tier in exports._edge_rows(net):
-            writer.writerow([tech, product, repr(weight), repr(p_value), tier])
+        for i, j, weight, p_value, tier in zip(
+            rows.tolist(), cols.tolist(), weights.tolist(), p_values.tolist(), tiers.tolist()
+        ):
+            writer.writerow([net.tech_ids[i], net.product_ids[j], repr(weight), repr(p_value),
+                             tier or net.tier])
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
     written = path.read_bytes()
     assert b'\r\n"Y02A, ""10""","81,05""20",' in written
@@ -70,7 +74,7 @@ def test_edge_csv_matches_csv_writer_on_ids_that_need_quoting(tmp_path):
 def test_graphml_is_readable_by_networkx(tmp_path):
     networkx = pytest.importorskip("networkx")
     path = tmp_path / "net.graphml"
-    exports.write_graphml(_network(), path, load_hs_sections())
+    exports.write_network(_network(), tmp_path / "edges.csv", path, load_hs_sections())
     graph = networkx.read_graphml(path)
     assert graph.number_of_nodes() == 4  # only connected nodes are emitted
     assert graph.number_of_edges() == 2
@@ -105,7 +109,7 @@ def test_graphml_matches_reference_on_markup_and_non_ascii_ids(tmp_path):
     sections = {"85": "Machinery & <electrical>", "72": "M\u00e9taux"}
     for product_sections in ({}, sections):
         path = tmp_path / "net.graphml"
-        exports.write_graphml(net, path, product_sections)
+        exports.write_network(net, tmp_path / "edges.csv", path, product_sections)
         assert path.read_bytes() == reference_graphml(net, product_sections).encode("utf-8")
 
 
@@ -194,7 +198,7 @@ def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path, mo
             monkeypatch.setattr(
                 exports, "_PROFILE_BLOCK_CELLS", products_per_block * len(_ODD_TECHS)
             )
-        exports.write_json(exports.network_report(net, report, meta), path)
+        exports.write_report(net, report, meta, path)
         assert path.read_bytes() == expected, products_per_block
 
     profiles = json.loads(path.read_text(encoding="utf-8"))["significance_profiles"]
@@ -223,9 +227,7 @@ def test_profiles_are_computed_one_block_at_a_time(width, tmp_path, monkeypatch)
         return standing(validations, index)
 
     monkeypatch.setattr(exports, "_standing", spy)
-    payload = exports.network_report(net, degree_report(net, {}), {})
-    assert calls == []
-    exports.write_json(payload, tmp_path / "report.json")
+    exports.write_report(net, degree_report(net, {}), {}, tmp_path / "report.json")
     assert len(calls) == -(-len(connected) // width)
     for rows, cols in calls:
         assert rows == slice(None) and len(cols) <= width

@@ -1,5 +1,6 @@
 """Null-model fitting, ensemble sampling, and the pair-validation loop."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from tpnet.nullmodel import (
     null_exceedance_counts,
 )
 from tpnet.rca import BinaryMatrix
+from tpnet.validate import TIER_LEVELS, tier_threshold
 
 from .conftest import blas_threads, null_draws, random_binary, watch_blocks
 from .oracles import (
@@ -456,6 +458,61 @@ def test_class_counts_follow_the_full_layer_law():
     assert (np.abs(counts - reference) <= 4.5 * sd).all()
 
 
+def _calibration_counts(countries, replications, n):
+    """Counts over replications whose empirical layers are drawn from the
+    very models the loop draws its null layers from, each replication from
+    its own stream. Technology classes have sizes 2, 1 and 3, plus one
+    technology no country holds; product classes have sizes 3, 2, 1 and 2,
+    and the last country exports nothing. Every other class column is
+    uniform on [0.05, 0.9). Returns the counts of the held technologies."""
+    rng = np.random.default_rng(countries)
+
+    def columns(sizes):
+        return np.repeat(rng.uniform(0.05, 0.9, (countries, len(sizes))), sizes, axis=1)
+
+    tech = _model(np.c_[columns((2, 1, 3)), np.zeros(countries)], "technology")
+    prod_p = columns((3, 2, 1, 2))
+    prod_p[-1] = 0.0
+    prod = _model(prod_p)
+    counts = np.empty((replications, tech.shape[1], prod.shape[1]), dtype=np.int32)
+    for r in range(replications):
+        data = np.random.default_rng(np.random.SeedSequence(r, spawn_key=(1,)))
+        layers = [(data.random(m.shape) < m.link_probabilities).astype(np.float64)
+                  for m in (tech, prod)]
+        empirical, _ = _assist_values(*layers)
+        counts[r], _ = null_exceedance_counts(tech, prod, empirical, n, seed=r, stream_key=(0,))
+    # its weight and every null weight are 0, and ties do not count
+    assert (counts[:, -1] == 0).all()
+    return counts[:, :-1]
+
+
+def test_calibrated_counts_rank_the_empirical_weight_uniformly():
+    # Simulation-based calibration (Talts et al. 2018): an empirical weight
+    # drawn from the null law ranks uniformly among the n null weights, up
+    # to ties, which 40 countries make rare. Cells of one replication share
+    # its null draws, so the histogram takes one cell per replication; 57.4
+    # is chi-square's 1e-5 point at 19 degrees of freedom.
+    n, replications = 19, 1500
+    counts = _calibration_counts(40, replications, n)[:, 0, 0]
+    expected = replications / (n + 1)
+    assert ((np.bincount(counts, minlength=n + 1) - expected) ** 2 / expected).sum() < 57.4
+
+
+def test_calibrated_counts_hold_each_tiers_false_positive_bound():
+    # The Monte Carlo test (Besag & Clifford 1989): such a weight beats at
+    # least k of n null weights with probability at most (n - k + 1) / (n + 1);
+    # ties, frequent with 6 countries, only lower it. Each replication's
+    # share of cells at k or more is one statistic whose mean obeys the same
+    # bound, tested 4.5 standard errors above it (false alarm 3.4e-6).
+    n, replications = 19, 3000
+    counts = _calibration_counts(6, replications, n)
+    for tier in TIER_LEVELS:
+        k = tier_threshold(tier, n)
+        share = (counts >= k).mean(axis=(1, 2))
+        bound = (n - k + 1) / (n + 1)
+        assert share.mean() <= bound + 4.5 * share.std(ddof=1) / np.sqrt(replications), tier
+
+
 @pytest.mark.parametrize("failing_sample", [0, 4])
 def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample):
     # one draw per block and per chunk: sample 0 fails first, sample 4 after
@@ -484,6 +541,17 @@ def test_null_assist_requires_shared_countries():
         null_exceedance_counts(tech, tech, np.zeros((2, 3)), 1, seed=0)
     with pytest.raises(ValueError):
         null_exceedance_counts(tech, tech, np.zeros((2, 2)), 0, seed=0)
+
+
+def test_sample_counts_past_int32_are_refused(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(nullmodel, "_stream", no_draws)
+    tech = _model(np.full((2, 2), 0.5), "technology")
+    for n in (2**31, 2**40):
+        with pytest.raises(ValueError, match=re.escape("must be < 2**31, the int32 counts' bound")):
+            null_exceedance_counts(tech, tech, np.zeros((2, 2)), n, seed=0)
 
 
 def test_degenerate_models_reproduce_empirical_contraction():

@@ -35,7 +35,7 @@ from tpnet.pipeline import (
     load_panels,
 )
 from tpnet.rca import BinaryMatrix, binarize, compute_rca
-from tpnet.validate import PairValidation, intersect_pairs
+from tpnet.validate import PairValidation, ValidatedNetwork, intersect_pairs
 
 from .conftest import PLANTED_LINK, PLANTED_TECHS, watch_blocks, write_constant_panel_csv
 
@@ -213,7 +213,7 @@ def test_efc_stage_records_each_layers_fit(planted_panel_files, tmp_path):
 
 
 @pytest.mark.parametrize("writer, message, stage, written", [
-    ("write_graphml", r"^\[report_lag_0\] writer failed$", "report_lag_0", "lag_0/edges.csv"),
+    ("write_report", r"^\[report_lag_0\] writer failed$", "report_lag_0", "lag_0/edges.csv"),
     ("write_curve_csv", r"^\[report\] writer failed$", "report", "rankings/technology_ranks.csv"),
 ], ids=["lag_files", "tables"])
 def test_failed_stage_lists_none_of_its_files(
@@ -234,6 +234,22 @@ def test_failed_stage_lists_none_of_its_files(
     assert "efc" in manifest["stages"]
     assert stage not in manifest["stages"]
     assert written not in manifest["outputs"]
+
+
+def test_each_lag_computes_its_edge_arrays_once(planted_panel_files, tmp_path, monkeypatch):
+    lags = (LagSpec(0, ((2011, 2011), (2013, 2013))), LagSpec(2, ((2011, 2013),)))
+    cfg = _config(planted_panel_files, tmp_path, samples=100, lags=lags)
+    calls = Counter()
+    edge_arrays = ValidatedNetwork.edge_arrays
+
+    def spy(net):
+        calls[net.lag] += 1
+        return edge_arrays(net)
+
+    monkeypatch.setattr(ValidatedNetwork, "edge_arrays", spy)
+    run_pipeline(cfg)
+    assert calls == {0: 1, 2: 1}
+    assert (tmp_path / "out" / "lag_2" / "report.json").exists()
 
 
 def test_truncated_manifest_is_replaced(planted_panel_files, tmp_path, caplog):

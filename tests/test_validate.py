@@ -21,7 +21,7 @@ from tpnet import (
 from tpnet.nullmodel import null_exceedance_counts
 from tpnet.rca import BinaryMatrix
 from tpnet import exports
-from tpnet.validate import TIER_ORDER, PairValidation, _chapter_ranges
+from tpnet.validate import TIER_ORDER, PairValidation, ValidatedNetwork, _chapter_ranges
 
 from .oracles import reference_network, reference_profile
 
@@ -152,7 +152,44 @@ def test_pair_validation_refuses_counts_that_are_not_integers(counts, dtype):
         PairValidation(("t",), ("10 p",), [[0.5]], counts, 10000, 2012, 2012)
     for ints in ([[9600]], np.full((1, 1), 9600, np.uint16)):
         v = PairValidation(("t",), ("10 p",), [[0.5]], ints, 10000, 2012, 2012)
-        assert v.exceed_counts.dtype == np.int64 and v.tier_mask("95")[0, 0]
+        assert v.exceed_counts.dtype == np.asarray(ints).dtype and v.tier_mask("95")[0, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32])
+def test_counts_keep_their_dtype_and_values(dtype, tmp_path):
+    # at n = 10,000 none of these dtypes is wide enough for n - counts under
+    # NumPy 2's rules, and int8 cannot even hold a tier's threshold
+    n = 10_000
+    high = np.iinfo(dtype).max
+    choices = [c for c in (0, 1, 7, 127, 3333, 9000, 9500, 9900, 9990, n) if c <= high]
+    rng = np.random.default_rng(high % 1000)
+    tech_ids, product_ids = ("Y02A 1", "Y02E 2", "Y02W 3"), ("01 a", "28 b", "85 c", "72 d")
+    shape = (len(tech_ids), len(product_ids))
+    empirical, counts = rng.random((2, *shape)), rng.choice(choices, (2, *shape))
+    pairs = {
+        d: [PairValidation(tech_ids, product_ids, e, c.astype(d), n, t, t)
+            for t, e, c in zip((2012, 2017), empirical, counts)]
+        for d in (dtype, np.int64)
+    }
+    assert {v.exceed_counts.dtype for v in pairs[dtype]} == {np.dtype(dtype)}
+    everything = np.ones(shape, dtype=bool)
+    arrays = {d: ValidatedNetwork("95", tuple(ps), everything).edge_arrays()
+              for d, ps in pairs.items()}
+    for got, want in zip(arrays[dtype], arrays[np.int64]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for tier in ("90", *TIER_ORDER):
+        assert np.array_equal(intersect_pairs(pairs[dtype], tier).mask,
+                              intersect_pairs(pairs[np.int64], tier).mask)
+    for product in product_ids:
+        assert significance_profile(product, pairs[dtype]) == significance_profile(
+            product, pairs[np.int64]
+        )
+    written = []
+    for d, ps in pairs.items():
+        net = ValidatedNetwork("90", tuple(ps), everything)
+        exports.write_report(net, degree_report(net, {}), {}, tmp_path / "report.json")
+        written.append((tmp_path / "report.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_intersection_of_two_pairs():
@@ -337,7 +374,7 @@ def test_network_matches_loop_oracle(n_pairs, empty, tmp_path):
             assert net.lag == 2 and len(net.pairs) == n_pairs
 
             path = tmp_path / "edges.csv"
-            exports.write_edge_csv(net, path)
+            exports.write_network(net, path, tmp_path / "network.graphml", {})
             with path.open(newline="") as fh:
                 written = list(csv.reader(fh))
             assert written == [["tech", "product", "weight", "p_value", "tier"]] + [
