@@ -111,6 +111,7 @@ def write_network(
     product_attrs = {p: quoteattr(f"p:{p}") for p in product_degrees}
     quoted = _CsvFields()  # one f-string per edge, in the bytes csv.writer writes
     tier_text: dict[str, str] = {}
+    p_text: dict[float, str] = {}  # at most N + 1 distinct p-values, each formatted once
     rows, cols, weights, p_values, tiers = net.edge_arrays()
     with (
         Path(edge_path).open("w", newline="", encoding="utf-8") as csv_fh,
@@ -137,9 +138,11 @@ def write_network(
             rows.tolist(), cols.tolist(), weights.tolist(), p_values.tolist(), tiers.tolist()
         ):
             tech, product, tier = tech_ids[i], product_ids[j], tier or lowest
-            weight, p_value = repr(weight), repr(p_value)
+            if p_value not in p_text:
+                p_text[p_value] = repr(p_value)
             if tier not in tier_text:
                 tier_text[tier] = escape(tier)
+            weight, p_value = repr(weight), p_text[p_value]
             csv_fh.write(f"{quoted[tech]},{quoted[product]},{weight},{p_value},"
                          f"{quoted[tier]}\r\n")
             xml_fh.write(

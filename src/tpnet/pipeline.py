@@ -16,9 +16,12 @@ entry per artifact: each pair's exceedance counts, named by its stream key
 and read back as the ``PairValidation`` that checks them, and each parsed
 panel, named by its layer kind. An entry holds the content
 key of its inputs (for counts, ``SAMPLING_SCHEME`` among them; for a panel,
-the file's bytes and ``PANEL_FORMAT``), and one made from other inputs is
-replaced. Windows, RCA, contractions and fits are recomputed, so a rerun
-gives identical results.
+the file's bytes, ``PANEL_FORMAT`` and the entry's layout), and one made from
+other inputs is replaced. A pair keeps its counts, narrowed to uint16 (uint32
+above 65,535 samples), but not its empirical matrix: ``intersect_pairs``
+takes each lag's matrices and keeps only the edges' mean weights. Windows,
+RCA, contractions and fits are recomputed, so a rerun gives identical
+results.
 
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
 ``Run``: it opens the output directory, the cache and ``manifest.json`` once,
@@ -178,17 +181,24 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise StageError(stage, str(exc)) from exc
 
 
+# Part of a panel entry's key, beside PANEL_FORMAT, so an entry of the earlier
+# layout (one ``values`` stack of every year) is a silent miss and is replaced.
+_PANEL_LAYOUT = "one member per year"
+
+
 def _cached_panel(entry: dict, layer_kind: str) -> ActivityPanel:
-    """A ``panel`` entry's labels (one UTF-8 JSON blob), years and values (one stack)."""
+    """A ``panel`` entry's labels (one UTF-8 JSON blob), years, and each
+    year's values (member ``values-<year>``)."""
     countries, activities = json.loads(entry["labels"].tobytes())
     years = entry["years"].tolist()
     return ActivityPanel(layer_kind, tuple(countries), tuple(activities), tuple(years),
-                         dict(zip(years, entry["values"])))
+                         {year: entry[f"values-{year}"] for year in years})
 
 
 def _read_panel(path: str | Path, layer_kind: str, cache: ArtifactCache) -> ActivityPanel:
     """``read_panel_csv`` through ``cache``'s entry ``panel-<layer_kind>``, keyed
-    on the file's bytes and ``PANEL_FORMAT``."""
+    on the file's bytes, ``PANEL_FORMAT`` and the entry's layout. Each year is
+    stored as it is, never copied into one stack."""
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
@@ -197,7 +207,7 @@ def _read_panel(path: str | Path, layer_kind: str, cache: ArtifactCache) -> Acti
     except (OSError, ValueError):  # ValueError: a NUL byte in the path
         return read_panel_csv(path, layer_kind)  # for its error message
     name = f"panel-{layer_kind}"
-    key = cache.key("panel", PANEL_FORMAT, layer_kind, digest.hexdigest())
+    key = cache.key("panel", PANEL_FORMAT, _PANEL_LAYOUT, layer_kind, digest.hexdigest())
     panel = cache.load(name, key, read=lambda entry: _cached_panel(entry, layer_kind))
     if panel is not None:
         logger.info("read the %s panel %s from the cache", layer_kind, path)
@@ -206,7 +216,7 @@ def _read_panel(path: str | Path, layer_kind: str, cache: ArtifactCache) -> Acti
     labels = json.dumps([panel.country_ids, panel.activity_ids]).encode("utf-8")
     cache.store(name, key, labels=np.frombuffer(labels, np.uint8),
                 years=np.array(panel.years, np.int64),
-                values=np.stack([panel.values[year] for year in panel.years]))
+                **{f"values-{year}": panel.values[year] for year in panel.years})
     return panel
 
 
@@ -315,11 +325,11 @@ class Run:
         configured tier, under the ``validate_lag_<dt>`` tag; record the lag."""
         spec = self.lags[lag_index]
         stage = f"validate_lag_{spec.delta_t}"
-        validations = tuple(
+        validations, empirical = zip(*(
             self.validate_pair(stage, self.cfg.delta, pair, (0, lag_index, pair_index))
             for pair_index, pair in enumerate(spec.pairs)
-        )
-        network = _stage(stage, intersect_pairs, validations, self.cfg.tier)
+        ))
+        network = _stage(stage, intersect_pairs, validations, self.cfg.tier, empirical)
         logger.info(
             "lag %d: %d edges at tier %s across %d pairs",
             spec.delta_t, network.edge_count, self.cfg.tier, len(spec.pairs),
@@ -329,13 +339,15 @@ class Run:
 
     def validate_pair(
         self, stage: str, delta: int, pair: tuple[int, int], stream_key: tuple[int, ...]
-    ) -> PairValidation:
+    ) -> tuple[PairValidation, np.ndarray]:
         """One (t1, t2) pair under ``stage``'s tag: its ``delta``-year windows,
-        RCA, alignment and contraction, then its exceedance counts.
+        RCA, alignment and contraction, then its exceedance counts; the
+        ``PairValidation`` and the empirical matrix.
 
         The counts are read from the cache entry ``counts-<stream_key>``, as
         the ``PairValidation`` they build, or drawn by
-        ``null_exceedance_counts`` and stored there. That one pass also audits
+        ``null_exceedance_counts`` and stored there as that validation's
+        narrowed counts. That one pass also audits
         the sampling bias: a layer whose sampled degrees drift past 4 sigma
         over the n draws gets a log warning, never a failure, since such an
         excursion happens by chance now and then.
@@ -355,12 +367,12 @@ class Run:
                 if not np.array_equal(entry["n"], [n]):
                     raise ValueError(f"n other than {n}")
                 return PairValidation(empirical.tech_ids, empirical.product_ids,
-                                      empirical.values, entry["counts"], n, *pair)
+                                      entry["counts"], n, *pair)
 
             name = "counts-" + "-".join(map(str, stream_key))
             validation = self.cache.load(name, key, read)
             if validation is not None:
-                return validation
+                return validation, empirical.values
             counts, drift = null_exceedance_counts(
                 tech_model, prod_model, empirical.values, n, self.cfg.seed, stream_key
             )
@@ -371,9 +383,9 @@ class Run:
                         "expectation over %d draws",
                         pair, layer, worst, n,
                     )
-            entry = {"counts": counts, "n": np.array([n])}
-            self.cache.store(name, key, **entry)
-            return read(entry)
+            validation = read({"counts": counts, "n": np.array([n])})
+            self.cache.store(name, key, counts=validation.exceed_counts, n=np.array([n]))
+            return validation, empirical.values
         except TpnetError as exc:
             raise StageError(stage, str(exc)) from exc
 
@@ -627,7 +639,7 @@ def run_robustness(
     for delta in deltas:
         for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t):
             stage = f"robustness_d{delta}_{t2}"
-            validation = run.validate_pair(stage, delta, (t1, t2), (1, delta, t2))
+            validation = run.validate_pair(stage, delta, (t1, t2), (1, delta, t2))[0]
             at_tier = validation.tier_mask(tier)
             at_lax = validation.tier_mask(LAX_TIER)
             outside = not (span[0] <= t2 - delta + 1 and t2 <= span[1])

@@ -27,6 +27,7 @@ TIER_LEVELS: dict[str, Fraction] = {
 }
 
 # The largest sample count: the null loop's counts and tallies are int32.
+# A pair holds its counts as uint16 up to 65,535 samples and as uint32 above.
 MAX_SAMPLES = np.iinfo(np.int32).max
 
 # Main-pipeline tiers, weakest to strongest; "90" exists for robustness runs.
@@ -48,7 +49,6 @@ class PairValidation:
 
     tech_ids: tuple[str, ...]
     product_ids: tuple[str, ...]
-    empirical: np.ndarray
     exceed_counts: np.ndarray
     n_samples: int
     t1: int
@@ -57,17 +57,18 @@ class PairValidation:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        shape = (len(self.tech_ids), len(self.product_ids))
-        emp = np.asarray(self.empirical, dtype=np.float64)
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be <= {MAX_SAMPLES}, got {self.n_samples}")
         counts = np.asarray(self.exceed_counts)
         if counts.dtype.kind not in "iu":  # refuse floats and bools, never truncate them
             raise ValueError(f"exceedance counts must be integers, got dtype {counts.dtype}")
-        if emp.shape != shape or counts.shape != shape:
+        if counts.shape != (len(self.tech_ids), len(self.product_ids)):
             raise AxisMismatchError("validation matrices do not match axes")
         if counts.min(initial=0) < 0 or counts.max(initial=0) > self.n_samples:
             raise ValueError("exceedance counts must lie in [0, n_samples]")
-        object.__setattr__(self, "empirical", emp)
-        object.__setattr__(self, "exceed_counts", counts)
+        # narrowed only once in range, so no count wraps
+        narrow = np.uint16 if self.n_samples <= np.iinfo(np.uint16).max else np.uint32
+        object.__setattr__(self, "exceed_counts", counts.astype(narrow, copy=False))
 
     def tier_mask(self, tier: str) -> np.ndarray:
         return self.exceed_counts >= tier_threshold(tier, self.n_samples)
@@ -118,14 +119,17 @@ class ValidatedNetwork:
 
     The network is ``mask``, a boolean matrix over the pairs' (tech, product)
     axes marking the links significant at ``tier`` in every pair of
-    ``validations``. The axes, the pairs' years and the lag are read from the
-    pairs; edge sets and degrees are views of the mask; ``edge_arrays``
-    computes the per-edge values from the pairs' matrices.
+    ``validations``, and ``weights``, each edge's empirical weight averaged
+    over the pairs, in ``np.nonzero(mask)`` order. The axes, the pairs' years
+    and the lag are read from the pairs; edge sets and degrees are views of
+    the mask; ``edge_arrays`` computes the other per-edge values from the
+    pairs' counts.
     """
 
     tier: str
     validations: tuple[PairValidation, ...]
     mask: np.ndarray
+    weights: np.ndarray
 
     @property
     def tech_ids(self) -> tuple[str, ...]:
@@ -174,26 +178,36 @@ class ValidatedNetwork:
             (_id_ranks(self.product_ids)[cols], _id_ranks(self.tech_ids)[rows])
         )
         rows, cols = rows[order], cols[order]
-        weight = sum(v.empirical[rows, cols] for v in self.validations) / len(self.validations)
-        # counts keep the dtype they were drawn in, which may not hold n
+        # int64 before n - counts, so no difference wraps in the counts' dtype
         p_value = np.maximum.reduce(
             [(v.n_samples - v.exceed_counts[rows, cols].astype(np.int64)) / v.n_samples
              for v in self.validations]
         )
         _, level = _standing(self.validations, (rows, cols))
-        return rows, cols, weight, p_value, _TIER_NAMES[level]
+        return rows, cols, self.weights[order], p_value, _TIER_NAMES[level]
 
 
 def intersect_pairs(
-    validations: Sequence[PairValidation], tier: str
+    validations: Sequence[PairValidation], tier: str, empirical: Sequence[np.ndarray]
 ) -> ValidatedNetwork:
-    """Keep the links significant at the tier in every period pair."""
+    """Keep the links significant at the tier in every period pair, with
+    each one's weight in ``empirical``, the pairs' matrices in their order,
+    averaged over the pairs. No matrix is kept."""
     first = _shared_axes(validations)
     tier_threshold(tier, first.n_samples)  # reject unknown tiers up front
-    mask = np.ones(first.empirical.shape, dtype=bool)
+    if len(empirical) != len(validations):
+        raise ValueError(f"{len(validations)} pairs but {len(empirical)} empirical matrices")
+    shape = first.exceed_counts.shape
+    empirical = [np.asarray(e, dtype=np.float64) for e in empirical]
+    if any(e.shape != shape for e in empirical):
+        raise AxisMismatchError("empirical matrices do not match the pairs' axes")
+    mask = np.ones(shape, dtype=bool)
     for v in validations:
         mask &= v.tier_mask(tier)
-    return ValidatedNetwork(tier=str(tier), validations=tuple(validations), mask=mask)
+    rows, cols = np.nonzero(mask)
+    weights = sum(e[rows, cols] for e in empirical) / len(empirical)
+    return ValidatedNetwork(tier=str(tier), validations=tuple(validations), mask=mask,
+                            weights=weights)
 
 
 UNCLASSIFIED = "Unclassified"

@@ -286,10 +286,10 @@ def _reference_highest_tier(counts, n_samples, tier_order, tier_threshold):
     return highest
 
 
-def reference_network(validations, tier, tier_order, tier_threshold):
+def reference_network(validations, empirical, tier, tier_order, tier_threshold):
     """Edges of the pairs intersected at ``tier``, one Python loop per cell:
-    (tech, product, mean weight, largest p-value, highest tier) rows sorted by
-    the id strings."""
+    (tech, product, mean weight over the pairs' ``empirical`` matrices,
+    largest p-value, highest tier) rows sorted by the id strings."""
     first = validations[0]
     n_samples = [v.n_samples for v in validations]
     rows = []
@@ -298,7 +298,7 @@ def reference_network(validations, tier, tier_order, tier_threshold):
             counts = [int(v.exceed_counts[i, j]) for v in validations]
             if not all(c >= tier_threshold(tier, n) for c, n in zip(counts, n_samples)):
                 continue
-            weight = sum(float(v.empirical[i, j]) for v in validations) / len(validations)
+            weight = sum(float(e[i, j]) for e in empirical) / len(empirical)
             p_value = max((n - c) / n for c, n in zip(counts, n_samples))
             highest = _reference_highest_tier(counts, n_samples, tier_order, tier_threshold)
             rows.append((tech, product, weight, p_value, highest))

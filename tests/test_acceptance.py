@@ -192,20 +192,20 @@ def test_tier_and_intersection_monotonicity():
                 PairValidation(
                     tech_ids=("t0", "t1", "t2"),
                     product_ids=("p0", "p1", "p2", "p3"),
-                    empirical=np.ones((3, 4)),
                     exceed_counts=counts,
                     n_samples=n,
                     t1=2000 + pair_index,
                     t2=2000 + pair_index,
                 )
             )
-        e999 = intersect_pairs(pairs[:1], "99.9").edge_set()
-        e99 = intersect_pairs(pairs[:1], "99").edge_set()
-        e95 = intersect_pairs(pairs[:1], "95").edge_set()
+        ones = [np.ones((3, 4))] * len(pairs)
+        e999 = intersect_pairs(pairs[:1], "99.9", ones[:1]).edge_set()
+        e99 = intersect_pairs(pairs[:1], "99", ones[:1]).edge_set()
+        e95 = intersect_pairs(pairs[:1], "95", ones[:1]).edge_set()
         assert e999 <= e99 <= e95
         previous = None
         for k in range(1, 5):
-            edges = intersect_pairs(pairs[:k], "95").edge_set()
+            edges = intersect_pairs(pairs[:k], "95", ones[:k]).edge_set()
             if previous is not None:
                 assert edges <= previous
             previous = edges

@@ -183,10 +183,10 @@ def _net(edges, techs, prods):
     for t, p in edges:
         counts[techs.index(t), prods.index(p)] = 9999
     validation = PairValidation(
-        tech_ids=techs, product_ids=prods, empirical=(counts > 0) * 1.0,
+        tech_ids=techs, product_ids=prods,
         exceed_counts=counts, n_samples=10000, t1=2012, t2=2012,
     )
-    return intersect_pairs([validation], "95")
+    return intersect_pairs([validation], "95", [(counts > 0) * 1.0])
 
 
 def _ranking(ids):

@@ -23,11 +23,11 @@ def _network():
     validation = PairValidation(
         tech_ids=("Y02A 10", "Y02E 60", "Y02W 30"),
         product_ids=("810520", "282200", "010101"),
-        empirical=np.array([[0.4, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.0]]),
         exceed_counts=np.array([[9995, 0, 0], [0, 9600, 0], [0, 0, 0]]),
         n_samples=10000, t1=2012, t2=2012,
     )
-    return intersect_pairs([validation], "95")
+    empirical = np.array([[0.4, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.0]])
+    return intersect_pairs([validation], "95", [empirical])
 
 
 def test_edge_csv_format(tmp_path):
@@ -48,10 +48,10 @@ def test_edge_csv_matches_csv_writer_on_ids_that_need_quoting(tmp_path):
     exceed_counts = rng.choice([0, 960, 995, 1000], size=(4, 4))
     exceed_counts[[0, 1, 3], [0, 1, 3]] = 1000
     validation = PairValidation(
-        tech_ids=tech_ids, product_ids=product_ids, empirical=rng.random((4, 4)),
+        tech_ids=tech_ids, product_ids=product_ids,
         exceed_counts=exceed_counts, n_samples=1000, t1=2012, t2=2012,
     )
-    net = intersect_pairs([validation], "95")
+    net = intersect_pairs([validation], "95", [rng.random((4, 4))])
     assert net.edge_count > 4
     path = tmp_path / "edges.csv"
     exports.write_network(net, path, tmp_path / "net.graphml", {})
@@ -93,17 +93,16 @@ def test_graphml_matches_reference_on_markup_and_non_ascii_ids(tmp_path):
     product_ids = ("85<01>", "28&2200", "01'01\"01", "72 \u4e2d\u6587", "99 <x>")
     rng = np.random.default_rng(4)
     n = 1000
-    validations = [
-        PairValidation(
+    validations, empirical = [], []
+    for k in range(2):
+        empirical.append(rng.random((5, 5)))
+        validations.append(PairValidation(
             tech_ids=tech_ids, product_ids=product_ids,
-            empirical=rng.random((5, 5)),
             # 900-999 passes tier 90 only, so those edges carry no main tier
             exceed_counts=rng.choice([0, 900, 960, 995, 1000], size=(5, 5)),
             n_samples=n, t1=2012 + k, t2=2014 + k,
-        )
-        for k in range(2)
-    ]
-    net = intersect_pairs(validations, "90")
+        ))
+    net = intersect_pairs(validations, "90", empirical)
     tiers = net.edge_arrays()[4]
     assert None in tiers.tolist() and net.edge_count > 5
     sections = {"85": "Machinery & <electrical>", "72": "M\u00e9taux"}
@@ -154,9 +153,9 @@ def _profile_pairs(rng, sample_counts, layout):
     are distinct once N >= 200); the other cells draw from counts whose
     fractions have long reprs (1/3, 0.1, 7/N).
     ``layout`` "single" keeps only product 0 connected at tier 95, "empty"
-    none."""
+    none. Returns the pairs and their empirical matrices."""
     shape = (len(_ODD_TECHS), len(_ODD_PRODUCTS))
-    pairs = []
+    pairs, empirical = [], []
     for k, n in enumerate(sample_counts):
         floor = tier_threshold("95", n)
         choices = [0, 1, min(7, n), n // 3, n, floor - 1, floor]
@@ -167,12 +166,12 @@ def _profile_pairs(rng, sample_counts, layout):
             counts[:, 1:] = np.minimum(counts[:, 1:], floor - 1)
         elif layout == "empty":
             counts = np.minimum(counts, floor - 1)
+        empirical.append(rng.random(shape))
         pairs.append(PairValidation(
-            tech_ids=_ODD_TECHS, product_ids=_ODD_PRODUCTS,
-            empirical=rng.random(shape), exceed_counts=counts,
+            tech_ids=_ODD_TECHS, product_ids=_ODD_PRODUCTS, exceed_counts=counts,
             n_samples=n, t1=2010 + k, t2=2012 + k,
         ))
-    return pairs
+    return pairs, empirical
 
 
 @pytest.mark.parametrize(
@@ -181,8 +180,8 @@ def _profile_pairs(rng, sample_counts, layout):
 @pytest.mark.parametrize("layout", ["full", "single", "empty"])
 def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path, monkeypatch):
     rng = np.random.default_rng(sum(sample_counts) + len(layout))
-    pairs = _profile_pairs(rng, sample_counts, layout)
-    net = intersect_pairs(pairs, "95")
+    pairs, empirical = _profile_pairs(rng, sample_counts, layout)
+    net = intersect_pairs(pairs, "95", empirical)
     report = degree_report(net, load_hs_sections())
     subclass = exports.tech_subclass_degrees(net)
     meta = {"delta": 2, "samples": sample_counts[0], "seed": 7, "tier": "95",
@@ -213,8 +212,8 @@ def test_report_json_matches_direct_encoding(sample_counts, layout, tmp_path, mo
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_profiles_are_computed_one_block_at_a_time(width, tmp_path, monkeypatch):
-    pairs = _profile_pairs(np.random.default_rng(6), (1000, 301), "full")
-    net = intersect_pairs(pairs, "95")
+    pairs, empirical = _profile_pairs(np.random.default_rng(6), (1000, 301), "full")
+    net = intersect_pairs(pairs, "95", empirical)
     connected = sorted(np.flatnonzero(net.mask.any(axis=0)).tolist(),
                        key=net.product_ids.__getitem__)
     assert len(connected) == 5  # with 2 per block, the last block is short

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, caching, robustness harness, and the CLI."""
 
+import hashlib
 import io
 import json
 from collections import Counter
@@ -27,7 +28,7 @@ from tpnet import (
 )
 from tpnet.cli import main
 from tpnet.config import LagSpec, RunConfig, config_to_dict
-from tpnet.panels import aggregate_window, read_panel_csv
+from tpnet.panels import PANEL_FORMAT, aggregate_window, read_panel_csv
 from tpnet.pipeline import (
     ArtifactCache,
     contract_pair,
@@ -419,6 +420,7 @@ def _damaged(entry: bytes, **edits) -> bytes:
 
 def _first_count(value):
     def edit(counts):
+        counts = counts.astype(np.int32)  # stored narrowed: widen to plant any value
         counts.flat[0] = value
         return counts
     return edit
@@ -464,9 +466,30 @@ def test_unreadable_cache_entry_is_a_miss(
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and warnings[0].startswith(f"{entry} is {problem}")
     with np.load(entry, allow_pickle=False) as data:
-        assert data["counts"].dtype == np.int32
+        assert data["counts"].dtype == np.uint16
         assert np.array_equal(data["counts"], cold)
         assert data["n"].tolist() == [cfg.samples]
+
+
+def test_counts_entry_past_n_is_refused_before_it_is_narrowed(
+    planted_panel_files, tmp_path, caplog
+):
+    # 65,541 read as uint16 would be 5, a count within [0, n]: the entry is
+    # checked in the dtype it was stored in, refused, and its counts drawn again
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=10_000, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
+    cold = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    entry = tmp_path / "out" / "cache" / "counts-0-0-0.npz"
+    entry.write_bytes(_damaged(entry.read_bytes(), counts=_first_count(65_541)))
+    with caplog.at_level("WARNING", logger="tpnet"):
+        warm = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"{entry} is malformed (exceedance counts must lie in [0, n_samples])"
+                        "; removing it"]
+    assert warm.dtype == np.uint16 and np.array_equal(warm, cold)
+    with np.load(entry, allow_pickle=False) as data:
+        assert data["counts"].dtype == np.uint16 and np.array_equal(data["counts"], cold)
 
 
 def test_each_pair_draws_each_layer_once_per_sample(
@@ -589,11 +612,12 @@ def test_robustness_records_each_window_with_its_edge_counts(planted_panel_files
 def _one_link_benchmark(tech_id, product_id, exceed_counts):
     return intersect_pairs(
         [PairValidation(
-            tech_ids=(tech_id,), product_ids=(product_id,), empirical=np.zeros((1, 1)),
+            tech_ids=(tech_id,), product_ids=(product_id,),
             exceed_counts=np.full((1, 1), exceed_counts), n_samples=10000,
             t1=2013, t2=2013,
         )],
         "95",
+        [np.zeros((1, 1))],
     )
 
 
@@ -1010,10 +1034,12 @@ def _negative_first(values):
     "damage, problem",
     [
         pytest.param(lambda entry: entry[: len(entry) // 2], "unreadable", id="truncated"),
-        pytest.param(lambda entry: _damaged(entry, values=lambda v: v[:, :, :-1]),
+        pytest.param(lambda entry: _damaged(entry, **{"values-2011": lambda v: v[:, :-1]}),
                      "malformed", id="wrong-shape"),
-        pytest.param(lambda entry: _damaged(entry, values=_negative_first),
+        pytest.param(lambda entry: _damaged(entry, **{"values-2011": _negative_first}),
                      "malformed", id="negative"),
+        pytest.param(lambda entry: _damaged(entry, **{"values-2011": lambda v: None}),
+                     "malformed", id="missing-year"),
         pytest.param(lambda entry: _damaged(
             entry, labels=lambda labels: np.frombuffer(b'["\xff"]', np.uint8)),
             "malformed", id="undecodable-labels"),
@@ -1036,6 +1062,35 @@ def test_damaged_panel_entry_is_a_miss(
     assert [args[0] for args in reads] == [cfg.product_panel]
     _assert_same_panel(warm[1], cold[1])
     assert entry.read_bytes() == stored
+
+
+def test_old_layout_panel_entry_is_replaced_silently(
+    planted_panel_files, tmp_path, caplog, monkeypatch
+):
+    # the earlier layout stored every year in one ``values`` stack, under a
+    # key without the layout: a silent miss, parsed once and replaced by one
+    # member per year
+    _, prod_csv = planted_panel_files
+    cfg = _config(planted_panel_files, tmp_path)
+    cache = ArtifactCache(tmp_path / "cache")
+    panel = load_panels(cfg, cache)[1]
+    labels = json.dumps([panel.country_ids, panel.activity_ids]).encode("utf-8")
+    digest = hashlib.sha256(prod_csv.read_bytes()).hexdigest()
+    entry = tmp_path / "cache" / "panel-product.npz"
+    np.savez(entry, key=np.array(ArtifactCache.key("panel", PANEL_FORMAT, "product", digest)),
+             labels=np.frombuffer(labels, np.uint8), years=np.array(panel.years, np.int64),
+             values=np.stack([panel.values[year] for year in panel.years]))
+    reads = _count_reads(monkeypatch)
+    with caplog.at_level("WARNING", logger="tpnet"):
+        warm = load_panels(cfg, cache)
+    assert not caplog.records
+    assert [args[0] for args in reads] == [cfg.product_panel]
+    _assert_same_panel(warm[1], panel)
+    with np.load(entry) as data:
+        assert sorted(data.files) == [
+            "key", "labels", *(f"values-{year}" for year in range(2010, 2014)), "years"]
+    _assert_same_panel(load_panels(cfg, cache)[1], panel)
+    assert len(reads) == 1
 
 
 def test_failed_ingest_leaves_no_output_directory(planted_panel_files, tmp_path):
