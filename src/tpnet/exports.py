@@ -14,7 +14,6 @@ import operator
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -28,6 +27,30 @@ from .validate import (
     _standing,
     product_chapter,
 )
+
+
+# xml.sax.saxutils' rules, without its import of urllib, http, email and ssl:
+# text escapes &, < and >; an attribute also turns \n, \r and \t into
+# character references.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def _escape(text: str) -> str:
+    return text.translate(_TEXT_ESCAPES)
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` escaped and quoted as an attribute value: in double quotes
+    unless it holds one and no single quote, with each double quote turned
+    into &quot; when it holds both."""
+    text = text.translate(_ATTR_ESCAPES)
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _fmt(value: float) -> str:
@@ -107,8 +130,8 @@ def write_network(
     tech_degrees = {t: d for t, d in net.tech_degrees().items() if d > 0}
     product_degrees = {p: d for p, d in net.product_degrees().items() if d > 0}
     # each connected id is quoted once, for its node and all of its edges
-    tech_attrs = {t: quoteattr(f"t:{t}") for t in tech_degrees}
-    product_attrs = {p: quoteattr(f"p:{p}") for p in product_degrees}
+    tech_attrs = {t: _quoteattr(f"t:{t}") for t in tech_degrees}
+    product_attrs = {p: _quoteattr(f"p:{p}") for p in product_degrees}
     quoted = _CsvFields()  # one f-string per edge, in the bytes csv.writer writes
     tier_text: dict[str, str] = {}
     p_text: dict[float, str] = {}  # at most N + 1 distinct p-values, each formatted once
@@ -123,8 +146,8 @@ def write_network(
         def node(node_attr: str, layer: str, group: str, degree: int) -> None:
             xml_fh.write(
                 f"    <node id={node_attr}>\n"
-                f'      <data key="layer">{escape(layer)}</data>\n'
-                f'      <data key="group">{escape(group)}</data>\n'
+                f'      <data key="layer">{_escape(layer)}</data>\n'
+                f'      <data key="group">{_escape(group)}</data>\n'
                 f'      <data key="degree">{degree}</data>\n'
                 "    </node>\n"
             )
@@ -141,7 +164,7 @@ def write_network(
             if p_value not in p_text:
                 p_text[p_value] = repr(p_value)
             if tier not in tier_text:
-                tier_text[tier] = escape(tier)
+                tier_text[tier] = _escape(tier)
             weight, p_value = repr(weight), p_text[p_value]
             csv_fh.write(f"{quoted[tech]},{quoted[product]},{weight},{p_value},"
                          f"{quoted[tier]}\r\n")

@@ -111,32 +111,36 @@ class ArtifactCache:
         digest = hashlib.sha256()
         for part in parts:
             if isinstance(part, np.ndarray):
-                arr = np.ascontiguousarray(part)
+                arr = np.ascontiguousarray(part)  # hashed in place: tobytes()'s bytes
                 digest.update(str(arr.dtype).encode())
                 digest.update(str(arr.shape).encode())
-                digest.update(arr.tobytes())
+                digest.update(arr)
             else:
                 digest.update(str(part).encode())
             digest.update(b"\x1f")
         return digest.hexdigest()
 
     def load(self, name: str, key: str, read):
-        """``read`` of the arrays of entry ``name``, or None when there is no
-        entry or it was made under another ``key``. An entry that cannot be
-        read (empty, truncated, not an npz), has no ``key``, or that ``read``
-        finds malformed (KeyError, TypeError or ValueError), is removed with a
-        warning and counts as a miss, so ``store`` writes a fresh one."""
+        """``read`` of entry ``name``'s arrays but ``key``, or None, having read
+        only ``key``, if there is no entry or it has another ``key``. An entry
+        that cannot be read (empty, truncated, not an npz, a bad CRC), has no
+        ``key``, or that ``read`` finds malformed (KeyError, TypeError or
+        ValueError), is removed with a warning and counts as a miss."""
         path = self.root / f"{name}.npz"
         if not path.exists():
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
-                arrays = {field: data[field] for field in data.files}
+                if str(data["key"]) != key:
+                    return None
+                arrays = {field: data[field] for field in data.files if field != "key"}
+        except KeyError as exc:  # no ``key`` member
+            problem = f"malformed ({exc})"
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             problem = f"unreadable ({exc})"
         else:
             try:
-                return read(arrays) if str(arrays.pop("key")) == key else None
+                return read(arrays)
             except (KeyError, TypeError, ValueError) as exc:
                 problem = f"malformed ({exc})"
         logger.warning("%s is %s; removing it", path, problem)

@@ -2,9 +2,12 @@
 
 import csv
 import json
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tpnet import degree_report, exports, load_hs_sections
 from tpnet.assist import AssistMatrix
@@ -110,6 +113,29 @@ def test_graphml_matches_reference_on_markup_and_non_ascii_ids(tmp_path):
         path = tmp_path / "net.graphml"
         exports.write_network(net, tmp_path / "edges.csv", path, product_sections)
         assert path.read_bytes() == reference_graphml(net, product_sections).encode("utf-8")
+
+
+# every character the escapes treat specially, other control characters,
+# then non-ASCII and astral ones
+_XML_TEXT = st.text(st.one_of(
+    st.sampled_from("\"'&<>\n\r\t"),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFFFF),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_XML_TEXT)
+@example("")
+@example("\"")
+@example("'")
+@example("\"'")
+@example("&amp; <&#10;>\r\n\t'\"")
+def test_xml_escapes_equal_the_standard_library(text):
+    assert exports._escape(text) == saxutils.escape(text)
+    assert exports._quoteattr(text) == saxutils.quoteattr(text)
 
 
 def test_matrix_and_assist_csv(tmp_path):

@@ -3,7 +3,9 @@
 import hashlib
 import io
 import json
-from collections import Counter
+import struct
+import zipfile
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +308,34 @@ def test_cache_store_loads_back_without_temp_files(tmp_path):
     cache.store("counts-0-0-1", key, counts=counts, n=np.array([400]))
     assert foreign.read_bytes() == b"partial"
     assert np.array_equal(cache.load("counts-0-0-1", key, read=dict)["counts"], counts)
+
+
+_KEYED = np.arange(12, dtype=np.int64).reshape(3, 4)
+
+
+@pytest.mark.parametrize("parts, digest", [
+    pytest.param(("counts", _KEYED, 400, 7),
+                 "036877e9e29174e61726b5cba870b28da53cf2ebe432eb5f695f9e381c8b3d55", id="C-order"),
+    # the same values in Fortran order hash as their C-order copy
+    pytest.param(("counts", np.asfortranarray(_KEYED), 400, 7),
+                 "036877e9e29174e61726b5cba870b28da53cf2ebe432eb5f695f9e381c8b3d55", id="F-order"),
+    pytest.param(("counts", _KEYED[:, ::2], 400, 7),
+                 "93ce90a61e49c87115ac65a9808c9a32a499991b62427d2cbdf32d2a09dee775", id="sliced"),
+    pytest.param(("counts", np.array(2.5), "x"),
+                 "593dbe70a8728bc8a973b07e9d3b3736ce527b95c459a29368834b51bd942970", id="0-d"),
+    pytest.param(("counts", np.zeros((0, 3), np.float64), 0),
+                 "9f5df9bb0fd62997ec50ed3efe60543d86b860257c3dc112fc1d86e1aee9c064", id="empty"),
+    pytest.param(("panel", np.array([[True, False], [False, True]]), "product"),
+                 "3ff3e44728856bd8bd6e1489e652cda41ee3b1e13e40e03255bfa1a605b53e9c", id="bool"),
+    pytest.param(("counts", np.array([0, 1, 65535], np.uint16), 50, 0, 0, 1),
+                 "456f8059441d96d70f9c7889bf219ee25c3969820a988a17a6f476826d8b6a7b", id="uint16"),
+    pytest.param(("counts", np.linspace(0.0, 1.0, 7), np.full((2, 2), 0.1), 20, 1, 1, 3, 2010),
+                 "1e8d71ef0a9d8617b9d33a9f19395edd60a1526643572d67bec95d5bf6239f38",
+                 id="float64"),
+])
+def test_cache_keys_are_pinned(parts, digest):
+    # a change to how keys are hashed would silently miss every stored entry
+    assert ArtifactCache.key(*parts) == digest
 
 
 def test_entry_under_another_key_is_a_silent_miss_and_is_replaced(
@@ -1091,6 +1121,119 @@ def test_old_layout_panel_entry_is_replaced_silently(
             "key", "labels", *(f"values-{year}" for year in range(2010, 2014)), "years"]
     _assert_same_panel(load_panels(cfg, cache)[1], panel)
     assert len(reads) == 1
+
+
+def _member_reads(monkeypatch) -> defaultdict:
+    """Record, per cache entry name, the npz members read from now on."""
+    reads = defaultdict(list)
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def recording_getitem(self, member):
+        reads[Path(self.zip.filename).stem].append(member)
+        return getitem(self, member)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording_getitem)
+    return reads
+
+
+def _entry_arrays(entry: Path) -> dict:
+    with np.load(entry, allow_pickle=False) as data:
+        return {member: data[member] for member in data.files}
+
+
+def _assert_same_arrays(a: dict, b: dict) -> None:
+    assert sorted(a) == sorted(b)
+    for member in a:
+        assert a[member].dtype == b[member].dtype and np.array_equal(a[member], b[member])
+
+
+def _flip_last_data_byte(entry: Path, member: str) -> None:
+    """Flip the last stored byte of ``member``'s array in the npz ``entry``,
+    so that reading the member fails the archive's CRC check."""
+    with zipfile.ZipFile(entry) as archive:
+        info = archive.getinfo(f"{member}.npy")
+    content = bytearray(entry.read_bytes())
+    name_length, extra_length = struct.unpack_from("<HH", content, info.header_offset + 26)
+    content[info.header_offset + 30 + name_length + extra_length + info.compress_size - 1] ^= 0xFF
+    entry.write_bytes(bytes(content))
+
+
+def test_a_stale_key_lookup_reads_only_the_key(
+    planted_panel_files, tmp_path, caplog, monkeypatch
+):
+    # a re-seeded run's counts entry and an edited panel's entry were made
+    # under other keys: each lookup reads that entry's key and nothing else
+    _, prod_csv = planted_panel_files
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
+    run_pipeline(cfg, write=False)
+    cache_dir = tmp_path / "out" / "cache"
+    members = {entry.stem: sorted(_entry_arrays(entry)) for entry in cache_dir.iterdir()}
+    assert sorted(members) == ["counts-0-0-0", "panel-product", "panel-technology"]
+    reads = _member_reads(monkeypatch)
+    prod_csv.write_bytes(prod_csv.read_bytes().replace(b"2013,1.0", b"2013,2.0"))
+    with caplog.at_level("WARNING", logger="tpnet"):
+        run_pipeline(cfg.replace(seed=8), write=False)
+    assert not caplog.records
+    assert reads["counts-0-0-0"] == reads["panel-product"] == ["key"]
+    # a hit reads the key first, then every other member
+    assert reads["panel-technology"][0] == "key"
+    assert sorted(reads["panel-technology"]) == members["panel-technology"]
+    reads.clear()
+    run_pipeline(cfg.replace(seed=8), write=False)
+    assert {name: names[0] for name, names in reads.items()} == dict.fromkeys(members, "key")
+    assert {name: sorted(names) for name, names in reads.items()} == members
+
+
+_CORRUPTIBLE = [
+    pytest.param("counts-0-0-0", "counts", id="counts"),
+    pytest.param("panel-product", "values-2011", id="panel"),
+]
+
+
+@pytest.mark.parametrize("name, member", _CORRUPTIBLE)
+def test_entry_with_a_flipped_data_byte_is_unreadable(
+    planted_panel_files, tmp_path, caplog, monkeypatch, name, member
+):
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
+    cold = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    entry = tmp_path / "out" / "cache" / f"{name}.npz"
+    stored = _entry_arrays(entry)
+    _flip_last_data_byte(entry, member)
+    parses = _count_reads(monkeypatch)
+    with caplog.at_level("WARNING", logger="tpnet"):
+        warm = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith(f"{entry} is unreadable")
+    # the counts are drawn again, or the panel parsed again, and stored as before
+    assert len(parses) == (name == "panel-product")
+    assert np.array_equal(warm, cold)
+    _assert_same_arrays(_entry_arrays(entry), stored)
+
+
+@pytest.mark.parametrize("name, member", _CORRUPTIBLE)
+def test_stale_entry_with_a_corrupt_member_is_a_silent_miss(
+    planted_panel_files, tmp_path, caplog, name, member
+):
+    # the corrupt member is never read: the entry's key says it is stale,
+    # and the store replaces the whole entry
+    _, prod_csv = planted_panel_files
+    cfg = _config(
+        planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
+    )
+    run_pipeline(cfg, write=False)
+    entry = tmp_path / "out" / "cache" / f"{name}.npz"
+    _flip_last_data_byte(entry, member)
+    prod_csv.write_bytes(prod_csv.read_bytes().replace(b"2013,1.0", b"2013,2.0"))
+    with caplog.at_level("WARNING", logger="tpnet"):
+        run_pipeline(cfg.replace(seed=8), write=False)
+    assert not caplog.records
+    run_pipeline(cfg.replace(seed=8, output_dir=str(tmp_path / "alone")), write=False)
+    _assert_same_arrays(_entry_arrays(entry),
+                        _entry_arrays(tmp_path / "alone" / "cache" / f"{name}.npz"))
 
 
 def test_failed_ingest_leaves_no_output_directory(planted_panel_files, tmp_path):
