@@ -107,8 +107,9 @@ def rca(cfg):
     written = []
     for panel, ends in ((run.tech, tech_ends), (run.prod, prod_ends)):
         for end in sorted(set(ends)):
-            ratios = _stage("rca", compute_rca, aggregate_window(panel, cfg.delta, end))
-            binary = binarize(ratios)
+            with _stage("rca"):
+                ratios = compute_rca(aggregate_window(panel, cfg.delta, end))
+                binary = binarize(ratios)
             stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
             for name, matrix in ((f"rca_{stem}.csv", ratios), (f"m_{stem}.csv", binary)):
                 exports.write_matrix_csv(
@@ -129,7 +130,8 @@ def assist(cfg):
     written = []
     for spec in run.lags:
         for t1, t2 in spec.pairs:
-            _, _, matrix = _stage("assist", contract_pair, cfg.delta, run.tech, run.prod, (t1, t2))
+            with _stage("assist"):
+                _, _, matrix = contract_pair(cfg.delta, run.tech, run.prod, (t1, t2))
             written.append(out / f"assist_{t1}_{t2}.csv")
             exports.write_assist_csv(matrix, written[-1])
     run.record("assist", outputs=written)
@@ -156,8 +158,9 @@ def validate(cfg):
 def efc(cfg):
     """Write complexity rankings for the most recent configured windows."""
     run = Run.start(cfg)
-    rankings, info = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
-    written = _stage("efc", _write_tables, run.out_dir, rankings)
+    with _stage("efc"):
+        rankings, info = compute_rankings(cfg, run.tech, run.prod, run.lags)
+        written = _write_tables(run.out_dir, rankings)
     run.record("efc", outputs=written, **info)
     click.echo(f"wrote rankings to {written[0].parent}")
 

@@ -130,7 +130,6 @@ class ActivityRanking:
     worst rank and are listed in ``stripped``.
     """
 
-    kind: str
     ranks: Mapping[str, int]
     stripped: tuple[str, ...] = ()
 
@@ -161,7 +160,6 @@ def rank_activities(m: BinaryMatrix) -> tuple[ActivityRanking, FitnessComplexity
         raise AllZeroError("matrix has no nonzero rows or columns to rank")
     stripped = tuple(a for a, u in zip(m.activity_ids, ubiquity) if u == 0)
     core = BinaryMatrix(
-        layer_kind=m.layer_kind,
         country_ids=tuple(m.country_ids[i] for i in keep_rows),
         activity_ids=tuple(m.activity_ids[j] for j in keep_cols),
         values=m.values[np.ix_(keep_rows, keep_cols)],
@@ -171,7 +169,7 @@ def rank_activities(m: BinaryMatrix) -> tuple[ActivityRanking, FitnessComplexity
     worst = len(ranks) + 1
     for activity in stripped:
         ranks[activity] = worst
-    return ActivityRanking(kind=m.layer_kind, ranks=ranks, stripped=stripped), result
+    return ActivityRanking(ranks=ranks, stripped=stripped), result
 
 
 @dataclass(frozen=True)

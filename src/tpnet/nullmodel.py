@@ -40,7 +40,6 @@ _TOLERANCE, _MAX_ITERATIONS = 1e-8, 10_000
 class BiCMModel:
     """Fitted degree-constrained link-probability model for one binary layer."""
 
-    layer_kind: str
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
     link_probabilities: np.ndarray
@@ -162,7 +161,6 @@ def fit_bicm(m: BinaryMatrix) -> BiCMModel:
     row_err = np.abs(p.sum(axis=1) - observed.sum(axis=1)).max()
     col_err = np.abs(p.sum(axis=0) - observed.sum(axis=0)).max()
     return BiCMModel(
-        layer_kind=m.layer_kind,
         country_ids=m.country_ids,
         activity_ids=m.activity_ids,
         link_probabilities=p,

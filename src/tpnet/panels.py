@@ -155,7 +155,7 @@ def _read_rows(path: Path):
     weights = array("d")
     try:
         if not path.is_file():
-            raise PanelError(f"{path}: no such file")
+            raise PanelError(f"{path}: {'not a file' if path.exists() else 'no such file'}")
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
@@ -421,8 +421,15 @@ def _year(field: bytes) -> int:
 
 def missing_years(panel: ActivityPanel, delta: int, end_year: int) -> list[int]:
     """The years of the ``delta``-year window ending at ``end_year`` that
-    ``panel`` lacks, ascending; empty when the window fits."""
-    return sorted(set(range(end_year - delta + 1, end_year + 1)) - set(panel.years))
+    ``panel`` lacks, ascending; empty when the window fits. A window that
+    lacks more years than the panel has is a ``WindowError`` naming the window
+    and the panel's year count, so neither the check nor its message grows
+    with ``delta``."""
+    start = end_year - delta + 1
+    if delta - sum(start <= year <= end_year for year in panel.years) > len(panel.years):
+        raise WindowError(f"{panel.layer_kind} panel has {len(panel.years)} years, too few "
+                          f"for the {delta}-year window ending {end_year}")
+    return sorted(set(range(start, end_year + 1)) - set(panel.years))
 
 
 def aggregate_window(panel: ActivityPanel, delta: int, end_year: int) -> WindowedMatrix:

@@ -7,7 +7,8 @@ windows, contracts and fits the pair, then reads or draws its null counts.
 Runs are deterministic given (config, seed): each pair's random stream is
 derived from the master seed plus a structural key, (0, lag index, pair
 index) for a lag pair and (1, window length, end year) for a robustness
-window, and all writers are deterministic. Each pair's null sampling
+window, (2, window length, -end year) for one ending before year 0, and all
+writers are deterministic. Each pair's null sampling
 is one pass of ``nullmodel.null_exceedance_counts``, the package's only null
 loop: it draws both layers, contracts them with the kernel of the empirical
 matrix and yields the exceedance counts and each layer's worst sampled-degree
@@ -40,6 +41,7 @@ import json
 import logging
 import os
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -165,7 +167,6 @@ class LagResult:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    config: RunConfig
     lag_results: tuple[LagResult, ...]
     tech_ranking: Optional[ActivityRanking] = None
     product_ranking: Optional[ActivityRanking] = None
@@ -178,11 +179,13 @@ class PipelineResult:
         raise KeyError(f"no network for lag {delta_t}")
 
 
-def _stage(stage: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(tag: str):
+    """Tag a ``TpnetError`` raised in the block as ``StageError(tag, …)``."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except TpnetError as exc:
-        raise StageError(stage, str(exc)) from exc
+        raise StageError(tag, str(exc)) from exc
 
 
 # Part of a panel entry's key, beside PANEL_FORMAT, so an entry of the earlier
@@ -298,7 +301,8 @@ class Run:
     def ingest(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
         """Open the run and read both panels under the ``ingest`` tag."""
         run = cls(cfg, recorded)
-        run.tech, run.prod = _stage("ingest", load_panels, cfg, run.cache)
+        with _stage("ingest"):
+            run.tech, run.prod = load_panels(cfg, run.cache)
         run.record("ingest", technology_shape=list(run.tech.shape),
                    product_shape=list(run.prod.shape))
         return run
@@ -307,7 +311,8 @@ class Run:
     def start(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
         """``Run.ingest``, then resolve the lags under the ``configure`` tag."""
         run = cls.ingest(cfg, recorded)
-        run.lags = _stage("configure", resolve_lags, cfg, run.tech, run.prod)
+        with _stage("configure"):
+            run.lags = resolve_lags(cfg, run.tech, run.prod)
         run.record("configure", lags=[
             {"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
             for spec in run.lags
@@ -329,11 +334,12 @@ class Run:
         configured tier, under the ``validate_lag_<dt>`` tag; record the lag."""
         spec = self.lags[lag_index]
         stage = f"validate_lag_{spec.delta_t}"
-        validations, empirical = zip(*(
-            self.validate_pair(stage, self.cfg.delta, pair, (0, lag_index, pair_index))
-            for pair_index, pair in enumerate(spec.pairs)
-        ))
-        network = _stage(stage, intersect_pairs, validations, self.cfg.tier, empirical)
+        with _stage(stage):
+            validations, empirical = zip(*(
+                self.validate_pair(self.cfg.delta, pair, (0, lag_index, pair_index))
+                for pair_index, pair in enumerate(spec.pairs)
+            ))
+            network = intersect_pairs(validations, self.cfg.tier, empirical)
         logger.info(
             "lag %d: %d edges at tier %s across %d pairs",
             spec.delta_t, network.edge_count, self.cfg.tier, len(spec.pairs),
@@ -342,11 +348,11 @@ class Run:
         return LagResult(spec=spec, network=network)
 
     def validate_pair(
-        self, stage: str, delta: int, pair: tuple[int, int], stream_key: tuple[int, ...]
+        self, delta: int, pair: tuple[int, int], stream_key: tuple[int, ...]
     ) -> tuple[PairValidation, np.ndarray]:
-        """One (t1, t2) pair under ``stage``'s tag: its ``delta``-year windows,
-        RCA, alignment and contraction, then its exceedance counts; the
-        ``PairValidation`` and the empirical matrix.
+        """One (t1, t2) pair: its ``delta``-year windows, RCA, alignment and
+        contraction, then its exceedance counts; the ``PairValidation`` and
+        the empirical matrix. Its errors are untagged: the caller tags them.
 
         The counts are read from the cache entry ``counts-<stream_key>``, as
         the ``PairValidation`` they build, or drawn by
@@ -357,41 +363,38 @@ class Run:
         excursion happens by chance now and then.
         """
         n = self.cfg.samples
-        try:
-            tech_bin, prod_bin, empirical = contract_pair(delta, self.tech, self.prod, pair)
-            tech_model = fit_bicm(tech_bin)
-            prod_model = fit_bicm(prod_bin)
-            key = self.cache.key(
-                "counts", SAMPLING_SCHEME, empirical.values,
-                tech_model.link_probabilities, prod_model.link_probabilities,
-                n, self.cfg.seed, *stream_key,
-            )
+        tech_bin, prod_bin, empirical = contract_pair(delta, self.tech, self.prod, pair)
+        tech_model = fit_bicm(tech_bin)
+        prod_model = fit_bicm(prod_bin)
+        key = self.cache.key(
+            "counts", SAMPLING_SCHEME, empirical.values,
+            tech_model.link_probabilities, prod_model.link_probabilities,
+            n, self.cfg.seed, *stream_key,
+        )
 
-            def read(entry: dict) -> PairValidation:
-                if not np.array_equal(entry["n"], [n]):
-                    raise ValueError(f"n other than {n}")
-                return PairValidation(empirical.tech_ids, empirical.product_ids,
-                                      entry["counts"], n, *pair)
+        def read(entry: dict) -> PairValidation:
+            if not np.array_equal(entry["n"], [n]):
+                raise ValueError(f"n other than {n}")
+            return PairValidation(empirical.tech_ids, empirical.product_ids,
+                                  entry["counts"], n, *pair)
 
-            name = "counts-" + "-".join(map(str, stream_key))
-            validation = self.cache.load(name, key, read)
-            if validation is not None:
-                return validation, empirical.values
-            counts, drift = null_exceedance_counts(
-                tech_model, prod_model, empirical.values, n, self.cfg.seed, stream_key
-            )
-            for layer, worst in zip(("technology", "product"), drift):
-                if worst > 4.0:
-                    logger.warning(
-                        "pair %s: %s layer sampled degrees drift %.2f sigma from "
-                        "expectation over %d draws",
-                        pair, layer, worst, n,
-                    )
-            validation = read({"counts": counts, "n": np.array([n])})
-            self.cache.store(name, key, counts=validation.exceed_counts, n=np.array([n]))
+        name = "counts-" + "-".join(map(str, stream_key))
+        validation = self.cache.load(name, key, read)
+        if validation is not None:
             return validation, empirical.values
-        except TpnetError as exc:
-            raise StageError(stage, str(exc)) from exc
+        counts, drift = null_exceedance_counts(
+            tech_model, prod_model, empirical.values, n, self.cfg.seed, stream_key
+        )
+        for layer, worst in zip(("technology", "product"), drift):
+            if worst > 4.0:
+                logger.warning(
+                    "pair %s: %s layer sampled degrees drift %.2f sigma from "
+                    "expectation over %d draws",
+                    pair, layer, worst, n,
+                )
+        validation = read({"counts": counts, "n": np.array([n])})
+        self.cache.store(name, key, counts=validation.exceed_counts, n=np.array([n]))
+        return validation, empirical.values
 
 
 def _binary_for_window(
@@ -438,31 +441,6 @@ def compute_rankings(
     return rankings, info
 
 
-def _write_lag_outputs(
-    out_dir: Path, cfg: RunConfig, result: LagResult, sections: dict[str, str], reports: bool
-) -> list[Path]:
-    """Write one lag's network files, and its report.json with ``reports``;
-    the paths written."""
-    lag_dir = out_dir / f"lag_{result.spec.delta_t}"
-    lag_dir.mkdir(parents=True, exist_ok=True)
-    net = result.network
-    written = [lag_dir / "edges.csv", lag_dir / "network.graphml"]
-    exports.write_network(net, *written, sections)
-    if reports:
-        report = degree_report(net, sections)
-        meta = {
-            "delta": cfg.delta,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "tier": cfg.tier,
-            "digits": cfg.digits,
-        }
-        report_path = lag_dir / "report.json"
-        exports.write_report(net, report, meta, report_path)
-        written.append(report_path)
-    return written
-
-
 def _write_tables(out_dir: Path, rankings: dict[str, ActivityRanking], curves=()) -> list[Path]:
     """Write ``rankings/<side>_ranks.csv`` for each ranking and
     ``curves/<side>_curve.csv`` for each curve; the paths written."""
@@ -494,7 +472,8 @@ def run_pipeline(
     """
     run = Run.start(cfg, recorded=write)
     lag_results = [run.validate_lag(lag_index) for lag_index in range(len(run.lags))]
-    rankings, efc_info = _stage("efc", compute_rankings, cfg, run.tech, run.prod, run.lags)
+    with _stage("efc"):
+        rankings, efc_info = compute_rankings(cfg, run.tech, run.prod, run.lags)
     run.record("efc", **efc_info)
 
     curves: list[LinkDifferenceCurve] = []
@@ -508,18 +487,26 @@ def run_pipeline(
 
     if write:
         sections = load_hs_sections()
+        meta = {"delta": cfg.delta, "samples": cfg.samples, "seed": cfg.seed,
+                "tier": cfg.tier, "digits": cfg.digits}
         for result in lag_results:
             stage = f"report_lag_{result.spec.delta_t}"
-            written = _stage(
-                stage, _write_lag_outputs, run.out_dir, cfg, result, sections, reports
-            )
+            lag_dir = run.out_dir / f"lag_{result.spec.delta_t}"
+            written = [lag_dir / "edges.csv", lag_dir / "network.graphml"]
+            with _stage(stage):
+                lag_dir.mkdir(parents=True, exist_ok=True)
+                exports.write_network(result.network, *written, sections)
+                if reports:
+                    report = degree_report(result.network, sections)
+                    exports.write_report(result.network, report, meta, lag_dir / "report.json")
+                    written.append(lag_dir / "report.json")
             run.record(stage, outputs=written)
         if reports:
-            written = _stage("report", _write_tables, run.out_dir, rankings, curves)
+            with _stage("report"):
+                written = _write_tables(run.out_dir, rankings, curves)
             run.record("report", outputs=written)
 
     return PipelineResult(
-        config=cfg,
         lag_results=tuple(lag_results),
         tech_ranking=rankings["technology"],
         product_ranking=rankings["product"],
@@ -586,20 +573,16 @@ def enumerate_windows(
     delta: int,
     delta_t: int,
 ) -> list[tuple[int, int]]:
-    """All (t1, t2) with both delta-year windows inside their panels."""
+    """All (t1, t2) with both delta-year windows inside their panels: none
+    for a window longer than either panel."""
+    if delta > min(len(tech_panel.years), len(prod_panel.years)):
+        return []
     return [
         (t2 - delta_t, t2)
         for t2 in sorted(prod_panel.years)
         if not missing_years(prod_panel, delta, t2)
         and not missing_years(tech_panel, delta, t2 - delta_t)
     ]
-
-
-def _check_benchmark(benchmark: ValidatedNetwork, tech: ActivityPanel, prod: ActivityPanel) -> None:
-    if benchmark.edge_count == 0:
-        raise ConfigError("benchmark network has no edges to recover")
-    if benchmark.tech_ids != tech.activity_ids or benchmark.product_ids != prod.activity_ids:
-        raise ConfigError("benchmark axes do not match the configured panels")
 
 
 def run_robustness(
@@ -632,7 +615,12 @@ def run_robustness(
     run = Run.start(cfg)
     if benchmark is None:
         benchmark = run.validate_lag(0).network
-    _stage("robustness", _check_benchmark, benchmark, run.tech, run.prod)
+    with _stage("robustness"):
+        if benchmark.edge_count == 0:
+            raise ConfigError("benchmark network has no edges to recover")
+        if (benchmark.tech_ids, benchmark.product_ids) != (run.tech.activity_ids,
+                                                           run.prod.activity_ids):
+            raise ConfigError("benchmark axes do not match the configured panels")
     delta_t = benchmark.lag if benchmark.lag is not None else run.lags[0].delta_t
     bench_t2 = [t2 for _, t2 in benchmark.pairs]
     span = (min(bench_t2) - cfg.delta + 1, max(bench_t2))
@@ -643,7 +631,10 @@ def run_robustness(
     for delta in deltas:
         for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t):
             stage = f"robustness_d{delta}_{t2}"
-            validation = run.validate_pair(stage, delta, (t1, t2), (1, delta, t2))[0]
+            # SeedSequence takes no negative spawn key: windows ending before year 0 get family 2
+            stream_key = (1, delta, t2) if t2 >= 0 else (2, delta, -t2)
+            with _stage(stage):
+                validation = run.validate_pair(delta, (t1, t2), stream_key)[0]
             at_tier = validation.tier_mask(tier)
             at_lax = validation.tier_mask(LAX_TIER)
             outside = not (span[0] <= t2 - delta + 1 and t2 <= span[1])

@@ -14,20 +14,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroError, AxisMismatchError, PanelError
-from .panels import WindowedMatrix, _check_layer_kind, _frozen
+from .panels import WindowedMatrix, _frozen
 
 
 @dataclass(frozen=True)
 class RcaMatrix:
     """Country x activity matrix of specialization ratios (dimensionless)."""
 
-    layer_kind: str
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        _check_layer_kind(self.layer_kind)
         mat = np.asarray(self.values, dtype=np.float64)
         if mat.shape != (len(self.country_ids), len(self.activity_ids)):
             raise PanelError("RCA matrix shape does not match axes")
@@ -44,13 +42,11 @@ class BinaryMatrix:
     both are recomputed on demand so restrictions can never leave them stale.
     """
 
-    layer_kind: str
     country_ids: tuple[str, ...]
     activity_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        _check_layer_kind(self.layer_kind)
         mat = np.asarray(self.values)
         if mat.shape != (len(self.country_ids), len(self.activity_ids)):
             raise PanelError("binary matrix shape does not match axes")
@@ -97,20 +93,10 @@ def compute_rca(window: WindowedMatrix) -> RcaMatrix:
     shares = np.divide(weights, row_totals, out=np.zeros_like(weights), where=row_totals > 0)
     world = col_totals / total
     rca = np.divide(shares, world, out=np.zeros_like(shares), where=world > 0)
-    return RcaMatrix(
-        layer_kind=window.layer_kind,
-        country_ids=window.country_ids,
-        activity_ids=window.activity_ids,
-        values=rca,
-    )
+    return RcaMatrix(window.country_ids, window.activity_ids, rca)
 
 
 def binarize(rca: RcaMatrix) -> BinaryMatrix:
     """Specialization as a 0/1 matrix by the one fixed rule: a cell is 1
     where its RCA is at least 1 (inclusive), else 0."""
-    return BinaryMatrix(
-        layer_kind=rca.layer_kind,
-        country_ids=rca.country_ids,
-        activity_ids=rca.activity_ids,
-        values=(rca.values >= 1.0).astype(np.int8),
-    )
+    return BinaryMatrix(rca.country_ids, rca.activity_ids, (rca.values >= 1.0).astype(np.int8))

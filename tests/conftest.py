@@ -47,8 +47,8 @@ def planted_matrices() -> tuple[np.ndarray, np.ndarray]:
 def planted_binary_layers() -> tuple[BinaryMatrix, BinaryMatrix]:
     tech, prod = planted_matrices()
     return (
-        BinaryMatrix("technology", PLANTED_COUNTRIES, PLANTED_TECHS, tech),
-        BinaryMatrix("product", PLANTED_COUNTRIES, PLANTED_PRODUCTS, prod),
+        BinaryMatrix(PLANTED_COUNTRIES, PLANTED_TECHS, tech),
+        BinaryMatrix(PLANTED_COUNTRIES, PLANTED_PRODUCTS, prod),
     )
 
 

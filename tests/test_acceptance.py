@@ -64,10 +64,9 @@ def _window(values, layer="product"):
     )
 
 
-def _binary(values, layer="product", activities=None):
+def _binary(values, activities=None):
     values = np.asarray(values, dtype=int)
     return BinaryMatrix(
-        layer,
         tuple(f"c{i}" for i in range(values.shape[0])),
         activities or tuple(f"a{j}" for j in range(values.shape[1])),
         values,
@@ -105,8 +104,8 @@ def test_assist_row_stochasticity():
         for i in range(n_c):
             if tech[i].any() and not prod[i].any():
                 prod[i, rng.integers(prod.shape[1])] = 1
-        tech_layer = _binary(tech, "technology")
-        assist = compute_assist(tech_layer, _binary(prod, "product"))
+        tech_layer = _binary(tech)
+        assist = compute_assist(tech_layer, _binary(prod))
         sums = assist.values[tech_layer.ubiquity > 0].sum(axis=1)
         if sums.size:
             assert np.abs(sums - 1.0).max() <= 1e-12
@@ -130,8 +129,8 @@ def test_bicm_degree_matching(monkeypatch):
 
 @criterion(4, "Sampling: N=10000 means within [0.485, 0.515]; seed-to-seed exceedance drift < 0.015")
 def test_sampling_fidelity(monkeypatch):
-    ident_t = _binary(np.eye(2), "technology")
-    ident_p = _binary(np.eye(2), "product")
+    ident_t = _binary(np.eye(2))
+    ident_p = _binary(np.eye(2))
     with monkeypatch.context() as tight:
         tight.setattr(nullmodel, "_TOLERANCE", 1e-12)
         model = fit_bicm(ident_t)
@@ -157,8 +156,8 @@ def test_oracle_equivalence():
         density = float(rng.uniform(0.3, 0.8))
         tech_values = random_binary(rng, (2, 2), density)
         prod_values = random_binary(rng, (2, 3), density)
-        tech = _binary(tech_values, "technology")
-        prod = _binary(prod_values, "product")
+        tech = _binary(tech_values)
+        prod = _binary(prod_values)
         empirical = compute_assist(tech, prod)
         tech_model, prod_model = fit_bicm(tech), fit_bicm(prod)
         exact = enumerate_exceedance(
@@ -242,7 +241,7 @@ def test_efc_properties():
     fixtures = (
         flat, nested,
         run_efc(_binary([[1, 1], [1, 0]])),
-        run_efc(_binary(tech, "technology")),
+        run_efc(_binary(tech)),
         run_efc(_binary(prod)),
     )
     for result in fixtures:

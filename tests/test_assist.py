@@ -21,14 +21,8 @@ def _layers(tech_values, prod_values, countries=None):
     tech_values = np.asarray(tech_values)
     prod_values = np.asarray(prod_values)
     countries = countries or tuple(f"c{i}" for i in range(tech_values.shape[0]))
-    tech = BinaryMatrix(
-        "technology", countries,
-        tuple(f"t{j}" for j in range(tech_values.shape[1])), tech_values,
-    )
-    prod = BinaryMatrix(
-        "product", countries,
-        tuple(f"p{j}" for j in range(prod_values.shape[1])), prod_values,
-    )
+    tech = BinaryMatrix(countries, tuple(f"t{j}" for j in range(tech_values.shape[1])), tech_values)
+    prod = BinaryMatrix(countries, tuple(f"p{j}" for j in range(prod_values.shape[1])), prod_values)
     return tech, prod
 
 
@@ -173,14 +167,13 @@ def test_permutation_equivariance():
 
     perm = rng.permutation(5)
     countries = tuple(f"c{i}" for i in perm)
-    tech_p = BinaryMatrix("technology", countries, tech.activity_ids, tech_values[perm])
-    prod_p = BinaryMatrix("product", countries, prod.activity_ids, prod_values[perm])
+    tech_p = BinaryMatrix(countries, tech.activity_ids, tech_values[perm])
+    prod_p = BinaryMatrix(countries, prod.activity_ids, prod_values[perm])
     assert np.allclose(compute_assist(tech_p, prod_p).values, base)
 
     col_perm = rng.permutation(4)
     prod_c = BinaryMatrix(
-        "product", prod.country_ids,
-        tuple(prod.activity_ids[j] for j in col_perm), prod_values[:, col_perm],
+        prod.country_ids, tuple(prod.activity_ids[j] for j in col_perm), prod_values[:, col_perm]
     )
     assert np.allclose(compute_assist(tech, prod_c).values, base[:, col_perm])
 
@@ -217,7 +210,7 @@ from tpnet.rca import BinaryMatrix
 rng = np.random.default_rng(17)
 countries = tuple(f"c{i}" for i in range(120))
 layers = [
-    BinaryMatrix(kind, countries, tuple(f"{kind[0]}{j}" for j in range(width)),
+    BinaryMatrix(countries, tuple(f"{kind[0]}{j}" for j in range(width)),
                  (rng.random((120, width)) < 0.4).astype(int))
     for kind, width in (("technology", 388), ("product", 974))
 ]

@@ -23,7 +23,6 @@ from .oracles import reference_fitness_complexity
 def _binary(values):
     values = np.asarray(values, dtype=int)
     return BinaryMatrix(
-        "product",
         tuple(f"c{i}" for i in range(values.shape[0])),
         tuple(f"a{j}" for j in range(values.shape[1])),
         values,
@@ -87,7 +86,6 @@ def test_permutation_equivariance():
     row_perm = rng.permutation(5)
     col_perm = rng.permutation(6)
     permuted = BinaryMatrix(
-        "product",
         tuple(f"c{i}" for i in row_perm),
         tuple(f"a{j}" for j in col_perm),
         values[np.ix_(row_perm, col_perm)],
@@ -191,9 +189,7 @@ def _net(edges, techs, prods):
 
 def _ranking(ids):
     # ids listed most complex first
-    return ActivityRanking(
-        kind="product", ranks={a: i + 1 for i, a in enumerate(ids)}
-    )
+    return ActivityRanking(ranks={a: i + 1 for i, a in enumerate(ids)})
 
 
 def test_identical_networks_give_zero_curve():
@@ -224,7 +220,7 @@ def test_curve_endpoint_is_total_edge_difference():
     ranking = _ranking(["p2", "p1", "p0"])
     curve = cumulative_link_difference(base, lagged, ranking, "product")
     assert curve.final_value == lagged.edge_count - base.edge_count
-    tech_ranking = ActivityRanking(kind="technology", ranks={"t0": 1, "t1": 2})
+    tech_ranking = ActivityRanking(ranks={"t0": 1, "t1": 2})
     tech_curve = cumulative_link_difference(base, lagged, tech_ranking, "technology")
     assert tech_curve.final_value == 2
 
@@ -252,9 +248,7 @@ def test_curve_rejects_unranked_connected_node():
 
 
 def test_stripped_activities_order_in_positions():
-    ranking = ActivityRanking(
-        kind="product", ranks={"a": 1, "b": 2, "z1": 3, "z0": 3}, stripped=("z1", "z0")
-    )
+    ranking = ActivityRanking(ranks={"a": 1, "b": 2, "z1": 3, "z0": 3}, stripped=("z1", "z0"))
     # worst rank first (ascending complexity), ties lexicographic
     assert ranking.positions_ascending_complexity() == ("z0", "z1", "b", "a")
 
@@ -272,7 +266,7 @@ def test_ranking_order_on_id_ranks_matches_string_lexsort():
 def test_tied_complexities_rank_by_id_string_order():
     # identical columns tie exactly; "10" < "9" and "A01" < "A01B" as strings
     values = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 1]])
-    m = BinaryMatrix("product", ("c2", "c10", "c1"), ("9", "A01B", "10", "A01", "x"), values)
+    m = BinaryMatrix(("c2", "c10", "c1"), ("9", "A01B", "10", "A01", "x"), values)
     result = run_efc(m)
     assert result.rank_stable
     assert result.activity_rank == {"10": 1, "A01": 2, "9": 3, "A01B": 4, "x": 5}

@@ -155,9 +155,7 @@ def test_matrix_and_assist_csv(tmp_path):
 
 
 def test_ranking_csv(tmp_path):
-    ranking = ActivityRanking(
-        kind="product", ranks={"a": 1, "b": 2, "z": 3}, stripped=("z",)
-    )
+    ranking = ActivityRanking(ranks={"a": 1, "b": 2, "z": 3}, stripped=("z",))
     exports.write_ranking_csv(ranking, tmp_path / "ranks.csv")
     rows = list(csv.DictReader((tmp_path / "ranks.csv").read_text().splitlines()))
     assert [r["activity"] for r in rows] == ["a", "b", "z"]

@@ -37,10 +37,9 @@ from .oracles import (
 )
 
 
-def _binary(values, layer="product"):
+def _binary(values):
     values = np.asarray(values, dtype=int)
     return BinaryMatrix(
-        layer,
         tuple(f"c{i}" for i in range(values.shape[0])),
         tuple(f"a{j}" for j in range(values.shape[1])),
         values,
@@ -152,10 +151,9 @@ def test_sample_mean_tracks_probabilities(monkeypatch):
     assert np.abs(mean - 0.5).max() < 0.03  # ~4 sigma at n=4000
 
 
-def _model(p, layer="product"):
+def _model(p):
     p = np.asarray(p, dtype=np.float64)
     return BiCMModel(
-        layer,
         tuple(f"c{i}" for i in range(p.shape[0])),
         tuple(f"a{j}" for j in range(p.shape[1])),
         p,
@@ -251,7 +249,7 @@ def test_pinned_countries_draw_their_exact_diversification(monkeypatch):
     # probabilities 0 and 1, so every draw gives them d = 6, 0 and 4
     classes = np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1], [0.3, 0.6, 0.9]])
     prod = _model(classes[:, [0, 0, 0, 1, 1, 2]])
-    tech = _model(np.full((4, 2), 0.5), layer="technology")
+    tech = _model(np.full((4, 2), 0.5))
     calls = _recorded_degrees(monkeypatch)
     null_exceedance_counts(tech, prod, np.zeros((2, 6)), 300, seed=4)
     assert len(calls) == 300
@@ -262,7 +260,7 @@ def test_pinned_countries_draw_their_exact_diversification(monkeypatch):
 def test_layers_of_single_member_classes_draw_no_diversification(monkeypatch):
     # every product column differs, so S = 0 and d is the drawn row sums
     prod = _model(np.random.default_rng(2).random((5, 4)))
-    tech = _model(np.full((5, 3), 0.5), layer="technology")
+    tech = _model(np.full((5, 3), 0.5))
     calls = _recorded_degrees(monkeypatch)
     null_exceedance_counts(tech, prod, np.zeros((3, 4)), 300, seed=4)
     assert len(calls) == 300
@@ -298,7 +296,7 @@ def test_jumped_substreams_are_uncorrelated(seed, stream_key):
 
 def test_paired_stream_zscores_cover_both_layers():
     rng = np.random.default_rng(81)
-    tech = fit_bicm(_binary(random_binary(rng, (4, 3), 0.5), layer="technology"))
+    tech = fit_bicm(_binary(random_binary(rng, (4, 3), 0.5)))
     prod = fit_bicm(_binary(random_binary(rng, (4, 5), 0.5)))
     _, drift = null_exceedance_counts(tech, prod, np.zeros((3, 5)), 1500, seed=5)
     assert len(drift) == 2
@@ -314,7 +312,7 @@ def _degenerate_layers(rng, countries, techs, products):
     prod[0] = 0
     prod[1] = 1
     tech[:, 1] = 0
-    return _binary(tech, layer="technology"), _binary(prod)
+    return _binary(tech), _binary(prod)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +443,7 @@ def test_class_counts_follow_the_full_layer_law():
     # deviations, estimated from the pooled counts (per-cell false alarm
     # 7e-6, about 0.2% over the 240 cells).
     rng = np.random.default_rng(23)
-    tech_m = _binary(random_binary(rng, (12, 8), 0.5), layer="technology")
+    tech_m = _binary(random_binary(rng, (12, 8), 0.5))
     prod_m = _binary(random_binary(rng, (12, 30), 0.4))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
     empirical = compute_assist(tech_m, prod_m).values
@@ -470,7 +468,7 @@ def _calibration_counts(countries, replications, n):
     def columns(sizes):
         return np.repeat(rng.uniform(0.05, 0.9, (countries, len(sizes))), sizes, axis=1)
 
-    tech = _model(np.c_[columns((2, 1, 3)), np.zeros(countries)], "technology")
+    tech = _model(np.c_[columns((2, 1, 3)), np.zeros(countries)])
     prod_p = columns((3, 2, 1, 2))
     prod_p[-1] = 0.0
     prod = _model(prod_p)
@@ -532,7 +530,7 @@ def test_failing_draw_propagates_with_blas_restored(monkeypatch, failing_sample)
 
 
 def test_null_assist_requires_shared_countries():
-    tech = fit_bicm(_binary(np.eye(2), layer="technology"))
+    tech = fit_bicm(_binary(np.eye(2)))
     prod_values = np.ones((3, 2), dtype=int)
     prod = fit_bicm(_binary(prod_values))
     with pytest.raises(AxisMismatchError):
@@ -548,14 +546,14 @@ def test_sample_counts_past_int32_are_refused(monkeypatch):
         raise AssertionError("drew samples")
 
     monkeypatch.setattr(nullmodel, "_stream", no_draws)
-    tech = _model(np.full((2, 2), 0.5), "technology")
+    tech = _model(np.full((2, 2), 0.5))
     for n in (2**31, 2**40):
         with pytest.raises(ValueError, match=re.escape("must be < 2**31, the int32 counts' bound")):
             null_exceedance_counts(tech, tech, np.zeros((2, 2)), n, seed=0)
 
 
 def test_degenerate_models_reproduce_empirical_contraction():
-    tech_m = _binary(np.ones((2, 2)), layer="technology")
+    tech_m = _binary(np.ones((2, 2)))
     prod_m = _binary(np.ones((2, 3)))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
     empirical = compute_assist(tech_m, prod_m).values
@@ -570,7 +568,7 @@ def test_degenerate_models_reproduce_empirical_contraction():
 
 def test_null_stream_matches_reference_contraction():
     rng = np.random.default_rng(15)
-    tech_m = _binary(random_binary(rng, (4, 3), 0.5), layer="technology")
+    tech_m = _binary(random_binary(rng, (4, 3), 0.5))
     prod_m = _binary(random_binary(rng, (4, 4), 0.5))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
     # five draws of each layer, contracted in one stacked call as the loop
@@ -585,7 +583,7 @@ def test_null_stream_matches_reference_contraction():
 def test_null_distribution_matches_exhaustive_enumeration():
     # tiny layers: Monte Carlo exceedance against exact enumeration over all
     # paired configurations weighted by their Bernoulli probabilities
-    tech_m = _binary(np.array([[1, 0], [1, 1]]), layer="technology")
+    tech_m = _binary(np.array([[1, 0], [1, 1]]))
     prod_m = _binary(np.array([[1, 1, 0], [0, 1, 1]]))
     tech, prod = fit_bicm(tech_m), fit_bicm(prod_m)
     empirical = compute_assist(tech_m, prod_m)
@@ -613,10 +611,10 @@ def _tie_fixture():
     drawn = np.zeros((4, 10))
     drawn[0, :2] = drawn[1] = 1.0
     return (
-        BinaryMatrix("technology", countries, ("t",), np.ones((4, 1), dtype=int)),
-        BinaryMatrix("product", countries, products, exports),
-        BiCMModel("technology", countries, ("t",), np.ones((4, 1)), 0.0),
-        BiCMModel("product", countries, products, drawn, 0.0),
+        BinaryMatrix(countries, ("t",), np.ones((4, 1), dtype=int)),
+        BinaryMatrix(countries, products, exports),
+        BiCMModel(countries, ("t",), np.ones((4, 1)), 0.0),
+        BiCMModel(countries, products, drawn, 0.0),
     )
 
 

@@ -628,6 +628,29 @@ def test_window_out_of_range_names_missing_years():
         aggregate_window(panel, 4, 2017)
 
 
+@pytest.mark.parametrize("delta", [7, 10**6])
+def test_window_lacking_more_years_than_the_panel_has_is_one_line(delta):
+    # the 7-year window lacks 5 years, more than the panel's 2, so none is listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowError) as err:
+            aggregate_window(_two_year_panel(), delta, 2017)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"product panel has 2 years, too few for the {delta}-year window ending 2017"
+    )
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("name, problem", [("", "not a file"), ("missing.csv", "no such file")])
+def test_panel_path_that_is_not_a_file_is_named(tmp_path, name, problem):
+    path = tmp_path / name
+    with pytest.raises(PanelError, match=f"^{re.escape(str(path))}: {problem}$"):
+        read_panel_csv(path, "product")
+
+
 def test_aggregation_commutes_with_country_permutation():
     rng = np.random.default_rng(5)
     years = (2000, 2001)
@@ -647,7 +670,7 @@ def test_aggregation_commutes_with_country_permutation():
 
 
 def _binary(countries, values):
-    return BinaryMatrix("product", countries, ("x", "y"), np.asarray(values))
+    return BinaryMatrix(countries, ("x", "y"), np.asarray(values))
 
 
 def test_align_countries_intersection():

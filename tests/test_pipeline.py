@@ -40,7 +40,15 @@ from tpnet.pipeline import (
 from tpnet.rca import BinaryMatrix, binarize, compute_rca
 from tpnet.validate import PairValidation, ValidatedNetwork, intersect_pairs
 
-from .conftest import PLANTED_LINK, PLANTED_TECHS, watch_blocks, write_constant_panel_csv
+from .conftest import (
+    PLANTED_COUNTRIES,
+    PLANTED_LINK,
+    PLANTED_PRODUCTS,
+    PLANTED_TECHS,
+    planted_matrices,
+    watch_blocks,
+    write_constant_panel_csv,
+)
 
 
 def _config(panel_files, tmp_path, **overrides):
@@ -565,7 +573,7 @@ def _fit_fails_on_call(monkeypatch, failing_call):
     real_fit, calls = pipeline.fit_bicm, []
 
     def fit(binary):
-        calls.append(binary.layer_kind)
+        calls.append(binary)
         if len(calls) == failing_call:
             raise FitError("planted fit failure", residual=1.0)
         return real_fit(binary)
@@ -603,6 +611,53 @@ def test_failing_robustness_window_is_tagged_with_its_window(
         "robustness_d1_2010", "robustness_d1_2011", "robustness_d1_2012",
         "robustness_d1_2013", "robustness_d2_2011",
     ]
+
+
+def test_validate_pair_raises_its_errors_untagged(planted_panel_files, tmp_path, monkeypatch):
+    run = pipeline.Run.start(_config(planted_panel_files, tmp_path, samples=30))
+    _fit_fails_on_call(monkeypatch, 1)
+    with pytest.raises(FitError) as err:
+        run.validate_pair(2, (2011, 2011), (0, 0, 0))
+    assert type(err.value) is FitError and str(err.value) == "planted fit failure"
+
+
+def test_robustness_windows_ending_before_year_zero(tmp_path, monkeypatch):
+    tech, prod = planted_matrices()
+    files = (
+        write_constant_panel_csv(tmp_path / "tech.csv", tech, PLANTED_COUNTRIES, PLANTED_TECHS,
+                                 range(-4, 0)),
+        write_constant_panel_csv(tmp_path / "prod.csv", prod, PLANTED_COUNTRIES, PLANTED_PRODUCTS,
+                                 range(-4, 0)),
+    )
+    cfg = _config(files, tmp_path, samples=50, lags=(LagSpec(0),))
+    report = run_robustness(cfg, deltas=(1, 2))
+    # four 1-year and three 2-year windows; a window ending in t2 < 0 is keyed (2, delta, -t2)
+    assert [(row.delta, row.end_year) for row in report.rows] == [
+        (1, -4), (1, -3), (1, -2), (1, -1), (2, -3), (2, -2), (2, -1),
+    ]
+    entries = sorted(p.name for p in (tmp_path / "out" / "cache").glob("counts-*.npz"))
+    assert entries == sorted(
+        ["counts-0-0-0.npz", "counts-0-0-1.npz"]
+        + [f"counts-2-1-{end}.npz" for end in (1, 2, 3, 4)]
+        + [f"counts-2-2-{end}.npz" for end in (1, 2, 3)]
+    )
+
+    # a warm rerun reads every counts entry back and draws nothing
+    hits, load = [], ArtifactCache.load
+
+    def counting_load(self, name, key, read):
+        found = load(self, name, key, read)
+        if found is not None:
+            hits.append(name)
+        return found
+
+    def no_draws(*args):
+        raise AssertionError("the warm run drew null samples")
+
+    monkeypatch.setattr(ArtifactCache, "load", counting_load)
+    monkeypatch.setattr(pipeline, "null_exceedance_counts", no_draws)
+    assert run_robustness(cfg, deltas=(1, 2)) == report
+    assert sorted(f"{name}.npz" for name in hits if name.startswith("counts-")) == entries
 
 
 def test_robustness_overlap_on_matching_configuration(planted_panel_files, tmp_path):
@@ -730,7 +785,6 @@ def test_robustness_takes_numpy_window_lengths_as_ints(planted_panel_files, tmp_
 
 def test_network_of_an_unconfigured_lag_is_a_key_error():
     result = pipeline.PipelineResult(
-        config=RunConfig("t.csv", "p.csv"),
         lag_results=(pipeline.LagResult(LagSpec(0), _one_link_benchmark("T0", "10 P0", 10000)),),
     )
     assert result.network(0).edge_count == 1
@@ -747,6 +801,7 @@ def test_enumerate_windows_counts(planted_decade_panel_files, tmp_path):
     assert len(enumerate_windows(tech_panel, prod_panel, 4, 0)) == 7
     assert len(enumerate_windows(tech_panel, prod_panel, 10, 0)) == 1
     assert enumerate_windows(tech_panel, prod_panel, 11, 0) == []
+    assert enumerate_windows(tech_panel, prod_panel, 10**6, 0) == []
     # lagged windows need the technology panel to reach further back
     assert len(enumerate_windows(tech_panel, prod_panel, 3, 2)) == 6
 
@@ -755,6 +810,17 @@ def _write_config(cfg, tmp_path):
     path = tmp_path / "config.json"
     serialize_config(cfg, path)
     return path
+
+
+def test_cli_window_longer_than_the_panel_is_one_short_configure_line(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, delta=10**5, lags=(LagSpec(0),))
+    result = CliRunner().invoke(main, ["report", "--config", str(_write_config(cfg, tmp_path))])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: [configure] technology panel has 4 years, too few for the "
+        "100000-year window ending -97987\n"
+    )
+    assert len(result.output.encode()) < 500
 
 
 def test_cli_stage_commands(planted_panel_files, tmp_path):

@@ -84,8 +84,8 @@ def test_fewer_than_one_sample_is_rejected():
 
 
 def test_zero_empirical_weight_is_never_significant():
-    tech = BinaryMatrix("technology", ("A", "B"), ("t0",), [[1], [1]])
-    prod = BinaryMatrix("product", ("A", "B"), ("p0", "p1"), [[1, 0], [1, 0]])
+    tech = BinaryMatrix(("A", "B"), ("t0",), [[1], [1]])
+    prod = BinaryMatrix(("A", "B"), ("p0", "p1"), [[1, 0], [1, 0]])
     empirical = compute_assist(tech, prod)
     assert empirical.values[0, 1] == 0.0
     validation = _null_validation(empirical, tech, prod, 300, seed=4)
@@ -95,8 +95,8 @@ def test_zero_empirical_weight_is_never_significant():
 
 def test_all_tied_nulls_give_zero_exceedance():
     # fully pinned model: every null draw equals the empirical contraction
-    tech = BinaryMatrix("technology", ("A", "B"), ("t0",), [[1], [0]])
-    prod = BinaryMatrix("product", ("A", "B"), ("p0", "p1"), [[1, 1], [1, 0]])
+    tech = BinaryMatrix(("A", "B"), ("t0",), [[1], [0]])
+    prod = BinaryMatrix(("A", "B"), ("p0", "p1"), [[1, 1], [1, 0]])
     empirical = compute_assist(tech, prod)
     validation = _null_validation(empirical, tech, prod, 100, seed=1)
     assert (validation.exceed_counts == 0).all()
@@ -106,9 +106,9 @@ def test_all_tied_nulls_give_zero_exceedance():
 
 def test_exceedance_fractions_consistent_across_seeds():
     # independent seeds may only disagree within the binomial noise floor
-    tech = BinaryMatrix("technology", ("A", "B", "C"), ("t0", "t1"),
+    tech = BinaryMatrix(("A", "B", "C"), ("t0", "t1"),
                         [[1, 0], [0, 1], [1, 1]])
-    prod = BinaryMatrix("product", ("A", "B", "C"), ("p0", "p1", "p2"),
+    prod = BinaryMatrix(("A", "B", "C"), ("p0", "p1", "p2"),
                         [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     empirical = compute_assist(tech, prod)
     n = 4000
