@@ -178,24 +178,13 @@ def write_network(
         xml_fh.write("  </graph>\n</graphml>\n")
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    """``payload`` as sorted, indent=2 JSON."""
+    """``payload``, JSON-native (string keys; no numpy scalars), as sorted,
+    indent=2 JSON with one final newline: every JSON artifact's encoding."""
     Path(path).write_text(_json_text(payload), encoding="utf-8")
 
 

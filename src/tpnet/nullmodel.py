@@ -187,9 +187,10 @@ _CHUNK_BYTES, _BLOCK_BYTES = 1 << 23, 1 << 18
 _TAIL = 65 * math.log(2.0)
 
 # Diversification tables hold cumulative probabilities in units of 2**-48, a
-# uniform's top 48 bits: row c is offset by c units of 1.0 in one int64 array,
-# which holds 2**15 countries.
+# uniform's top 48 bits: row c is offset by c units of 1.0 in one int64 array.
+# The last of C rows tops out at C units, below 2**63 for C up to 2**15 - 1.
 _UNIT_BITS = 48
+_MAX_COUNTRIES = (1 << (63 - _UNIT_BITS)) - 1
 
 
 def _classes(model: BiCMModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,7 +278,9 @@ def null_exceedance_counts(
     per class pair; one ``searchsorted`` per class pair counts, for each cell
     of its rectangle in the class-ordered empirical matrix, the draws its
     empirical weight strictly exceeds (ties do not count). Counts add across
-    chunks; BLAS runs on one thread throughout.
+    chunks; BLAS runs on one thread throughout. More than ``_MAX_COUNTRIES``
+    (2**15 - 1) countries raise ``PanelError``: their offset table rows would
+    overflow int64.
 
     Returns (counts, drift): int32 counts, so n is at most ``MAX_SAMPLES``,
     and per layer (technology, product) the largest |z| of the drawn
@@ -294,6 +297,9 @@ def null_exceedance_counts(
         raise AxisMismatchError(
             "technology and product models must share the same country axis"
         )
+    if len(prod_model.country_ids) > _MAX_COUNTRIES:
+        raise PanelError(f"the null sampler takes at most {_MAX_COUNTRIES} countries, "
+                         f"got {len(prod_model.country_ids)}")
     empirical = np.asarray(empirical_values, dtype=np.float64)
     shape = (tech_model.shape[1], prod_model.shape[1])
     if empirical.shape != shape:

@@ -30,7 +30,8 @@ each created by its first write (a failed ingest writes nothing), reads the
 panels under the ``ingest`` tag and, for every command but ``tpnet ingest``,
 resolves the lags under ``configure``.
 Each completed stage is recorded through the run's ``record``, with the files
-it wrote; the manifest is replaced through a temp file, so a killed run never
+it wrote; the manifest is written by ``exports.write_json``, the encoder of
+every JSON artifact, to a temp file that replaces it, so a killed run never
 leaves a partial one. Only ``run_pipeline(write=False)`` records nothing.
 """
 
@@ -326,8 +327,7 @@ class Run:
         self.data["stages"][stage] = dict(sorted(info.items()))
         written = {str(path.relative_to(self.out_dir)) for path in outputs}
         self.data["outputs"] = sorted(written.union(self.data["outputs"]))
-        text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
-        _publish(self.manifest, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+        _publish(self.manifest, lambda tmp: exports.write_json(self.data, tmp))
 
     def validate_lag(self, lag_index: int) -> LagResult:
         """Validate every pair of one configured lag and intersect them at the
@@ -554,17 +554,9 @@ class RobustnessReport:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "benchmark_tier": self.benchmark_tier,
-            "lax_tier": self.lax_tier,
-            "benchmark_edges": self.benchmark_edges,
-            "delta_t": self.delta_t,
-            "configurations": self.configurations,
-            "rows": [asdict(r) for r in self.rows],
-            "mean_overlaps": {
-                str(d): v for d, v in self.mean_overlaps().items()
-            },
-        }
+        # string keys, so the file sorts the window lengths as text
+        return {**asdict(self), "configurations": self.configurations,
+                "mean_overlaps": {str(d): v for d, v in self.mean_overlaps().items()}}
 
 
 def enumerate_windows(

@@ -258,9 +258,9 @@ def test_profiles_are_computed_one_block_at_a_time(width, tmp_path, monkeypatch)
 
 
 def test_write_json_other_payloads_unchanged(tmp_path):
-    payload = {"b": [1, np.int64(2)], "a": {"x": np.float64(0.1), "\u00e9": None}}
+    payload = {"b": [1, (2, 3)], "a": {"x": 0.1, "\u00e9": None, "d": True}}
     exports.write_json(payload, tmp_path / "other.json")
     assert (tmp_path / "other.json").read_text(encoding="utf-8") == (
-        json.dumps({"a": {"x": 0.1, "\u00e9": None}, "b": [1, 2]}, sort_keys=True, indent=2)
-        + "\n"
+        '{\n  "a": {\n    "d": true,\n    "x": 0.1,\n    "\\u00e9": null\n  },\n'
+        '  "b": [\n    1,\n    [\n      2,\n      3\n    ]\n  ]\n}\n'
     )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tpnet import (
     AxisMismatchError,
     FitError,
+    PanelError,
     compute_assist,
     fit_bicm,
     nullmodel,
@@ -550,6 +551,42 @@ def test_sample_counts_past_int32_are_refused(monkeypatch):
     for n in (2**31, 2**40):
         with pytest.raises(ValueError, match=re.escape("must be < 2**31, the int32 counts' bound")):
             null_exceedance_counts(tech, tech, np.zeros((2, 2)), n, seed=0)
+
+
+def _many_countries(count: int) -> tuple[BiCMModel, BiCMModel]:
+    """One technology held everywhere and one class of two products, each
+    exported with probability 1/2, over ``count`` countries."""
+    countries = tuple(f"C{c}" for c in range(count))
+    return (BiCMModel(countries, ("t",), np.ones((count, 1)), 0.0),
+            BiCMModel(countries, ("p0", "p1"), np.full((count, 2), 0.5), 0.0))
+
+
+def test_more_countries_than_the_offset_table_holds_are_refused(monkeypatch):
+    # at 2**15 countries the last row's top threshold plus its offset is 2**63
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(nullmodel, "_stream", no_draws)
+    tech, prod = _many_countries(2**15)
+    with pytest.raises(PanelError, match=re.escape("at most 32767 countries, got 32768")):
+        null_exceedance_counts(tech, prod, np.zeros((1, 2)), 1, seed=0)
+
+
+def test_the_most_countries_the_offset_table_holds_still_draw(monkeypatch):
+    degrees = []
+    assist_values = nullmodel._assist_values
+
+    def spy(tech, prod, d):
+        degrees.append(d.copy())
+        return assist_values(tech, prod, d)
+
+    monkeypatch.setattr(nullmodel, "_assist_values", spy)
+    tech, prod = _many_countries(2**15 - 1)
+    counts, _ = null_exceedance_counts(tech, prod, np.zeros((1, 2)), 8, seed=0)
+    assert counts.tolist() == [[0, 0]]  # a zero weight never exceeds a null one
+    drawn = np.concatenate(degrees)
+    assert drawn.shape == (8, 2**15 - 1)
+    assert set(np.unique(drawn).tolist()) == {0.0, 1.0, 2.0}
 
 
 def test_degenerate_models_reproduce_empirical_contraction():

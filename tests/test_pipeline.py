@@ -783,6 +783,39 @@ def test_robustness_takes_numpy_window_lengths_as_ints(planted_panel_files, tmp_
     assert list(written["mean_overlaps"]) == ["3"]
 
 
+def test_robustness_report_sorts_window_lengths_as_text(tmp_path):
+    rows = tuple(
+        pipeline.RobustnessRow(delta=delta, end_year=2013, t1=2013, t2=2013, edges_at_tier=1,
+                               overlap_at_tier=1.0, edges_at_lax=1, overlap_at_lax=1.0,
+                               outside_benchmark_span=False)
+        for delta in (3, 10)
+    )
+    report = pipeline.RobustnessReport("95", "90", 1, 0, rows)
+    exports.write_json(report.to_dict(), tmp_path / "report.json")
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(payload["mean_overlaps"]) == ["10", "3"]
+    assert payload["configurations"] == 2
+    assert sorted(payload) == ["benchmark_edges", "benchmark_tier", "configurations",
+                               "delta_t", "lax_tier", "mean_overlaps", "rows"]
+
+
+def test_every_json_artifact_is_sorted_indent_2_json(planted_panel_files, tmp_path):
+    cfg = _config(planted_panel_files, tmp_path, samples=100)
+    config_path = str(_write_config(cfg, tmp_path))
+    runner = CliRunner()
+    for command in (["ingest"], ["report"], ["robustness", "--deltas", "1,2"]):
+        result = runner.invoke(main, [*command, "--config", config_path])
+        assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    written = sorted(str(path.relative_to(out)) for path in out.rglob("*.json")
+                     if path.relative_to(out).parts[0] != "cache")
+    assert written == ["ingest.json", "lag_0/report.json", "manifest.json",
+                       "robustness/report.json"]
+    for rel in written:
+        text = (out / rel).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", rel
+
+
 def test_network_of_an_unconfigured_lag_is_a_key_error():
     result = pipeline.PipelineResult(
         lag_results=(pipeline.LagResult(LagSpec(0), _one_link_benchmark("T0", "10 P0", 10000)),),
