@@ -83,8 +83,9 @@ def _one_blas_thread():
     counts on exit, so contractions round the same way on any machine.
 
     The setting is global to the process: only a coordinating thread may
-    enter this, never a worker, whose restore would change the thread count
-    under another worker's GEMM. Without OpenBLAS it does nothing.
+    enter this, never a worker thread, whose restore would change the thread
+    count under another thread's GEMM. Separate processes, such as forked
+    pair workers, may each pin their own. Without OpenBLAS it does nothing.
     """
     controls = _openblas_thread_controls()
     previous = [get() for get, _ in controls]

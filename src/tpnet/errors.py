@@ -31,6 +31,9 @@ class FitError(TpnetError, RuntimeError):
         super().__init__(message)
         self.residual = residual
 
+    def __reduce__(self):  # pickle rebuilds it from both arguments
+        return type(self), (self.args[0], self.residual)
+
 
 class ConfigError(TpnetError, ValueError):
     """Invalid run configuration."""
@@ -42,3 +45,6 @@ class StageError(TpnetError, RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+    def __reduce__(self):  # pickle rebuilds it from both arguments
+        return type(self), (self.stage, self.args[0].removeprefix(f"[{self.stage}] "))

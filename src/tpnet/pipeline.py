@@ -22,7 +22,11 @@ other inputs is replaced. A pair keeps its counts, narrowed to uint16 (uint32
 above 65,535 samples), but not its empirical matrix: ``intersect_pairs``
 takes each lag's matrices and keeps only the edges' mean weights. Windows,
 RCA, contractions and fits are recomputed, so a rerun gives identical
-results.
+results. A command's cold pairs, those with no counts entry on disk, run in
+forked worker processes when at least two workers, one per available CPU,
+get at least two pairs each (``Run._validate_pairs``); the command's own
+process logs their drift warnings, tags their errors and records them in
+call order, so no output depends on the CPU count.
 
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
 ``Run``: it opens the output directory, the cache and ``manifest.json`` once,
@@ -42,7 +46,7 @@ import json
 import logging
 import os
 import zipfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -334,11 +338,10 @@ class Run:
         configured tier, under the ``validate_lag_<dt>`` tag; record the lag."""
         spec = self.lags[lag_index]
         stage = f"validate_lag_{spec.delta_t}"
+        jobs = [(self.cfg.delta, pair, (0, lag_index, pair_index))
+                for pair_index, pair in enumerate(spec.pairs)]
         with _stage(stage):
-            validations, empirical = zip(*(
-                self.validate_pair(self.cfg.delta, pair, (0, lag_index, pair_index))
-                for pair_index, pair in enumerate(spec.pairs)
-            ))
+            validations, empirical = zip(*self._validate_pairs(jobs, empirical=True))
             network = intersect_pairs(validations, self.cfg.tier, empirical)
         logger.info(
             "lag %d: %d edges at tier %s across %d pairs",
@@ -347,19 +350,53 @@ class Run:
         self.record(stage, pairs=[list(p) for p in spec.pairs], edges=network.edge_count)
         return LagResult(spec=spec, network=network)
 
+    def _validate_pairs(self, jobs, empirical: bool = False):
+        """Yield ``validate_pair``'s validation and, if ``empirical``, its
+        empirical matrix (else None) for each ``(delta, pair, stream_key)``
+        job in order, logging a drawn pair's drift as it is yielded.
+
+        Cold jobs, with no counts entry on disk, run in forked workers when
+        ``_fork_pool`` starts any; the others run here. Each result is
+        dropped once read, and the pool is shut down on every exit, its
+        queued jobs cancelled."""
+        cold = [i for i, (_, _, key) in enumerate(jobs)
+                if not (self.cache.root / f"{_counts_name(key)}.npz").exists()]
+        # a worker needs two pairs to pay for its fork: at the bench's N, two
+        # loops at once ran at half speed, and pooling a lag's two pairs lost
+        pool = _fork_pool(len(cold) // 2, self)
+        try:
+            futures = {} if pool is None else {
+                i: pool.submit(_forked_pair, jobs[i], empirical) for i in cold}
+            for i, (delta, pair, stream_key) in enumerate(jobs):
+                future = futures.pop(i, None)
+                validation, drift, values = (future.result() if future is not None
+                                             else self.validate_pair(delta, pair, stream_key))
+                for layer, worst in zip(("technology", "product"), drift):
+                    if worst > 4.0:
+                        logger.warning(
+                            "pair %s: %s layer sampled degrees drift %.2f sigma from "
+                            "expectation over %d draws",
+                            pair, layer, worst, self.cfg.samples,
+                        )
+                yield validation, values if empirical else None
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
     def validate_pair(
         self, delta: int, pair: tuple[int, int], stream_key: tuple[int, ...]
-    ) -> tuple[PairValidation, np.ndarray]:
+    ) -> tuple[PairValidation, tuple[float, ...], np.ndarray]:
         """One (t1, t2) pair: its ``delta``-year windows, RCA, alignment and
-        contraction, then its exceedance counts; the ``PairValidation`` and
-        the empirical matrix. Its errors are untagged: the caller tags them.
+        contraction, then its exceedance counts; the ``PairValidation``, the
+        sampling-bias drift and the empirical matrix. Its errors are untagged
+        and its drift unlogged: ``_validate_pairs`` tags and logs them.
 
         The counts are read from the cache entry ``counts-<stream_key>``, as
-        the ``PairValidation`` they build, or drawn by
+        the ``PairValidation`` they build, with no drift, or drawn by
         ``null_exceedance_counts`` and stored there as that validation's
-        narrowed counts. That one pass also audits
-        the sampling bias: a layer whose sampled degrees drift past 4 sigma
-        over the n draws gets a log warning, never a failure, since such an
+        narrowed counts. That one pass also audits the sampling bias: each
+        layer's largest |z| of its sampled degrees over the n draws. A layer
+        past 4 sigma gets a log warning, never a failure, since such an
         excursion happens by chance now and then.
         """
         n = self.cfg.samples
@@ -378,23 +415,53 @@ class Run:
             return PairValidation(empirical.tech_ids, empirical.product_ids,
                                   entry["counts"], n, *pair)
 
-        name = "counts-" + "-".join(map(str, stream_key))
+        name = _counts_name(stream_key)
         validation = self.cache.load(name, key, read)
         if validation is not None:
-            return validation, empirical.values
+            return validation, (), empirical.values
         counts, drift = null_exceedance_counts(
             tech_model, prod_model, empirical.values, n, self.cfg.seed, stream_key
         )
-        for layer, worst in zip(("technology", "product"), drift):
-            if worst > 4.0:
-                logger.warning(
-                    "pair %s: %s layer sampled degrees drift %.2f sigma from "
-                    "expectation over %d draws",
-                    pair, layer, worst, n,
-                )
         validation = read({"counts": counts, "n": np.array([n])})
         self.cache.store(name, key, counts=validation.exceed_counts, n=np.array([n]))
-        return validation, empirical.values
+        return validation, drift, empirical.values
+
+
+def _counts_name(stream_key: tuple[int, ...]) -> str:
+    return "counts-" + "-".join(map(str, stream_key))
+
+
+_forked_run: Optional[Run] = None  # in a forked worker, the run it inherited
+
+
+def _adopt(run: Run) -> None:
+    global _forked_run
+    _forked_run = run
+
+
+def _forked_pair(job, empirical: bool):
+    """``validate_pair`` of one job in a forked worker, on the panels it
+    inherited; the empirical matrix only if asked for."""
+    validation, drift, values = _forked_run.validate_pair(*job)
+    return validation, drift, values if empirical else None
+
+
+def _fork_pool(wanted: int, run: Run):
+    """A fork-context process pool of ``min(CPUs available, wanted)`` workers
+    that adopt ``run``, or None when that is below 2 or the platform has no
+    CPU affinity or no fork. Modules it needs are imported only here."""
+    try:
+        workers = min(len(os.sched_getaffinity(0)), wanted)
+    except AttributeError:  # no sched_getaffinity
+        return None
+    if workers < 2:
+        return None
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(run,))
 
 
 def _binary_for_window(
@@ -619,14 +686,16 @@ def run_robustness(
     benchmark_edges = benchmark.edge_count
     tier = benchmark.tier
 
+    # SeedSequence takes no negative spawn key: windows ending before year 0 get family 2
+    jobs = [(delta, (t1, t2), (1, delta, t2) if t2 >= 0 else (2, delta, -t2))
+            for delta in deltas
+            for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t)]
     rows = []
-    for delta in deltas:
-        for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t):
+    with closing(run._validate_pairs(jobs)) as validations:
+        for delta, (t1, t2), _ in jobs:
             stage = f"robustness_d{delta}_{t2}"
-            # SeedSequence takes no negative spawn key: windows ending before year 0 get family 2
-            stream_key = (1, delta, t2) if t2 >= 0 else (2, delta, -t2)
             with _stage(stage):
-                validation = run.validate_pair(delta, (t1, t2), stream_key)[0]
+                validation = next(validations)[0]
             at_tier = validation.tier_mask(tier)
             at_lax = validation.tier_mask(LAX_TIER)
             outside = not (span[0] <= t2 - delta + 1 and t2 <= span[1])

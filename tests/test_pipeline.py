@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import pickle
 import struct
 import zipfile
 from collections import Counter, defaultdict
@@ -567,25 +570,46 @@ def test_sampling_bias_flag_reports_every_draw(
     ]
 
 
-def _fit_fails_on_call(monkeypatch, failing_call):
-    """Patch the pipeline's fit so that its ``failing_call``-th call (from 1)
-    raises ``FitError``."""
-    real_fit, calls = pipeline.fit_bicm, []
+def _fit_fails_for(monkeypatch, delta, pair):
+    """Patch the pipeline's fit so that it raises ``FitError`` on the layers
+    of ``pair``'s ``delta``-year windows. It names the pair, not a call count,
+    so it holds in forked workers too, each of which counts its own calls."""
+    real_contract, real_fit, contracted = pipeline.contract_pair, pipeline.fit_bicm, []
+
+    def contract(d, tech_panel, prod_panel, p):
+        contracted[:] = [(d, p)]
+        return real_contract(d, tech_panel, prod_panel, p)
 
     def fit(binary):
-        calls.append(binary)
-        if len(calls) == failing_call:
+        if contracted == [(delta, pair)]:
             raise FitError("planted fit failure", residual=1.0)
         return real_fit(binary)
 
+    monkeypatch.setattr(pipeline, "contract_pair", contract)
     monkeypatch.setattr(pipeline, "fit_bicm", fit)
 
 
+def _cpus(monkeypatch, count):
+    """Patch the CPUs available to this process to ``count``; the worker
+    count of each ``_validate_pairs`` call's pool (None without one) is
+    appended to the list returned."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    real_pool, workers = pipeline._fork_pool, []
+
+    def fork_pool(wanted, run):
+        pool = real_pool(wanted, run)
+        workers.append(None if pool is None else pool._max_workers)
+        return pool
+
+    monkeypatch.setattr(pipeline, "_fork_pool", fork_pool)
+    return workers
+
+
 def test_failing_lag_pair_is_tagged_with_its_lag(planted_panel_files, tmp_path, monkeypatch):
-    # lag 0 fits both layers of its two pairs; the fifth fit is lag 2's first
+    # lag 0's pairs end in 2011 and 2013; lag 2's one pair is (2011, 2013)
     lags = (LagSpec(0), LagSpec(2, ((2011, 2013),)))
     cfg = _config(planted_panel_files, tmp_path, samples=30, lags=lags)
-    _fit_fails_on_call(monkeypatch, 5)
+    _fit_fails_for(monkeypatch, 2, (2011, 2013))
     with pytest.raises(StageError, match=r"^\[validate_lag_2\] planted fit failure$") as err:
         run_pipeline(cfg)
     assert isinstance(err.value.__cause__, FitError)
@@ -596,29 +620,99 @@ def test_failing_lag_pair_is_tagged_with_its_lag(planted_panel_files, tmp_path, 
 def test_failing_robustness_window_is_tagged_with_its_window(
     planted_panel_files, tmp_path, monkeypatch
 ):
-    # the benchmark's two pairs take 4 fits and the four 1-year windows 8;
-    # the 15th is the first fit of the second 2-year window, ending in 2012
-    cfg = _config(planted_panel_files, tmp_path, samples=30)
-    _fit_fails_on_call(monkeypatch, 15)
-    with pytest.raises(
-        StageError, match=r"^\[robustness_d2_2012\] planted fit failure$"
-    ) as err:
-        run_robustness(cfg, deltas=(1, 2))
-    assert isinstance(err.value.__cause__, FitError)
-    stages = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["stages"]
-    windows = sorted(stage for stage in stages if stage.startswith("robustness"))
-    assert windows == [
-        "robustness_d1_2010", "robustness_d1_2011", "robustness_d1_2012",
-        "robustness_d1_2013", "robustness_d2_2011",
-    ]
+    # the seven windows are cold, so at 2 CPUs two forked workers run them;
+    # the windows before the failing one are recorded in order either way
+    _fit_fails_for(monkeypatch, 2, (2012, 2012))
+    for cpus in (1, 2):
+        out = tmp_path / f"out_{cpus}"
+        cfg = _config(planted_panel_files, tmp_path, samples=30, output_dir=str(out))
+        with monkeypatch.context() as patch:
+            workers = _cpus(patch, cpus)
+            with pytest.raises(
+                StageError, match=r"^\[robustness_d2_2012\] planted fit failure$"
+            ) as err:
+                run_robustness(cfg, deltas=(1, 2))
+        assert isinstance(err.value.__cause__, FitError)
+        stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        windows = sorted(stage for stage in stages if stage.startswith("robustness"))
+        assert windows == [
+            "robustness_d1_2010", "robustness_d1_2011", "robustness_d1_2012",
+            "robustness_d1_2013", "robustness_d2_2011",
+        ]
+        assert workers == [None, None if cpus == 1 else 2]
+        assert multiprocessing.active_children() == []
 
 
 def test_validate_pair_raises_its_errors_untagged(planted_panel_files, tmp_path, monkeypatch):
     run = pipeline.Run.start(_config(planted_panel_files, tmp_path, samples=30))
-    _fit_fails_on_call(monkeypatch, 1)
+    _fit_fails_for(monkeypatch, 2, (2011, 2011))
     with pytest.raises(FitError) as err:
         run.validate_pair(2, (2011, 2011), (0, 0, 0))
     assert type(err.value) is FitError and str(err.value) == "planted fit failure"
+
+
+@pytest.mark.parametrize("error", [
+    FitError("fit stalled [at 3]", residual=0.25), StageError("robustness_d2_2012", "[x] failed"),
+])
+def test_errors_survive_pickling(error):
+    # a forked worker's error reaches the parent through pickle
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert getattr(copy, "residual", None) == getattr(error, "residual", None)
+    assert getattr(copy, "stage", None) == getattr(error, "stage", None)
+
+
+def test_cpu_count_changes_no_robustness_output(
+    planted_panel_files, tmp_path, monkeypatch, caplog
+):
+    # at 2 and 3 CPUs the seven cold windows run in forked workers, which
+    # inherit this patch: each window drifts by its own amount
+    real_counts = pipeline.null_exceedance_counts
+
+    def drifting_counts(*args):
+        counts, _ = real_counts(*args)
+        stream_key = args[5]
+        return counts, (3.0 + stream_key[1], 4.0 + stream_key[2] % 10 / 10)
+
+    monkeypatch.setattr(pipeline, "null_exceedance_counts", drifting_counts)
+    outputs, warnings = [], []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            workers = _cpus(patch, cpus)
+            cfg = _config(planted_panel_files, tmp_path, samples=50,
+                          output_dir=str(tmp_path / f"out_{cpus}"))
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tpnet.pipeline"):
+                result = CliRunner().invoke(main, [
+                    "robustness", "--config", str(_write_config(cfg, tmp_path)), "--deltas", "1,2",
+                ])
+            assert result.exit_code == 0, result.output
+            # the lag's two pairs run here; seven windows need at least two workers
+            assert workers == [None, None if cpus == 1 else cpus]
+            assert multiprocessing.active_children() == []
+            out = Path(cfg.output_dir)
+            files = {rel: (out / rel).read_bytes()
+                     for rel in ("robustness/report.json", "manifest.json")}
+            # an npz's zip headers hold its write time, so each member's bytes are compared
+            for entry in sorted((out / "cache").glob("counts-*.npz")):
+                with zipfile.ZipFile(entry) as zf:
+                    files.update({f"{entry.name}/{member}": zf.read(member)
+                                  for member in sorted(zf.namelist())})
+            outputs.append(files)
+            warnings.append([r.getMessage() for r in caplog.records])
+    assert len([name for name in outputs[0] if name.startswith("counts-")]) == 3 * 9
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # the lag's second pair drifts 4.1 sigma on its product layer; a window
+    # ending in 201e drifts 4.e on it, and a 2-year one 5 on its technology layer
+    drift = ("pair ({0}, {0}): {1} layer sampled degrees drift {2:.2f} sigma "
+             "from expectation over 50 draws")
+    assert warnings[0] == (
+        [drift.format(2013, "product", 4.1)]
+        + [drift.format(end, "product", 4 + end % 10 / 10) for end in (2011, 2012, 2013)]
+        + [drift.format(end, layer, worst) for end in (2011, 2012, 2013)
+           for layer, worst in (("technology", 5.0), ("product", 4 + end % 10 / 10))]
+    )
+    assert warnings[1] == warnings[0] and warnings[2] == warnings[0]
 
 
 def test_robustness_windows_ending_before_year_zero(tmp_path, monkeypatch):
