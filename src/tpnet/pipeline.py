@@ -22,11 +22,12 @@ other inputs is replaced. A pair keeps its counts, narrowed to uint16 (uint32
 above 65,535 samples), but not its empirical matrix: ``intersect_pairs``
 takes each lag's matrices and keeps only the edges' mean weights. Windows,
 RCA, contractions and fits are recomputed, so a rerun gives identical
-results. A command's cold pairs, those with no counts entry on disk, run in
-forked worker processes when at least two workers, one per available CPU,
-get at least two pairs each (``Run._validate_pairs``); the command's own
-process logs their drift warnings, tags their errors and records them in
-call order, so no output depends on the CPU count.
+results. A command's pairs all run in forked worker processes when at least
+two workers, one per available CPU, get at least two pairs each, and all in
+the command's own process otherwise (``Run._validate_pairs``); the number of
+pairs decides, and each pair's cache lookup runs where the pair does. The
+command's own process logs their drift warnings, tags their errors and
+records them in call order, so no output depends on the CPU count.
 
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
 ``Run``: it opens the output directory, the cache and ``manifest.json`` once,
@@ -48,6 +49,7 @@ import os
 import zipfile
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -137,7 +139,8 @@ class ArtifactCache:
         if not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
+            # np.load of a path would leak its handle when the file is no zip
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 if str(data["key"]) != key:
                     return None
                 arrays = {field: data[field] for field in data.files if field != "key"}
@@ -355,22 +358,18 @@ class Run:
         empirical matrix (else None) for each ``(delta, pair, stream_key)``
         job in order, logging a drawn pair's drift as it is yielded.
 
-        Cold jobs, with no counts entry on disk, run in forked workers when
-        ``_fork_pool`` starts any; the others run here. Each result is
-        dropped once read, and the pool is shut down on every exit, its
-        queued jobs cancelled."""
-        cold = [i for i, (_, _, key) in enumerate(jobs)
-                if not (self.cache.root / f"{_counts_name(key)}.npz").exists()]
+        Every job runs in forked workers when ``_fork_pool`` starts any for
+        ``len(jobs) // 2``, and here when it starts none: the job count
+        alone decides, and each job's cache lookup runs where the job does.
+        Each result is dropped once read, and the pool is shut down on every
+        exit, its queued jobs cancelled."""
         # a worker needs two pairs to pay for its fork: at the bench's N, two
         # loops at once ran at half speed, and pooling a lag's two pairs lost
-        pool = _fork_pool(len(cold) // 2, self)
+        pool = _fork_pool(len(jobs) // 2, self)
         try:
-            futures = {} if pool is None else {
-                i: pool.submit(_forked_pair, jobs[i], empirical) for i in cold}
-            for i, (delta, pair, stream_key) in enumerate(jobs):
-                future = futures.pop(i, None)
-                validation, drift, values = (future.result() if future is not None
-                                             else self.validate_pair(delta, pair, stream_key))
+            results = (starmap(self.validate_pair, jobs) if pool is None
+                       else pool.map(_forked_pair, jobs, repeat(empirical)))
+            for (_, pair, _), (validation, drift, values) in zip(jobs, results):
                 for layer, worst in zip(("technology", "product"), drift):
                     if worst > 4.0:
                         logger.warning(
@@ -415,7 +414,7 @@ class Run:
             return PairValidation(empirical.tech_ids, empirical.product_ids,
                                   entry["counts"], n, *pair)
 
-        name = _counts_name(stream_key)
+        name = "counts-" + "-".join(map(str, stream_key))
         validation = self.cache.load(name, key, read)
         if validation is not None:
             return validation, (), empirical.values
@@ -425,10 +424,6 @@ class Run:
         validation = read({"counts": counts, "n": np.array([n])})
         self.cache.store(name, key, counts=validation.exceed_counts, n=np.array([n]))
         return validation, drift, empirical.values
-
-
-def _counts_name(stream_key: tuple[int, ...]) -> str:
-    return "counts-" + "-".join(map(str, stream_key))
 
 
 _forked_run: Optional[Run] = None  # in a forked worker, the run it inherited

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, caching, robustness harness, and the CLI."""
 
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import struct
+import warnings
 import zipfile
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -512,6 +514,20 @@ def test_unreadable_cache_entry_is_a_miss(
         assert data["n"].tolist() == [cfg.samples]
 
 
+def test_unreadable_cache_entry_closes_its_file(tmp_path):
+    # a truncated entry fails in the zip reader after the file is open
+    cache = ArtifactCache(tmp_path)
+    cache.store("counts-0-0-0", "k", n=np.array([1]))
+    entry = tmp_path / "counts-0-0-0.npz"
+    entry.write_bytes(entry.read_bytes()[:14])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache.load("counts-0-0-0", "k", read=dict) is None
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    assert not entry.exists()
+
+
 def test_counts_entry_past_n_is_refused_before_it_is_narrowed(
     planted_panel_files, tmp_path, caplog
 ):
@@ -620,8 +636,8 @@ def test_failing_lag_pair_is_tagged_with_its_lag(planted_panel_files, tmp_path, 
 def test_failing_robustness_window_is_tagged_with_its_window(
     planted_panel_files, tmp_path, monkeypatch
 ):
-    # the seven windows are cold, so at 2 CPUs two forked workers run them;
-    # the windows before the failing one are recorded in order either way
+    # at 2 CPUs two forked workers run the seven windows; the windows before
+    # the failing one are recorded in order either way
     _fit_fails_for(monkeypatch, 2, (2012, 2012))
     for cpus in (1, 2):
         out = tmp_path / f"out_{cpus}"
@@ -662,11 +678,23 @@ def test_errors_survive_pickling(error):
     assert getattr(copy, "stage", None) == getattr(error, "stage", None)
 
 
+def _robustness_outputs(out):
+    """``robustness/report.json``, ``manifest.json`` and each member of every
+    counts entry under ``out``; an npz's zip headers hold its write time, so
+    each member's bytes are compared rather than the file's."""
+    files = {rel: (out / rel).read_bytes() for rel in ("robustness/report.json", "manifest.json")}
+    for entry in sorted((out / "cache").glob("counts-*.npz")):
+        with zipfile.ZipFile(entry) as zf:
+            files.update({f"{entry.name}/{member}": zf.read(member)
+                          for member in sorted(zf.namelist())})
+    return files
+
+
 def test_cpu_count_changes_no_robustness_output(
     planted_panel_files, tmp_path, monkeypatch, caplog
 ):
-    # at 2 and 3 CPUs the seven cold windows run in forked workers, which
-    # inherit this patch: each window drifts by its own amount
+    # at 2 and 3 CPUs the seven windows run in forked workers, which inherit
+    # this patch: each window drifts by its own amount
     real_counts = pipeline.null_exceedance_counts
 
     def drifting_counts(*args):
@@ -674,45 +702,51 @@ def test_cpu_count_changes_no_robustness_output(
         stream_key = args[5]
         return counts, (3.0 + stream_key[1], 4.0 + stream_key[2] % 10 / 10)
 
+    def robustness(out, *options):
+        """``tpnet robustness --deltas 1,2`` into ``out``: its outputs and warnings."""
+        cfg = _config(planted_panel_files, tmp_path, samples=50, output_dir=str(out))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="tpnet.pipeline"):
+            result = CliRunner().invoke(main, [
+                "robustness", "--config", str(_write_config(cfg, tmp_path)), "--deltas", "1,2",
+                *options,
+            ])
+        assert result.exit_code == 0, result.output
+        return _robustness_outputs(out), [r.getMessage() for r in caplog.records]
+
     monkeypatch.setattr(pipeline, "null_exceedance_counts", drifting_counts)
-    outputs, warnings = [], []
+    with monkeypatch.context() as patch:
+        _cpus(patch, 1)
+        reseeded, _ = robustness(tmp_path / "out_seed_8", "--seed", "8")
+    outputs, logged = [], []
     for cpus in (1, 2, 3):
+        out = tmp_path / f"out_{cpus}"
         with monkeypatch.context() as patch:
             workers = _cpus(patch, cpus)
-            cfg = _config(planted_panel_files, tmp_path, samples=50,
-                          output_dir=str(tmp_path / f"out_{cpus}"))
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="tpnet.pipeline"):
-                result = CliRunner().invoke(main, [
-                    "robustness", "--config", str(_write_config(cfg, tmp_path)), "--deltas", "1,2",
-                ])
-            assert result.exit_code == 0, result.output
-            # the lag's two pairs run here; seven windows need at least two workers
-            assert workers == [None, None if cpus == 1 else cpus]
-            assert multiprocessing.active_children() == []
-            out = Path(cfg.output_dir)
-            files = {rel: (out / rel).read_bytes()
-                     for rel in ("robustness/report.json", "manifest.json")}
-            # an npz's zip headers hold its write time, so each member's bytes are compared
-            for entry in sorted((out / "cache").glob("counts-*.npz")):
-                with zipfile.ZipFile(entry) as zf:
-                    files.update({f"{entry.name}/{member}": zf.read(member)
-                                  for member in sorted(zf.namelist())})
-            outputs.append(files)
-            warnings.append([r.getMessage() for r in caplog.records])
+            cold, cold_warnings = robustness(out)
+            # a warm rerun reads all nine entries back, wherever its pairs run,
+            # and a rerun at another seed replaces them all
+            assert robustness(out) == (cold, [])
+            assert robustness(out, "--seed", "8")[0] == reseeded
+        # the lag's two pairs run here; seven windows need at least two workers
+        assert workers == [None, None if cpus == 1 else cpus] * 3
+        assert multiprocessing.active_children() == []
+        outputs.append(cold)
+        logged.append(cold_warnings)
     assert len([name for name in outputs[0] if name.startswith("counts-")]) == 3 * 9
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert reseeded.keys() == outputs[0].keys() and reseeded != outputs[0]
     # the lag's second pair drifts 4.1 sigma on its product layer; a window
     # ending in 201e drifts 4.e on it, and a 2-year one 5 on its technology layer
     drift = ("pair ({0}, {0}): {1} layer sampled degrees drift {2:.2f} sigma "
              "from expectation over 50 draws")
-    assert warnings[0] == (
+    assert logged[0] == (
         [drift.format(2013, "product", 4.1)]
         + [drift.format(end, "product", 4 + end % 10 / 10) for end in (2011, 2012, 2013)]
         + [drift.format(end, layer, worst) for end in (2011, 2012, 2013)
            for layer, worst in (("technology", 5.0), ("product", 4 + end % 10 / 10))]
     )
-    assert warnings[1] == warnings[0] and warnings[2] == warnings[0]
+    assert logged[1] == logged[0] and logged[2] == logged[0]
 
 
 def test_robustness_windows_ending_before_year_zero(tmp_path, monkeypatch):
@@ -736,22 +770,31 @@ def test_robustness_windows_ending_before_year_zero(tmp_path, monkeypatch):
         + [f"counts-2-2-{end}.npz" for end in (1, 2, 3)]
     )
 
-    # a warm rerun reads every counts entry back and draws nothing
-    hits, load = [], ArtifactCache.load
+    # a warm rerun reads every counts entry back and draws nothing, at 2 CPUs
+    # in forked workers, so each hit is logged to a file they append to too
+    hit_log, load = tmp_path / "hits.txt", ArtifactCache.load
 
-    def counting_load(self, name, key, read):
+    def logging_load(self, name, key, read):
         found = load(self, name, key, read)
         if found is not None:
-            hits.append(name)
+            with open(hit_log, "a", encoding="utf-8") as fh:
+                fh.write(f"{name}\n")
         return found
 
     def no_draws(*args):
         raise AssertionError("the warm run drew null samples")
 
-    monkeypatch.setattr(ArtifactCache, "load", counting_load)
+    monkeypatch.setattr(ArtifactCache, "load", logging_load)
     monkeypatch.setattr(pipeline, "null_exceedance_counts", no_draws)
-    assert run_robustness(cfg, deltas=(1, 2)) == report
-    assert sorted(f"{name}.npz" for name in hits if name.startswith("counts-")) == entries
+    for cpus in (1, 2):
+        hit_log.unlink(missing_ok=True)
+        with monkeypatch.context() as patch:
+            workers = _cpus(patch, cpus)
+            assert run_robustness(cfg, deltas=(1, 2)) == report
+        assert workers == [None, None if cpus == 1 else 2]
+        assert multiprocessing.active_children() == []
+        hits = hit_log.read_text(encoding="utf-8").split()
+        assert sorted(f"{name}.npz" for name in hits if name.startswith("counts-")) == entries
 
 
 def test_robustness_overlap_on_matching_configuration(planted_panel_files, tmp_path):
