@@ -191,7 +191,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def serialize_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    from .exports import write_json  # at module level it would reorder the package's imports
+
+    write_json(config_to_dict(cfg), path)

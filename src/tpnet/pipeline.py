@@ -37,7 +37,7 @@ resolves the lags under ``configure``.
 Each completed stage is recorded through the run's ``record``, with the files
 it wrote; the manifest is written by ``exports.write_json``, the encoder of
 every JSON artifact, to a temp file that replaces it, so a killed run never
-leaves a partial one. Only ``run_pipeline(write=False)`` records nothing.
+leaves a partial one.
 """
 
 from __future__ import annotations
@@ -106,14 +106,11 @@ def _publish(path: Path, write) -> None:
 class ArtifactCache:
     """npz store of one entry per artifact, ``<name>.npz``, holding the
     content ``key`` of the inputs it was made from; its directory is created
-    by the first store. Opening it removes the entries of earlier layouts,
-    which were named by their 64-hex content key."""
+    by the first store. Opening it touches no file, and only the entries
+    that ``load`` is asked for by name are ever read."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        for kind in ("counts", "panel"):
-            for old in self.root.glob(f"{kind}-*{'[0-9a-f]' * 64}.npz"):
-                old.unlink(missing_ok=True)
 
     @staticmethod
     def key(*parts) -> str:
@@ -276,20 +273,17 @@ class Run:
     goes through ``record`` with the files it wrote. A previous manifest for
     the same config is extended; one for another config, or one that cannot
     be read back as a JSON object with a ``stages`` object and an ``outputs``
-    list of paths, is replaced. With ``recorded=False`` the manifest is
-    neither read nor written.
+    list of paths, is replaced.
     """
 
-    def __init__(self, cfg: RunConfig, recorded: bool = True):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.out_dir = Path(cfg.output_dir)
         self.cache = ArtifactCache(self.out_dir / "cache")
-        self.manifest = self.out_dir / "manifest.json" if recorded else None
+        self.manifest = self.out_dir / "manifest.json"
         snapshot = config_to_dict(cfg)
         snapshot.pop("output_dir", None)
         self.data = {"config": snapshot, "stages": {}, "outputs": []}
-        if self.manifest is None:
-            return
         try:
             previous = json.loads(self.manifest.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -306,9 +300,9 @@ class Run:
             self.data = previous
 
     @classmethod
-    def ingest(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
+    def ingest(cls, cfg: RunConfig) -> "Run":
         """Open the run and read both panels under the ``ingest`` tag."""
-        run = cls(cfg, recorded)
+        run = cls(cfg)
         with _stage("ingest"):
             run.tech, run.prod = load_panels(cfg, run.cache)
         run.record("ingest", technology_shape=list(run.tech.shape),
@@ -316,9 +310,9 @@ class Run:
         return run
 
     @classmethod
-    def start(cls, cfg: RunConfig, recorded: bool = True) -> "Run":
+    def start(cls, cfg: RunConfig) -> "Run":
         """``Run.ingest``, then resolve the lags under the ``configure`` tag."""
-        run = cls.ingest(cfg, recorded)
+        run = cls.ingest(cfg)
         with _stage("configure"):
             run.lags = resolve_lags(cfg, run.tech, run.prod)
         run.record("configure", lags=[
@@ -329,8 +323,6 @@ class Run:
 
     def record(self, stage: str, outputs: Sequence[Path] = (), **info) -> None:
         """Record ``stage`` with ``info`` and the files it wrote, in one write."""
-        if self.manifest is None:
-            return
         self.data["stages"][stage] = dict(sorted(info.items()))
         written = {str(path.relative_to(self.out_dir)) for path in outputs}
         self.data["outputs"] = sorted(written.union(self.data["outputs"]))
@@ -527,12 +519,13 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute every configured lag end to end and write all artifacts.
 
-    With ``write=False`` the run stays in memory (no outputs, no manifest);
-    the on-disk cache under the output directory is still used. With
-    ``reports=False`` only the per-lag network files are written, not the
-    JSON reports, rankings, or curves.
+    With ``write=False`` no network, report, ranking or curve file is
+    written; the cache is still used, and the manifest still records the
+    ``ingest``, ``configure``, ``validate_lag_<dt>`` and ``efc`` stages,
+    with no file listed. With ``reports=False`` only the per-lag network
+    files are written, not the JSON reports, rankings, or curves.
     """
-    run = Run.start(cfg, recorded=write)
+    run = Run.start(cfg)
     lag_results = [run.validate_lag(lag_index) for lag_index in range(len(run.lags))]
     with _stage("efc"):
         rankings, efc_info = compute_rankings(cfg, run.tech, run.prod, run.lags)

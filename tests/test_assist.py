@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tpnet
-from tpnet import AxisMismatchError, compute_assist
+from tpnet import AxisMismatchError, assist, compute_assist
 from tpnet.assist import _assist_values, _one_blas_thread, _openblas_thread_controls
 from tpnet.rca import BinaryMatrix
 
@@ -199,6 +199,35 @@ def test_one_blas_thread_pins_and_restores(prior):
     finally:
         for (_, set_threads), count in zip(controls, start):
             set_threads(count)
+
+
+def test_without_proc_self_maps_no_thread_count_is_pinned(monkeypatch):
+    # a platform without /proc/self/maps finds no controls: the pin does
+    # nothing, and the contraction gives the same values
+    rng = np.random.default_rng(5)
+    tech, prod = _layers(random_binary(rng, (9, 6), 0.4), random_binary(rng, (9, 7), 0.4))
+    pinned = compute_assist(tech, prod).values
+    controls = _openblas_thread_controls()
+    start = [get() for get, _ in controls]
+
+    def no_maps(*args, **kwargs):
+        raise OSError("no /proc/self/maps")
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(assist, "open", no_maps, raising=False)
+            _openblas_thread_controls.cache_clear()
+            assert _openblas_thread_controls() == ()
+            for _, set_threads in controls:
+                set_threads(2)
+            with _one_blas_thread():
+                assert [get() for get, _ in controls] == [2] * len(controls)
+            values = compute_assist(tech, prod).values
+    finally:
+        _openblas_thread_controls.cache_clear()
+        for (_, set_threads), count in zip(controls, start):
+            set_threads(count)
+    assert np.array_equal(values, pinned)
 
 
 _CONTRACTION_DIGEST = """

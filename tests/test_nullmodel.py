@@ -98,6 +98,29 @@ def test_nonconvergence_carries_residual(monkeypatch):
     assert err.value.residual > 0
 
 
+def test_fit_reaching_the_tolerance_on_its_last_iteration_returns(monkeypatch):
+    # the smallest budget that fits reaches the tolerance on its last allowed
+    # iteration, so the solve returns after its loop, not inside it
+    m = _binary(random_binary(np.random.default_rng(3), (12, 15), 0.4))
+
+    def fit(budget):
+        monkeypatch.setattr(nullmodel, "_MAX_ITERATIONS", budget)
+        return fit_bicm(m)
+
+    budget = 1
+    while True:
+        try:
+            model = fit(budget)
+        except FitError:
+            budget += 1
+        else:
+            break
+    assert budget > 1
+    assert model.fit_residual <= 1e-8
+    with pytest.raises(FitError, match="^no convergence within"):
+        fit(budget - 1)
+
+
 def test_infeasible_degrees_stall_with_residual():
     # row total 5 against column total 8: no fit exists, so steps are halved until the solve stalls
     with pytest.raises(FitError, match="^fixed-point stalled at residual") as err:

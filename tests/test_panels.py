@@ -389,6 +389,18 @@ def test_row_loop_shapes_are_refused_by_the_block_that_holds_them(tmp_path, monk
         assert _outcome(read_panel_csv, path) == expected
 
 
+@pytest.mark.parametrize("body, fields", [
+    ("A,x,2000,1,5\nB,y,2000\n", 5), ("A,x,2000\nB,y,2000,1,5\n", 3),
+], ids=["4-then-2", "2-then-4"])
+def test_block_reader_refuses_misplaced_commas(tmp_path, body, fields):
+    # 3 commas per line on average, so the count passes and their placement refuses the block
+    path = tmp_path / "panel.csv"
+    path.write_text("country,activity,year,value\n" + body, encoding="utf-8")
+    assert panels._read_blocks(path) is None
+    with pytest.raises(PanelError, match=rf":2: expected 4 fields, got {fields}$"):
+        read_panel_csv(path, "product")
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_block_reader_reads_a_file_whose_last_byte_is_a_lone_cr(tmp_path, monkeypatch, newline):
     path = tmp_path / "panel.csv"

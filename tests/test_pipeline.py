@@ -204,9 +204,16 @@ def test_manifest_records_every_stage_and_output(planted_panel_files, tmp_path):
         ],
     }
 
+    # a run that writes no file still records its stages, and lists no file
     memory = tmp_path / "memory"
     run_pipeline(cfg.replace(output_dir=str(memory)), write=False)
-    assert not (memory / "manifest.json").exists()
+    recorded = ("ingest", "configure", "validate_lag_0", "validate_lag_2", "efc")
+    assert json.loads((memory / "manifest.json").read_text(encoding="utf-8")) == {
+        "config": snapshot,
+        "stages": {stage: manifest["stages"][stage] for stage in recorded},
+        "outputs": [],
+    }
+    assert not list(memory.glob("lag_*"))
 
 
 def test_efc_stage_records_each_layers_fit(planted_panel_files, tmp_path):
@@ -387,20 +394,25 @@ def test_entry_under_another_key_is_a_silent_miss_and_is_replaced(
         assert np.array_equal(x.exceed_counts, y.exceed_counts)
 
 
-def test_opening_the_cache_removes_entries_of_the_old_layouts(tmp_path):
-    # earlier layouts named an entry by its content key, with or without a
-    # format tag before it; temp files and other names stay
-    root = tmp_path / "cache"
-    root.mkdir()
+def test_opening_a_run_changes_no_file(planted_panel_files, tmp_path):
+    # beside the current entries: entries named by their content key, as
+    # earlier layouts named them, with or without a format tag before it,
+    # another run's temp file and other names. Opening the cache, then a run,
+    # reads only the current panel entries and removes nothing.
+    cfg = _config(planted_panel_files, tmp_path)
+    out = tmp_path / "out"
+    pipeline.Run.start(cfg)
     key = ArtifactCache.key(1)
-    old = [f"counts-{key}.npz", f"counts-0123abcd-{key}.npz",
-           f"panel-{key}.npz", f"panel-0123abcd-{key}.npz"]
-    kept = [f"panel-0123abcd-{key}.999.tmp.npz", "panel-notes.npz", f"notes-{key}.npz",
-            "counts-0-0-0.npz", "panel-product.npz"]
-    for name in old + kept:
-        (root / name).write_bytes(b"planted")
-    ArtifactCache(root)
-    assert sorted(p.name for p in root.iterdir()) == sorted(kept)
+    for name in (f"counts-{key}.npz", f"counts-0123abcd-{key}.npz",
+                 f"panel-{key}.npz", f"panel-0123abcd-{key}.npz",
+                 f"panel-0123abcd-{key}.999.tmp.npz", "panel-notes.npz", f"notes-{key}.npz",
+                 "counts-0-0-0.npz"):
+        (out / "cache" / name).write_bytes(b"planted")
+    files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(files) == 11  # the manifest, two panel entries and the eight planted
+    ArtifactCache(out / "cache")
+    pipeline.Run.start(cfg)
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
 
 
 def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp_path):
@@ -409,7 +421,8 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
     # binomial-block class loop and the jumped-substream loop stored their
     # counts, one under another name tag, and the pair's entry under the
     # jumped-substream key: every cell at n, so reading any would keep every
-    # link. The run reads none, and its store replaces the pair's entry.
+    # link. The run reads none, and its store replaces the pair's entry; the
+    # entries under other names stay, unread.
     cfg = _config(
         planted_panel_files, tmp_path, samples=30, lags=(LagSpec(0, ((2013, 2013),)),)
     )
@@ -434,7 +447,8 @@ def test_counts_of_another_sampling_scheme_are_not_read(planted_panel_files, tmp
              key=np.array(ArtifactCache.key("counts", *earlier[-1], *inputs)))
     counts = run_pipeline(cfg, write=False).lag_results[0].validations[0].exceed_counts
     assert not np.array_equal(counts, planted)
-    assert [p.name for p in cache_dir.glob("counts-*.npz")] == ["counts-0-0-0.npz"]
+    assert sorted(p.name for p in cache_dir.glob("counts-*.npz")) == sorted(
+        names + ["counts-0-0-0.npz"])
 
     # an entry under the current scheme's key is what a rerun reads
     key = ArtifactCache.key("counts", nullmodel.SAMPLING_SCHEME, *inputs)
@@ -747,6 +761,31 @@ def test_cpu_count_changes_no_robustness_output(
            for layer, worst in (("technology", 5.0), ("product", 4 + end % 10 / 10))]
     )
     assert logged[1] == logged[0] and logged[2] == logged[0]
+
+
+@pytest.mark.parametrize("platform", ["no_cpu_affinity", "no_fork"])
+def test_without_a_fork_pool_every_pair_runs_here(
+    planted_panel_files, tmp_path, monkeypatch, platform
+):
+    # at 2 CPUs the seven windows would start two workers; a platform without
+    # CPU affinity or without fork starts none and writes what 1 CPU writes
+    def robustness(out):
+        cfg = _config(planted_panel_files, tmp_path, samples=30, output_dir=str(out))
+        run_robustness(cfg, deltas=(1, 2))
+        return _robustness_outputs(out)
+
+    with monkeypatch.context() as patch:
+        _cpus(patch, 1)
+        alone = robustness(tmp_path / "out_1")
+    with monkeypatch.context() as patch:
+        workers = _cpus(patch, 2)
+        if platform == "no_cpu_affinity":
+            patch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert robustness(tmp_path / "out_2") == alone
+    assert workers == [None, None]
+    assert multiprocessing.active_children() == []
 
 
 def test_robustness_windows_ending_before_year_zero(tmp_path, monkeypatch):
