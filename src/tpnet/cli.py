@@ -18,7 +18,6 @@ from .errors import TpnetError
 from .panels import aggregate_window
 from .pipeline import (
     Run,
-    _stage,
     _write_tables,
     compute_rankings,
     contract_pair,
@@ -76,19 +75,19 @@ def ingest(cfg):
     """Load and check the two panels; write a summary."""
     run = Run.ingest(cfg)
     path = run.out_dir / "ingest.json"
-    exports.write_json(
-        {
-            panel.layer_kind: {
-                "countries": len(panel.country_ids),
-                "activities": len(panel.activity_ids),
-                "years": list(panel.years),
-            }
-            for panel in (run.tech, run.prod)
-        },
-        path,
-    )
-    # the same stage, now with the summary among its files
-    run.record("ingest", outputs=[path], **run.data["stages"]["ingest"])
+    with run.stage("ingest") as entry:  # the same stage, now with the summary among its files
+        entry.update(run.data["stages"]["ingest"], outputs=[path])
+        exports.write_json(
+            {
+                panel.layer_kind: {
+                    "countries": len(panel.country_ids),
+                    "activities": len(panel.activity_ids),
+                    "years": list(panel.years),
+                }
+                for panel in (run.tech, run.prod)
+            },
+            path,
+        )
     for panel in (run.tech, run.prod):
         click.echo(
             f"{panel.layer_kind} panel: {len(panel.country_ids)} countries x "
@@ -104,19 +103,17 @@ def rca(cfg):
     tech_ends, prod_ends = zip(*(pair for spec in run.lags for pair in spec.pairs))
     out = run.out_dir / "rca"
     out.mkdir(exist_ok=True)
-    written = []
-    for panel, ends in ((run.tech, tech_ends), (run.prod, prod_ends)):
-        for end in sorted(set(ends)):
-            with _stage("rca"):
+    with run.stage("rca") as entry:
+        for panel, ends in ((run.tech, tech_ends), (run.prod, prod_ends)):
+            for end in sorted(set(ends)):
                 ratios = compute_rca(aggregate_window(panel, cfg.delta, end))
                 binary = binarize(ratios)
-            stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
-            for name, matrix in ((f"rca_{stem}.csv", ratios), (f"m_{stem}.csv", binary)):
-                exports.write_matrix_csv(
-                    matrix.country_ids, matrix.activity_ids, matrix.values, out / name
-                )
-                written.append(out / name)
-    run.record("rca", outputs=written)
+                stem = f"{panel.layer_kind}_{cfg.delta}_{end}"
+                for name, matrix in ((f"rca_{stem}.csv", ratios), (f"m_{stem}.csv", binary)):
+                    exports.write_matrix_csv(
+                        matrix.country_ids, matrix.activity_ids, matrix.values, out / name
+                    )
+                    entry["outputs"].append(out / name)
     click.echo(f"wrote RCA and binary matrices to {out}")
 
 
@@ -127,14 +124,12 @@ def assist(cfg):
     run = Run.start(cfg)
     out = run.out_dir / "assist"
     out.mkdir(exist_ok=True)
-    written = []
-    for spec in run.lags:
-        for t1, t2 in spec.pairs:
-            with _stage("assist"):
+    with run.stage("assist") as entry:
+        for spec in run.lags:
+            for t1, t2 in spec.pairs:
                 _, _, matrix = contract_pair(cfg.delta, run.tech, run.prod, (t1, t2))
-            written.append(out / f"assist_{t1}_{t2}.csv")
-            exports.write_assist_csv(matrix, written[-1])
-    run.record("assist", outputs=written)
+                entry["outputs"].append(out / f"assist_{t1}_{t2}.csv")
+                exports.write_assist_csv(matrix, entry["outputs"][-1])
     click.echo(f"wrote assist matrices to {out}")
 
 
@@ -158,10 +153,10 @@ def validate(cfg):
 def efc(cfg):
     """Write complexity rankings for the most recent configured windows."""
     run = Run.start(cfg)
-    with _stage("efc"):
+    with run.stage("efc") as entry:
         rankings, info = compute_rankings(cfg, run.tech, run.prod, run.lags)
         written = _write_tables(run.out_dir, rankings)
-    run.record("efc", outputs=written, **info)
+        entry.update(info, outputs=written)
     click.echo(f"wrote rankings to {written[0].parent}")
 
 

@@ -32,12 +32,12 @@ records them in call order, so no output depends on the CPU count.
 Every command, ``run_pipeline`` and ``run_robustness`` among them, is one
 ``Run``: it opens the output directory, the cache and ``manifest.json`` once,
 each created by its first write (a failed ingest writes nothing), reads the
-panels under the ``ingest`` tag and, for every command but ``tpnet ingest``,
-resolves the lags under ``configure``.
-Each completed stage is recorded through the run's ``record``, with the files
-it wrote; the manifest is written by ``exports.write_json``, the encoder of
-every JSON artifact, to a temp file that replaces it, so a killed run never
-leaves a partial one.
+panels in the ``ingest`` stage and, for every command but ``tpnet ingest``,
+resolves the lags in ``configure``. Each stage is one ``Run.stage`` block,
+which tags the block's errors with the stage and, once the block completes,
+records the stage with the files it wrote; the manifest is written by
+``exports.write_json``, the encoder of every JSON artifact, to a temp file
+that replaces it, so a killed run never leaves a partial one.
 """
 
 from __future__ import annotations
@@ -184,15 +184,6 @@ class PipelineResult:
         raise KeyError(f"no network for lag {delta_t}")
 
 
-@contextmanager
-def _stage(tag: str):
-    """Tag a ``TpnetError`` raised in the block as ``StageError(tag, …)``."""
-    try:
-        yield
-    except TpnetError as exc:
-        raise StageError(tag, str(exc)) from exc
-
-
 # Part of a panel entry's key, beside PANEL_FORMAT, so an entry of the earlier
 # layout (one ``values`` stack of every year) is a silent miss and is replaced.
 _PANEL_LAYOUT = "one member per year"
@@ -267,13 +258,13 @@ def resolve_lags(cfg: RunConfig, tech: ActivityPanel, prod: ActivityPanel) -> tu
 
 class Run:
     """One command over its output directory, opening the directory, its
-    cache and its ``manifest.json`` once. ``Run.ingest`` reads the panels
-    through that cache under the ``ingest`` tag; ``Run.start`` then resolves
-    the lags under ``configure``. Both record their stage; every later stage
-    goes through ``record`` with the files it wrote. A previous manifest for
-    the same config is extended; one for another config, or one that cannot
-    be read back as a JSON object with a ``stages`` object and an ``outputs``
-    list of paths, is replaced.
+    cache and its ``manifest.json`` once. Every stage is one ``stage``
+    block, the only writer of the manifest: ``Run.ingest`` reads the panels
+    through that cache in ``ingest``, and ``Run.start`` then resolves the
+    lags in ``configure``. A previous manifest for the same config is
+    extended; one for another config, or one that cannot be read back as a
+    JSON object with a ``stages`` object and an ``outputs`` list of paths, is
+    replaced.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -301,48 +292,57 @@ class Run:
 
     @classmethod
     def ingest(cls, cfg: RunConfig) -> "Run":
-        """Open the run and read both panels under the ``ingest`` tag."""
+        """Open the run and read both panels in the ``ingest`` stage."""
         run = cls(cfg)
-        with _stage("ingest"):
+        with run.stage("ingest") as entry:
             run.tech, run.prod = load_panels(cfg, run.cache)
-        run.record("ingest", technology_shape=list(run.tech.shape),
-                   product_shape=list(run.prod.shape))
+            entry.update(technology_shape=list(run.tech.shape),
+                         product_shape=list(run.prod.shape))
         return run
 
     @classmethod
     def start(cls, cfg: RunConfig) -> "Run":
-        """``Run.ingest``, then resolve the lags under the ``configure`` tag."""
+        """``Run.ingest``, then resolve the lags in the ``configure`` stage."""
         run = cls.ingest(cfg)
-        with _stage("configure"):
+        with run.stage("configure") as entry:
             run.lags = resolve_lags(cfg, run.tech, run.prod)
-        run.record("configure", lags=[
-            {"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
-            for spec in run.lags
-        ])
+            entry["lags"] = [{"delta_t": spec.delta_t, "pairs": [list(p) for p in spec.pairs]}
+                             for spec in run.lags]
         return run
 
-    def record(self, stage: str, outputs: Sequence[Path] = (), **info) -> None:
-        """Record ``stage`` with ``info`` and the files it wrote, in one write."""
-        self.data["stages"][stage] = dict(sorted(info.items()))
-        written = {str(path.relative_to(self.out_dir)) for path in outputs}
+    @contextmanager
+    def stage(self, tag: str):
+        """One stage: yield its manifest entry, whose ``outputs`` list takes
+        the files the stage writes. A ``TpnetError`` raised in the block is
+        raised as ``StageError(tag, …)``, but one from a stage nested inside
+        passes unchanged. When the block completes, the stage is recorded
+        with the entry's other items and its files, in one write."""
+        entry = {"outputs": []}
+        try:
+            yield entry
+        except StageError:
+            raise
+        except TpnetError as exc:
+            raise StageError(tag, str(exc)) from exc
+        written = {str(path.relative_to(self.out_dir)) for path in entry["outputs"]}
+        self.data["stages"][tag] = {key: entry[key] for key in sorted(entry) if key != "outputs"}
         self.data["outputs"] = sorted(written.union(self.data["outputs"]))
         _publish(self.manifest, lambda tmp: exports.write_json(self.data, tmp))
 
     def validate_lag(self, lag_index: int) -> LagResult:
         """Validate every pair of one configured lag and intersect them at the
-        configured tier, under the ``validate_lag_<dt>`` tag; record the lag."""
+        configured tier, in the stage ``validate_lag_<dt>``."""
         spec = self.lags[lag_index]
-        stage = f"validate_lag_{spec.delta_t}"
         jobs = [(self.cfg.delta, pair, (0, lag_index, pair_index))
                 for pair_index, pair in enumerate(spec.pairs)]
-        with _stage(stage):
+        with self.stage(f"validate_lag_{spec.delta_t}") as entry:
             validations, empirical = zip(*self._validate_pairs(jobs, empirical=True))
             network = intersect_pairs(validations, self.cfg.tier, empirical)
-        logger.info(
-            "lag %d: %d edges at tier %s across %d pairs",
-            spec.delta_t, network.edge_count, self.cfg.tier, len(spec.pairs),
-        )
-        self.record(stage, pairs=[list(p) for p in spec.pairs], edges=network.edge_count)
+            logger.info(
+                "lag %d: %d edges at tier %s across %d pairs",
+                spec.delta_t, network.edge_count, self.cfg.tier, len(spec.pairs),
+            )
+            entry.update(pairs=[list(p) for p in spec.pairs], edges=network.edge_count)
         return LagResult(spec=spec, network=network)
 
     def _validate_pairs(self, jobs, empirical: bool = False):
@@ -527,9 +527,9 @@ def run_pipeline(
     """
     run = Run.start(cfg)
     lag_results = [run.validate_lag(lag_index) for lag_index in range(len(run.lags))]
-    with _stage("efc"):
+    with run.stage("efc") as entry:
         rankings, efc_info = compute_rankings(cfg, run.tech, run.prod, run.lags)
-    run.record("efc", **efc_info)
+        entry.update(efc_info)
 
     curves: list[LinkDifferenceCurve] = []
     if len(lag_results) >= 2:
@@ -545,21 +545,18 @@ def run_pipeline(
         meta = {"delta": cfg.delta, "samples": cfg.samples, "seed": cfg.seed,
                 "tier": cfg.tier, "digits": cfg.digits}
         for result in lag_results:
-            stage = f"report_lag_{result.spec.delta_t}"
             lag_dir = run.out_dir / f"lag_{result.spec.delta_t}"
-            written = [lag_dir / "edges.csv", lag_dir / "network.graphml"]
-            with _stage(stage):
+            with run.stage(f"report_lag_{result.spec.delta_t}") as entry:
+                written = entry["outputs"] = [lag_dir / "edges.csv", lag_dir / "network.graphml"]
                 lag_dir.mkdir(parents=True, exist_ok=True)
                 exports.write_network(result.network, *written, sections)
                 if reports:
                     report = degree_report(result.network, sections)
                     exports.write_report(result.network, report, meta, lag_dir / "report.json")
                     written.append(lag_dir / "report.json")
-            run.record(stage, outputs=written)
         if reports:
-            with _stage("report"):
-                written = _write_tables(run.out_dir, rankings, curves)
-            run.record("report", outputs=written)
+            with run.stage("report") as entry:
+                entry["outputs"] = _write_tables(run.out_dir, rankings, curves)
 
     return PipelineResult(
         lag_results=tuple(lag_results),
@@ -662,61 +659,60 @@ def run_robustness(
     run = Run.start(cfg)
     if benchmark is None:
         benchmark = run.validate_lag(0).network
-    with _stage("robustness"):
+    with run.stage("robustness") as entry:
         if benchmark.edge_count == 0:
             raise ConfigError("benchmark network has no edges to recover")
         if (benchmark.tech_ids, benchmark.product_ids) != (run.tech.activity_ids,
                                                            run.prod.activity_ids):
             raise ConfigError("benchmark axes do not match the configured panels")
-    delta_t = benchmark.lag if benchmark.lag is not None else run.lags[0].delta_t
-    bench_t2 = [t2 for _, t2 in benchmark.pairs]
-    span = (min(bench_t2) - cfg.delta + 1, max(bench_t2))
-    benchmark_edges = benchmark.edge_count
-    tier = benchmark.tier
+        delta_t = benchmark.lag if benchmark.lag is not None else run.lags[0].delta_t
+        bench_t2 = [t2 for _, t2 in benchmark.pairs]
+        span = (min(bench_t2) - cfg.delta + 1, max(bench_t2))
+        benchmark_edges = benchmark.edge_count
+        tier = benchmark.tier
 
-    # SeedSequence takes no negative spawn key: windows ending before year 0 get family 2
-    jobs = [(delta, (t1, t2), (1, delta, t2) if t2 >= 0 else (2, delta, -t2))
-            for delta in deltas
-            for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t)]
-    rows = []
-    with closing(run._validate_pairs(jobs)) as validations:
-        for delta, (t1, t2), _ in jobs:
-            stage = f"robustness_d{delta}_{t2}"
-            with _stage(stage):
-                validation = next(validations)[0]
-            at_tier = validation.tier_mask(tier)
-            at_lax = validation.tier_mask(LAX_TIER)
-            outside = not (span[0] <= t2 - delta + 1 and t2 <= span[1])
-            rows.append(
-                RobustnessRow(
-                    delta=delta,
-                    end_year=t2,
-                    t1=t1,
-                    t2=t2,
-                    edges_at_tier=int(np.count_nonzero(at_tier)),
-                    overlap_at_tier=int(np.count_nonzero(at_tier & benchmark.mask))
-                    / benchmark_edges,
-                    edges_at_lax=int(np.count_nonzero(at_lax)),
-                    overlap_at_lax=int(np.count_nonzero(at_lax & benchmark.mask))
-                    / benchmark_edges,
-                    outside_benchmark_span=outside,
-                )
-            )
-            logger.info(
-                "robustness delta=%d end=%d: overlap %.3f at %s",
-                delta, t2, rows[-1].overlap_at_tier, tier,
-            )
-            run.record(stage, edges_at_tier=rows[-1].edges_at_tier,
-                       edges_at_lax=rows[-1].edges_at_lax)
-    report = RobustnessReport(
-        benchmark_tier=tier,
-        lax_tier=LAX_TIER,
-        benchmark_edges=benchmark_edges,
-        delta_t=delta_t,
-        rows=tuple(rows),
-    )
-    path = run.out_dir / "robustness" / "report.json"
-    path.parent.mkdir(exist_ok=True)
-    exports.write_json(report.to_dict(), path)
-    run.record("robustness", outputs=[path])
+        # SeedSequence takes no negative spawn key: windows ending before year 0 get family 2
+        jobs = [(delta, (t1, t2), (1, delta, t2) if t2 >= 0 else (2, delta, -t2))
+                for delta in deltas
+                for t1, t2 in enumerate_windows(run.tech, run.prod, delta, delta_t)]
+        rows = []
+        with closing(run._validate_pairs(jobs)) as validations:
+            for delta, (t1, t2), _ in jobs:
+                with run.stage(f"robustness_d{delta}_{t2}") as window:
+                    validation = next(validations)[0]
+                    at_tier = validation.tier_mask(tier)
+                    at_lax = validation.tier_mask(LAX_TIER)
+                    outside = not (span[0] <= t2 - delta + 1 and t2 <= span[1])
+                    rows.append(
+                        RobustnessRow(
+                            delta=delta,
+                            end_year=t2,
+                            t1=t1,
+                            t2=t2,
+                            edges_at_tier=int(np.count_nonzero(at_tier)),
+                            overlap_at_tier=int(np.count_nonzero(at_tier & benchmark.mask))
+                            / benchmark_edges,
+                            edges_at_lax=int(np.count_nonzero(at_lax)),
+                            overlap_at_lax=int(np.count_nonzero(at_lax & benchmark.mask))
+                            / benchmark_edges,
+                            outside_benchmark_span=outside,
+                        )
+                    )
+                    logger.info(
+                        "robustness delta=%d end=%d: overlap %.3f at %s",
+                        delta, t2, rows[-1].overlap_at_tier, tier,
+                    )
+                    window.update(edges_at_tier=rows[-1].edges_at_tier,
+                                  edges_at_lax=rows[-1].edges_at_lax)
+        report = RobustnessReport(
+            benchmark_tier=tier,
+            lax_tier=LAX_TIER,
+            benchmark_edges=benchmark_edges,
+            delta_t=delta_t,
+            rows=tuple(rows),
+        )
+        path = run.out_dir / "robustness" / "report.json"
+        path.parent.mkdir(exist_ok=True)
+        exports.write_json(report.to_dict(), path)
+        entry["outputs"].append(path)
     return report

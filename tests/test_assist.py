@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tpnet
-from tpnet import AxisMismatchError, assist, compute_assist
+from tpnet import AxisMismatchError, PanelError, assist, compute_assist
 from tpnet.assist import _assist_values, _one_blas_thread, _openblas_thread_controls
 from tpnet.rca import BinaryMatrix
 
@@ -262,3 +262,8 @@ def test_contraction_bits_do_not_depend_on_blas_threads():
         )
         digests.add(result.stdout.strip())
     assert len(digests) == 1
+
+
+def test_assist_matrix_rejects_a_shape_other_than_its_axes():
+    with pytest.raises(PanelError, match=r"^assist matrix shape does not match axes$"):
+        assist.AssistMatrix(("t0",), ("p0", "p1"), np.zeros((2, 1)))

@@ -1,5 +1,7 @@
 """Fitness-complexity iteration, rankings, and the link-difference curve."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,18 @@ def test_tied_complexities_rank_by_id_string_order():
     assert result.rank_stable
     assert result.activity_rank == {"10": 1, "A01": 2, "9": 3, "A01B": 4, "x": 5}
     assert result.country_rank == {"c2": 1, "c1": 2, "c10": 3}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: run_efc(BinaryMatrix((), (), np.zeros((0, 0), dtype=int))),
+     AllZeroError, "cannot rank an empty matrix"),
+    (lambda: rank_activities(BinaryMatrix(("c0", "c1"), ("a0",), [[0], [0]])),
+     AllZeroError, "matrix has no nonzero rows or columns to rank"),
+    (lambda: cumulative_link_difference(
+        _net([("t0", "p0")], ("t0",), ("p0",)), _net([], ("t0",), ("p0",)),
+        _ranking(["p0"]), "country"),
+     ValueError, "side must be one of ('technology', 'product'), got 'country'"),
+])
+def test_ranking_inputs_are_checked(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -702,3 +702,14 @@ def test_exact_tie_never_counts_as_an_exceedance():
     emp = compute_assist(tech, prod)
     counts, _ = null_exceedance_counts(tech_model, prod_model, emp.values, 10, 0, (0,))
     assert counts[0, 0] == 0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BiCMModel(("c0", "c1"), ("a0",), np.zeros((1, 2)), 0.0),
+     "probability matrix shape does not match axes"),
+    (lambda: fit_bicm(BinaryMatrix((), ("a0",), np.zeros((0, 1), dtype=int))),
+     "cannot fit a null model to an empty matrix"),
+])
+def test_null_model_inputs_are_checked(build, message):
+    with pytest.raises(PanelError, match=f"^{re.escape(message)}$"):
+        build()

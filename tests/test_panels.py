@@ -22,7 +22,7 @@ from tpnet import (
     read_panel_csv,
 )
 from tpnet import panels
-from tpnet.panels import ActivityPanel
+from tpnet.panels import ActivityPanel, WindowedMatrix
 from tpnet.rca import BinaryMatrix
 
 from .conftest import read_records
@@ -742,3 +742,15 @@ def test_aggregate_activities_prefix_sums(tmp_path):
 def test_aggregate_activities_noop_when_codes_short(tmp_path):
     panel = read_records(tmp_path / "panel.csv", [("A", "81", 2000, 1.0)], "product")
     assert aggregate_activities(panel, 6) is panel
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WindowedMatrix("product", ("A", "B"), ("x",), 1, 2016, np.ones((1, 2))),
+     "window matrix shape does not match axes"),
+    (lambda: aggregate_activities(
+        ActivityPanel("product", ("A",), ("0101",), (2016,), {2016: np.ones((1, 1))}), 0),
+     "prefix_len must be >= 1, got 0"),
+])
+def test_panel_inputs_are_checked(build, message):
+    with pytest.raises(PanelError, match=f"^{re.escape(message)}$"):
+        build()

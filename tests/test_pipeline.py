@@ -673,6 +673,36 @@ def test_failing_robustness_window_is_tagged_with_its_window(
         assert multiprocessing.active_children() == []
 
 
+def test_failing_robustness_row_is_tagged_with_its_window(
+    planted_panel_files, tmp_path, monkeypatch
+):
+    # a window's stage spans its whole row, not only the wait for its counts
+    real_row = pipeline.RobustnessRow
+
+    def row(**fields):
+        if (fields["delta"], fields["end_year"]) == (2, 2012):
+            raise PanelError("row failed")
+        return real_row(**fields)
+
+    monkeypatch.setattr(pipeline, "RobustnessRow", row)
+    for cpus in (1, 2):
+        out = tmp_path / f"out_{cpus}"
+        cfg = _config(planted_panel_files, tmp_path, samples=30, output_dir=str(out))
+        with monkeypatch.context() as patch:
+            workers = _cpus(patch, cpus)
+            with pytest.raises(StageError, match=r"^\[robustness_d2_2012\] row failed$") as err:
+                run_robustness(cfg, deltas=(1, 2))
+        assert isinstance(err.value.__cause__, PanelError)
+        stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        windows = sorted(stage for stage in stages if stage.startswith("robustness"))
+        assert windows == [
+            "robustness_d1_2010", "robustness_d1_2011", "robustness_d1_2012",
+            "robustness_d1_2013", "robustness_d2_2011",
+        ]
+        assert workers == [None, None if cpus == 1 else 2]
+        assert multiprocessing.active_children() == []
+
+
 def test_validate_pair_raises_its_errors_untagged(planted_panel_files, tmp_path, monkeypatch):
     run = pipeline.Run.start(_config(planted_panel_files, tmp_path, samples=30))
     _fit_fails_for(monkeypatch, 2, (2011, 2011))
@@ -1169,6 +1199,25 @@ def test_cli_stage_error_is_tagged(planted_panel_files, tmp_path, command):
     result = runner.invoke(main, [command, "--config", str(config_path)])
     assert result.exit_code != 0
     assert "[ingest]" in result.output
+
+
+@pytest.mark.parametrize("command, writer", [
+    ("rca", "write_matrix_csv"), ("assist", "write_assist_csv"),
+])
+def test_cli_writer_error_is_tagged_and_leaves_the_stage_unrecorded(
+    planted_panel_files, tmp_path, monkeypatch, command, writer
+):
+    # the command's stage spans its writes as well as its matrices
+    def fail(*args):
+        raise PanelError("writer failed")
+
+    monkeypatch.setattr(exports, writer, fail)
+    cfg = _config(planted_panel_files, tmp_path, samples=20)
+    result = CliRunner().invoke(main, [command, "--config", str(_write_config(cfg, tmp_path))])
+    assert result.exit_code == 1
+    assert result.output == f"Error: [{command}] writer failed\n"
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert sorted(stages) == ["configure", "ingest"]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Specialization ratios and binarization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpnet import AllZeroError, binarize, compute_rca
+from tpnet import AllZeroError, AxisMismatchError, PanelError, binarize, compute_rca
 from tpnet.panels import WindowedMatrix
+from tpnet.rca import BinaryMatrix, RcaMatrix
 
 from .oracles import reference_rca
 
@@ -109,3 +112,22 @@ def test_restrict_countries_recomputes_degrees():
     sub = m.restrict_countries(("c0", "c2"))
     assert sub.country_ids == ("c0", "c2")
     assert sub.diversification.tolist() == list(sub.values.sum(axis=1))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RcaMatrix(("c0", "c1"), ("a0",), np.ones((1, 2))),
+     PanelError, "RCA matrix shape does not match axes"),
+    (lambda: RcaMatrix(("c0",), ("a0", "a1"), [[1.0, np.nan]]),
+     PanelError, "RCA values must be finite and >= 0"),
+    (lambda: RcaMatrix(("c0",), ("a0", "a1"), [[1.0, -0.5]]),
+     PanelError, "RCA values must be finite and >= 0"),
+    (lambda: BinaryMatrix(("c0", "c1"), ("a0",), np.ones((1, 2), dtype=int)),
+     PanelError, "binary matrix shape does not match axes"),
+    (lambda: BinaryMatrix(("c0",), ("a0", "a1"), [[1, 2]]),
+     PanelError, "binary matrix entries must be 0 or 1"),
+    (lambda: BinaryMatrix(("c0",), ("a0",), [[1]]).restrict_countries(("c0", "c9")),
+     AxisMismatchError, "countries not present in matrix: ['c9']"),
+])
+def test_matrix_inputs_are_checked(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
